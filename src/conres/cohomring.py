@@ -9,8 +9,16 @@ integral cohomology ring is
 A free Z-basis of the quotient is the staircase of monomials with the exponent
 of ``c^i`` at most ``n - i``.  Normal forms are computed by rewriting with the
 relations ``h_{n-k+1}(c^1, ..., c^k) = 0`` (complete homogeneous sums), whose
-extremal monomial is ``(c^k)^{n-k+1}``; repeated rewriting strictly decreases
-monomials and lands on the staircase basis.
+extremal monomial is ``(c^k)^{n-k+1}``.  A rewrite lowers the exponent of
+``c^k`` and leaves ``c^{k+1}, ..., c^n`` alone, so it strictly decreases
+monomials in the lex order with ``c^n`` most significant; for that order the
+relations are a Groebner basis and the staircase is the set of standard
+monomials, so the normal form does not depend on the order of the rewrites.
+The pending monomials sit in a heap that pops the largest one first: every
+monomial a rewrite produces is smaller than the one it came from, so a popped
+monomial never comes back and is rewritten at most once.  The relations are
+homogeneous and the quotient is zero above degree ``n(n-1)/2``, so monomials of
+higher degree are dropped at once.
 
 Degree-2 classes are integer sequences ``(a_1, ..., a_n)`` (meaning
 ``sum a_i c^i``) modulo constant sequences.  Their *order* is the degree of the
@@ -20,9 +28,11 @@ differences; the first-difference operator drops the order by one.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cache
+from operator import add
 from typing import Iterator, Mapping, Sequence
 
 from .qcombinat import QPoly
@@ -30,11 +40,13 @@ from .qcombinat import QPoly
 Monomial = tuple[int, ...]
 
 
-def _validate_monomial(mono: Monomial, n: int) -> None:
+def _validate_term(mono: Monomial, coeff: int, n: int) -> None:
     if len(mono) != n:
         raise ValueError(f"monomial {mono} has {len(mono)} exponents, expected {n}")
     if any((not isinstance(e, int)) or e < 0 for e in mono):
         raise ValueError(f"monomial {mono} has invalid exponents")
+    if not isinstance(coeff, int):
+        raise TypeError(f"coefficient {coeff!r} of {mono} is not an integer")
 
 
 def _within_staircase(mono: Monomial, n: int) -> bool:
@@ -61,36 +73,40 @@ def _rewrite_products(n: int, k: int) -> tuple[Monomial, ...]:
     return tuple(out)
 
 
+def _heap_key(mono: Monomial) -> Monomial:
+    # heapq pops the least key first; this key pops the largest monomial in
+    # lex order with c^n most significant
+    return tuple(-e for e in reversed(mono))
+
+
 def _reduce(terms: Mapping[Monomial, int], n: int) -> dict[Monomial, int]:
-    work = {m: c for m, c in terms.items() if c}
+    top = n * (n - 1) // 2
+    # pending coefficients; an entry that cancels to 0 stays until popped, so
+    # each monomial enters the heap at most once
+    work = {m: c for m, c in terms.items() if c and sum(m) <= top}
+    heap = [(_heap_key(m), m) for m in work]
+    heapq.heapify(heap)
     result: dict[Monomial, int] = {}
-    while work:
-        mono = max(work)
+    while heap:
+        mono = heapq.heappop(heap)[1]
         coeff = work.pop(mono)
         if not coeff:
             continue
-        violation = None
         for k in range(n, 0, -1):
             if mono[k - 1] > n - k:
-                violation = k
                 break
-        if violation is None:
-            new = result.get(mono, 0) + coeff
-            if new:
-                result[mono] = new
-            else:
-                result.pop(mono, None)
+        else:
+            result[mono] = coeff
             continue
-        k = violation
         base = list(mono)
         base[k - 1] -= n - k + 1
         for product in _rewrite_products(n, k):
-            new_mono = tuple(b + p for b, p in zip(base, product))
-            acc = work.get(new_mono, 0) - coeff
-            if acc:
-                work[new_mono] = acc
+            new_mono = tuple(map(add, base, product))
+            if new_mono in work:
+                work[new_mono] -= coeff
             else:
-                work.pop(new_mono, None)
+                work[new_mono] = -coeff
+                heapq.heappush(heap, (_heap_key(new_mono), new_mono))
     return result
 
 
@@ -108,7 +124,7 @@ class RingElement:
 
     def __post_init__(self) -> None:
         for mono, coeff in self.terms:
-            _validate_monomial(mono, self.n)
+            _validate_term(mono, coeff, self.n)
             if not _within_staircase(mono, self.n):
                 raise ValueError(f"monomial {mono} is not in normal form for n={self.n}")
             if coeff == 0:
@@ -195,8 +211,8 @@ def normal_form(expr: Mapping[Monomial, int] | RingElement, n: int) -> RingEleme
         terms: Mapping[Monomial, int] = expr.as_dict()
     else:
         terms = {tuple(m): c for m, c in expr.items()}
-        for mono in terms:
-            _validate_monomial(mono, n)
+        for mono, coeff in terms.items():
+            _validate_term(mono, coeff, n)
     return RingElement._from_dict(n, _reduce(terms, n))
 
 
@@ -228,7 +244,7 @@ def cup(x: RingElement, y: RingElement) -> RingElement:
     acc: dict[Monomial, int] = {}
     for m1, c1 in x.terms:
         for m2, c2 in y.terms:
-            m = tuple(a + b for a, b in zip(m1, m2))
+            m = tuple(map(add, m1, m2))
             acc[m] = acc.get(m, 0) + c1 * c2
     return RingElement._from_dict(x.n, _reduce(acc, x.n))
 

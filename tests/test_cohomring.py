@@ -130,6 +130,14 @@ def test_normal_form_agrees_with_oracle_on_random_pairs(n):
         assert (normal_form(x, n) == normal_form(y, n)) == same_class
 
 
+@pytest.mark.parametrize("n, d", [(3, 4), (4, 4), (4, 5), (4, 6)])
+def test_normal_form_agrees_with_oracle_past_the_staircase(n, d):
+    # every monomial of degree d lies off the staircase or above its top
+    rng = random.Random(31 * n + d)
+    x = {mono: rng.choice((-3, -2, -1, 1, 2, 3)) for mono in _monomials_of_degree(n, d)}
+    assert _oracle_is_zero(n, _difference(x, normal_form(x, n).as_dict()))
+
+
 def test_normal_form_matches_oracle_zero_detection():
     # the defining relations are zero in the quotient
     for n in (2, 3):
@@ -167,6 +175,28 @@ def test_normal_form_idempotent_and_linear():
         assert normal_form(dict(sum_xy), n) == nx + ny
 
 
+def test_normal_form_rejects_non_integer_coefficients():
+    with pytest.raises(TypeError):
+        normal_form({(1, 0): 0.5}, 2)
+    with pytest.raises(TypeError):
+        normal_form({(1, 0, 0): Fraction(1, 2)}, 3)
+    with pytest.raises(TypeError):
+        RingElement(2, (((1, 0), 0.5),))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_generator_powers_vanish_from_the_nth(n):
+    # prod_i (t - c^i) = t^n in the quotient, so every generator is a root of
+    # t^n; high powers are where a rewrite order that revisits monomials blows up
+    for i in range(1, n + 1):
+        def power(k):
+            return normal_form({tuple(k if j == i else 0 for j in range(1, n + 1)): 1}, n)
+
+        assert not power(n - 1).is_zero()
+        for k in range(n, n + 3):
+            assert power(k).is_zero()
+
+
 def test_normal_form_examples():
     # first symmetric polynomial of the generators
     assert normal_form(elementary_symmetric(5, 1), 5).is_zero()
@@ -201,16 +231,20 @@ def test_cup_examples():
         cup(generator(2, 1), generator(3, 1))
 
 
-def _random_element(n, rng):
+def _random_element(n, rng, size=3):
     monos = list(staircase_monomials(n))
-    return normal_form({rng.choice(monos): rng.randint(-3, 3) for _ in range(3)}, n)
+    return normal_form({rng.choice(monos): rng.randint(-3, 3) for _ in range(size)}, n)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_cup_commutative_associative(n):
+@pytest.mark.parametrize(
+    "n, size, rounds",
+    [pytest.param(n, 3, 10, id=str(n)) for n in (2, 3, 4, 5)]
+    + [pytest.param(n, 40, 2, id=f"{n}-40terms") for n in (5, 6)],
+)
+def test_cup_commutative_associative(n, size, rounds):
     rng = random.Random(100 + n)
-    for _ in range(10):
-        x, y, z = (_random_element(n, rng) for _ in range(3))
+    for _ in range(rounds):
+        x, y, z = (_random_element(n, rng, size) for _ in range(3))
         assert cup(x, y) == cup(y, x)
         assert cup(cup(x, y), z) == cup(x, cup(y, z))
 
