@@ -85,17 +85,13 @@ def _averaged_denominator(m: int, step: int) -> QPoly:
     if m == 0:
         return QPoly.one()
     denominator = q_pochhammer(m, step)
-    acc: dict[int, Fraction] = {}
+    pairs = []
     for lam in partitions(m, 1):
         lam_product = QPoly.one()
         for part in lam:
             lam_product = lam_product * one_minus_q(step * part)
-        cofactor = denominator.exact_div(lam_product)
-        weight = Fraction(1, centralizer_order(lam))
-        for e, c in cofactor.items():
-            acc[e] = acc.get(e, Fraction(0)) + weight * c
-    collapsed = {e: f for e, f in acc.items() if f}
-    if collapsed != {0: Fraction(1)}:
+        pairs.append((Fraction(1, centralizer_order(lam)), denominator.exact_div(lam_product)))
+    if integer_combination(pairs, QPoly) != QPoly.one():
         raise ConsistencyError(
             f"partition average for m={m}, step={step} did not collapse to 1"
         )

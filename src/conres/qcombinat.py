@@ -15,6 +15,13 @@ coercion: off-by-one degree shifts are the dominant failure mode in this kind
 of computation, and keeping the gradings in separate types makes them
 impossible to confuse silently.
 
+Both are stored densely: a low exponent plus the tuple of coefficients up to
+the degree, trimmed at both ends.  Products go through one big-integer product
+(Kronecker substitution) when the coefficients fit 64-bit slots, exact
+division is a single synthetic-division pass that stops at the first
+remainder, and rational averages of polynomials are summed in integers over
+the common denominator, which is divided out once per coefficient at the end.
+
 The module also owns the index combinatorics: integer partitions,
 multi-indices ``A`` of eigenvalue multiplicities, and the conjugacy classes of
 the group permuting equal-size parts of ``A``.
@@ -23,11 +30,13 @@ the group permuting equal-size parts of ``A``.
 from __future__ import annotations
 
 import itertools
+import operator
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial, prod
-from typing import Iterable, Mapping, Sequence, TypeVar
+from math import factorial, lcm, prod
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 
 class ConsistencyError(RuntimeError):
@@ -47,21 +56,65 @@ class BudgetExceededError(RuntimeError):
 
 
 # --------------------------------------------------------------------------
-# sparse integer polynomials
+# dense integer polynomials
 # --------------------------------------------------------------------------
 
 _P = TypeVar("_P", bound="_SparsePoly")
 
+#: Most exponents one polynomial may span (highest minus lowest, plus one).
+#: Storage is dense, so the span bounds memory; the polynomials of ambient
+#: dimension n span O(n^2) exponents, far below this.  Every polynomial passes
+#: the check in ``_SparsePoly._set``; sums and substitutions, whose working
+#: buffer can be far wider than their operands, check it before allocating.
+MAX_SPAN = 1 << 22
+
+
+def _check_span(span: int) -> None:
+    if span > MAX_SPAN:
+        raise ValueError(f"a polynomial may span at most {MAX_SPAN} exponents, not {span}")
+
+
+def _zeros(span: int) -> list[int]:
+    _check_span(span)
+    return [0] * span
+
+
+#: Coefficients (and products of coefficients) below this magnitude fit one
+#: signed 64-bit slot, so products can go through a single integer product.
+_SLOT_BOUND = 1 << 63
+
+
+def _slot_offsets(length: int) -> int:
+    # 2^63 in each of ``length`` 64-bit slots
+    return int.from_bytes(b"\0\0\0\0\0\0\0\x80" * length, "little")
+
+
+def _pack_slots(coeffs: Sequence[int]) -> int:
+    """sum_i coeffs[i] * 2^(64 i) for |coeffs[i]| < 2^63."""
+    offsets = _slot_offsets(len(coeffs))
+    # flipping the top bit of each two's-complement slot adds 2^63 to it
+    raw = int.from_bytes(struct.pack(f"<{len(coeffs)}q", *coeffs), "little")
+    return (raw ^ offsets) - offsets
+
+
+def _unpack_slots(value: int, length: int) -> tuple[int, ...]:
+    """Inverse of :func:`_pack_slots` for ``length`` slots."""
+    offsets = _slot_offsets(length)
+    return struct.unpack(f"<{length}q", ((value + offsets) ^ offsets).to_bytes(8 * length, "little"))
+
 
 class _SparsePoly:
-    """Immutable sparse polynomial with integer coefficients.
+    """Immutable polynomial with integer coefficients, stored densely.
 
-    Stored as a map exponent -> coefficient with no zero entries, so equality
-    is structural.  Subclasses fix the variable name and whether negative
-    exponents are allowed.
+    Stored as a low exponent ``_low`` plus the tuple ``_coeffs`` of the
+    coefficients of ``x^_low, x^(_low+1), ...``, trimmed so that both end
+    coefficients are nonzero (the zero polynomial is ``0, ()``); equality is
+    therefore structural.  Subclasses fix the variable name and whether
+    negative exponents are allowed.  ``perfbench/tracer.py`` wraps the
+    arithmetic methods by this class name, so the name stays.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_low", "_coeffs")
 
     _var = "x"
     _allow_negative = True
@@ -72,12 +125,37 @@ class _SparsePoly:
         for exponent, coefficient in items:
             if not isinstance(exponent, int) or not isinstance(coefficient, int):
                 raise TypeError("exponents and coefficients must be integers")
-            if coefficient:
-                acc[exponent] = acc.get(exponent, 0) + coefficient
+            acc[exponent] = acc.get(exponent, 0) + coefficient
         acc = {e: c for e, c in acc.items() if c}
-        if not self._allow_negative and acc and min(acc) < 0:
-            raise ValueError(f"{type(self).__name__} does not allow negative exponents")
-        self._coeffs = acc
+        low = min(acc, default=0)
+        dense = _zeros(max(acc) - low + 1 if acc else 0)
+        for exponent, coefficient in acc.items():
+            dense[exponent - low] = coefficient
+        self._set(low, dense)
+
+    def _set(self, low: int, coeffs: Sequence[int]) -> None:
+        start, stop = 0, len(coeffs)
+        while stop and not coeffs[stop - 1]:
+            stop -= 1
+        while start < stop and not coeffs[start]:
+            start += 1
+        if start == stop:
+            low, coeffs = 0, ()
+        else:
+            low += start
+            if low < 0 and not self._allow_negative:
+                raise ValueError(f"{type(self).__name__} does not allow negative exponents")
+            _check_span(stop - start)
+            coeffs = tuple(coeffs[start:stop])
+        self._low = low
+        self._coeffs = coeffs
+
+    @classmethod
+    def _dense(cls: type[_P], low: int, coeffs: Sequence[int]) -> _P:
+        """Trusted constructor: coefficients of x^low, x^(low+1), ... (ints)."""
+        poly = object.__new__(cls)
+        poly._set(low, coeffs)
+        return poly
 
     @classmethod
     def zero(cls: type[_P]) -> _P:
@@ -92,36 +170,43 @@ class _SparsePoly:
         return cls({exponent: coefficient})
 
     def coefficient(self, exponent: int) -> int:
-        return self._coeffs.get(exponent, 0)
+        i = exponent - self._low
+        return self._coeffs[i] if 0 <= i < len(self._coeffs) else 0
 
     def items(self) -> tuple[tuple[int, int], ...]:
         """Terms as (exponent, coefficient) pairs, ascending exponent."""
-        return tuple(sorted(self._coeffs.items()))
+        low = self._low
+        return tuple((low + i, c) for i, c in enumerate(self._coeffs) if c)
 
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._coeffs))
+        low = self._low
+        return tuple(low + i for i, c in enumerate(self._coeffs) if c)
 
     def degree(self) -> int:
         if not self._coeffs:
             raise ValueError("the zero polynomial has no degree")
-        return max(self._coeffs)
+        return self._low + len(self._coeffs) - 1
 
     def min_degree(self) -> int:
         if not self._coeffs:
             raise ValueError("the zero polynomial has no degree")
-        return min(self._coeffs)
+        return self._low
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
     def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and self._coeffs == other._coeffs
+        return (
+            type(other) is type(self)
+            and self._low == other._low
+            and self._coeffs == other._coeffs
+        )
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, frozenset(self._coeffs.items())))
+        return hash((type(self).__name__, self._low, self._coeffs))
 
     def __neg__(self: _P) -> _P:
-        return type(self)({e: -c for e, c in self._coeffs.items()})
+        return self._dense(self._low, [-c for c in self._coeffs])
 
     def _check_same_type(self, other: object) -> None:
         if type(other) is not type(self):
@@ -130,86 +215,110 @@ class _SparsePoly:
                 " convert explicitly"
             )
 
-    def __add__(self: _P, other: _P) -> _P:
+    def _combine(self: _P, other: _P, op: Callable[[int, int], int]) -> _P:
         self._check_same_type(other)
-        acc = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            acc[e] = acc.get(e, 0) + c
-        return type(self)(acc)
+        if not other._coeffs:
+            return self
+        low = min(self._low, other._low) if self._coeffs else other._low
+        high = max(self._low + len(self._coeffs), other._low + len(other._coeffs))
+        acc = _zeros(high - low)
+        i = self._low - low
+        acc[i : i + len(self._coeffs)] = self._coeffs
+        i = other._low - low
+        acc[i : i + len(other._coeffs)] = map(op, acc[i : i + len(other._coeffs)], other._coeffs)
+        return self._dense(low, acc)
+
+    def __add__(self: _P, other: _P) -> _P:
+        return self._combine(other, operator.add)
 
     def __sub__(self: _P, other: _P) -> _P:
-        self._check_same_type(other)
-        acc = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            acc[e] = acc.get(e, 0) - c
-        return type(self)(acc)
+        return self._combine(other, operator.sub)
 
     def __mul__(self: _P, other: _P | int) -> _P:
         if isinstance(other, int):
-            return type(self)({e: c * other for e, c in self._coeffs.items()})
+            return self._dense(self._low, [c * other for c in self._coeffs])
         self._check_same_type(other)
-        acc: dict[int, int] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return type(self)(acc)
+        a, b = self._coeffs, other._coeffs
+        if not a or not b:
+            return type(self)()
+        if min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b)) < _SLOT_BOUND:
+            # Kronecker substitution: evaluate both at x = 2^64 (one signed
+            # 64-bit slot per coefficient), multiply the integers, read the
+            # slots of the product back; no coefficient can carry over.
+            length = len(a) + len(b) - 1
+            product = _unpack_slots(_pack_slots(a) * _pack_slots(b), length)
+        else:
+            # struct packs no wider slot, and packing wider slots one
+            # coefficient at a time loses most of the gain; no product of
+            # the spectral tables up to n = 18 needs more, so rows suffice
+            product = [0] * (len(a) + len(b) - 1)
+            for i, c in enumerate(a):
+                if c:
+                    window = product[i : i + len(b)]
+                    product[i : i + len(b)] = map(operator.add, window, map(c.__mul__, b))
+        return self._dense(self._low + other._low, product)
 
     def __rmul__(self: _P, other: int) -> _P:
         return self.__mul__(other)
 
     def __call__(self, value: int) -> int:
         """Evaluate at an integer, e.g. at q = 1 for a total rank."""
-        return sum(c * value**e for e, c in self._coeffs.items())
+        return sum(c * value**e for e, c in self.items())
 
     def substitute_power(self: _P, c: int) -> _P:
         """Multiply every exponent by c >= 1, keeping coefficients."""
         if not isinstance(c, int) or c < 1:
             raise ValueError("substitution power must be a positive integer")
-        return type(self)({e * c: coeff for e, coeff in self._coeffs.items()})
+        if not self._coeffs:
+            return self
+        acc = _zeros((len(self._coeffs) - 1) * c + 1)
+        acc[::c] = self._coeffs
+        return self._dense(self._low * c, acc)
 
     def times_power(self: _P, k: int) -> _P:
         """Multiply by the k-th power of the variable (degree shift)."""
-        return type(self)({e + k: c for e, c in self._coeffs.items()})
+        if not isinstance(k, int):
+            raise TypeError("exponents and coefficients must be integers")
+        if not self._coeffs:
+            return self
+        return self._dense(self._low + k, self._coeffs)
 
     def exact_div(self: _P, divisor: _P) -> _P:
-        """Divide exactly; raise :class:`InexactDivisionError` otherwise."""
+        """Divide exactly; raise :class:`InexactDivisionError` otherwise.
+
+        One synthetic-division pass from the low end: quotient coefficient i
+        is (numerator_i - sum_{j>=1} divisor_j quotient_{i-j}) / divisor_0,
+        which must divide; past the last quotient coefficient the same sums
+        must cancel the numerator exactly."""
         self._check_same_type(divisor)
         if not divisor:
             raise ZeroDivisionError("division by the zero polynomial")
-        if not self:
+        num, den = self._coeffs, divisor._coeffs
+        if not num:
             return type(self)()
-        den = sorted(divisor._coeffs.items())
-        low_exp, low_coeff = den[0]
-        max_quotient_degree = self.degree() - divisor.degree()
-        num = dict(self._coeffs)
-        quotient: dict[int, int] = {}
-        while num:
-            e = min(num)
-            c = num[e]
-            if c % low_coeff:
+        length = len(num) - len(den) + 1
+        if length < 1:
+            raise InexactDivisionError(f"{self!r} is not divisible by {divisor!r}")
+        d0, rest = den[0], den[:0:-1]
+        top = len(rest)
+        # padded[top + k] = quotient_k, so padded[i : i + top] lines up
+        # quotient_{i-top} .. quotient_{i-1} with rest = divisor_top .. divisor_1
+        padded = [0] * top
+        for i in range(length):
+            q_i, r = divmod(num[i] - sum(map(operator.mul, rest, padded[i : i + top])), d0)
+            if r:
                 raise InexactDivisionError(f"{self!r} is not divisible by {divisor!r}")
-            qe, qc = e - low_exp, c // low_coeff
-            if qe > max_quotient_degree:
+            padded.append(q_i)
+        for i in range(length, len(num)):
+            if num[i] != sum(map(operator.mul, rest, padded[i : i + top])):
                 raise InexactDivisionError(f"{self!r} is not divisible by {divisor!r}")
-            quotient[qe] = qc
-            for de, dc in den:
-                ne = de + qe
-                nc = num.get(ne, 0) - dc * qc
-                if nc:
-                    num[ne] = nc
-                else:
-                    num.pop(ne, None)
-        return type(self)(quotient)
+        return self._dense(self._low - divisor._low, padded[top:])
 
     def is_palindromic(self) -> bool:
-        if not self._coeffs:
-            return True
-        lo, hi = self.min_degree(), self.degree()
-        return all(self.coefficient(lo + k) == self.coefficient(hi - k) for k in range(hi - lo + 1))
+        return self._coeffs == self._coeffs[::-1]
 
     def nonnegative(self) -> bool:
-        return all(c >= 0 for c in self._coeffs.values())
+        return all(c >= 0 for c in self._coeffs)
 
     def __str__(self) -> str:
         if not self._coeffs:
@@ -243,7 +352,7 @@ class QPoly(_SparsePoly):
 
     def to_graded(self) -> "GradedDims":
         """The same ranks on the t-grading: every exponent doubles (q = t^2)."""
-        return GradedDims({2 * e: c for e, c in self._coeffs.items()})
+        return GradedDims._dense(self._low, self._coeffs).substitute_power(2)
 
 
 class GradedDims(_SparsePoly):
@@ -278,18 +387,30 @@ def q_pochhammer(k: int, step: int = 1) -> QPoly:
 
 def integer_combination(pairs: Iterable[tuple[Fraction, _P]], cls: type[_P]) -> _P:
     """Sum weight * polynomial with rational weights; the result must have
-    integer coefficients (it is a rank), else :class:`ConsistencyError`."""
-    acc: dict[int, Fraction] = {}
-    for weight, poly in pairs:
-        for e, c in poly.items():
-            acc[e] = acc.get(e, Fraction(0)) + weight * c
-    out: dict[int, int] = {}
-    for e, val in acc.items():
-        if val:
-            if val.denominator != 1:
-                raise ConsistencyError(f"non-integral rank {val} at exponent {e}")
-            out[e] = int(val)
-    return cls(out)
+    integer coefficients (it is a rank), else :class:`ConsistencyError`.
+
+    Every weight is scaled to the least common multiple of the denominators,
+    the integer polynomials are summed, and each coefficient of the sum is
+    checked for divisibility by that multiple once."""
+    terms = [(Fraction(weight), poly) for weight, poly in pairs if poly]
+    if not terms:
+        return cls()
+    scale = lcm(*(weight.denominator for weight, _ in terms))
+    low = min(poly._low for _, poly in terms)
+    acc = _zeros(max(poly._low + len(poly._coeffs) for _, poly in terms) - low)
+    for weight, poly in terms:
+        w = weight.numerator * (scale // weight.denominator)
+        i = poly._low - low
+        width = len(poly._coeffs)
+        acc[i : i + width] = map(operator.add, acc[i : i + width], map(w.__mul__, poly._coeffs))
+    if scale != 1:
+        for i, c in enumerate(acc):
+            acc[i], r = divmod(c, scale)
+            if r:
+                raise ConsistencyError(
+                    f"non-integral rank {Fraction(c, scale)} at exponent {low + i}"
+                )
+    return cls._dense(low, acc)
 
 
 # --------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 import itertools
+from fractions import Fraction
 from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conres import qcombinat
 from conres.qcombinat import (
+    MAX_SPAN,
     BlockClass,
+    ConsistencyError,
     GradedDims,
     InexactDivisionError,
     MultiIndex,
@@ -14,6 +18,7 @@ from conres.qcombinat import (
     centralizer_order,
     conjugacy_classes,
     gauss_multinomial,
+    integer_combination,
     multiindices,
     partitions,
     q_pochhammer,
@@ -79,6 +84,188 @@ def test_exact_div_inverts_multiplication(p_terms, d_terms):
     if not d:
         return
     assert (p * d).exact_div(d) == p
+
+
+# --------------------------------------------------------------------------
+# the dense core against a dict-based reference
+# --------------------------------------------------------------------------
+
+
+def _ref_mul(a, b):
+    acc = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in acc.items() if c}
+
+
+def _ref_add(a, b, sign=1):
+    acc = dict(a)
+    for e, c in b.items():
+        acc[e] = acc.get(e, 0) + sign * c
+    return {e: c for e, c in acc.items() if c}
+
+
+def _ref_div(a, b):
+    """Quotient as a dict, or None if the division leaves a remainder."""
+    num, quotient = dict(a), {}
+    low_e, low_c = min(b.items())
+    while num:
+        e = min(num)
+        if num[e] % low_c or e - low_e > max(a) - max(b):
+            return None
+        qe, qc = e - low_e, num[e] // low_c
+        quotient[qe] = qc
+        for de, dc in b.items():
+            num[qe + de] = num.get(qe + de, 0) - qc * dc
+            if not num[qe + de]:
+                del num[qe + de]
+    return quotient
+
+
+# small coefficients take the packed-integer product, huge ones the row one
+_coeff = st.one_of(st.integers(-5, 5), st.integers(-(2**80), 2**80))
+_laurent = st.dictionaries(st.integers(-6, 6), _coeff, max_size=6)
+_nonzero_laurent = st.dictionaries(st.integers(-6, 6), _coeff.filter(bool), min_size=1, max_size=5)
+
+
+@settings(max_examples=200)
+@given(_laurent, _laurent)
+def test_ring_operations_match_reference(a, b):
+    p, q = GradedDims(a), GradedDims(b)
+    ref_a, ref_b = dict(p.items()), dict(q.items())
+    assert dict((p * q).items()) == _ref_mul(ref_a, ref_b)
+    assert dict((p + q).items()) == _ref_add(ref_a, ref_b)
+    assert dict((p - q).items()) == _ref_add(ref_a, ref_b, -1)
+    assert dict((p * 3).items()) == _ref_mul(ref_a, {0: 3})
+
+
+@pytest.mark.parametrize("a", [2**31 - 1, -(2**31 - 1), 2**31, 2**62, -(2**63)])
+@pytest.mark.parametrize("b", [2**31, -(2**31), 3])
+def test_products_near_the_64_bit_slot_bound(a, b):
+    # coefficients of products reach +-2^63 around here, the edge of one
+    # signed 64-bit slot of the packed-integer product
+    p, q = GradedDims({-1: a, 0: a, 4: -a}), GradedDims({0: b, 1: b})
+    assert dict((p * q).items()) == _ref_mul(dict(p.items()), dict(q.items()))
+    assert (p * q).exact_div(q) == p
+
+
+@settings(max_examples=200)
+@given(_laurent, _nonzero_laurent)
+def test_exact_div_matches_reference(a, b):
+    num, den = GradedDims(a), GradedDims(b)
+    for dividend in (num, num * den):
+        expected = _ref_div(dict(dividend.items()), dict(den.items())) if dividend else {}
+        if expected is None:
+            with pytest.raises(InexactDivisionError):
+                dividend.exact_div(den)
+        else:
+            assert dict(dividend.exact_div(den).items()) == expected
+
+
+@settings(max_examples=200)
+@given(_laurent, _nonzero_laurent.filter(lambda terms: len(terms) > 1), st.data())
+def test_nonzero_low_degree_remainder_is_inexact(p_terms, d_terms, data):
+    # r = d * s with s != 0 would give min_degree(r) < min_degree(d) whenever
+    # deg r < deg d, so a remainder inside [min_degree d, deg d) never divides
+    # (below min_degree d it can: in Laurent polynomials monomials are units)
+    p, d = GradedDims(p_terms), GradedDims(d_terms)
+    r_terms = data.draw(
+        st.dictionaries(
+            st.integers(d.min_degree(), d.degree() - 1),
+            st.integers(-5, 5).filter(bool),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    with pytest.raises(InexactDivisionError):
+        (p * d + GradedDims(r_terms)).exact_div(d)
+
+
+@given(_laurent, st.integers(-10, 10))
+def test_trimming_makes_equality_and_hash_agree(terms, shift):
+    assert GradedDims({-3: 1}) * GradedDims({3: 1}) == GradedDims.one()
+    assert hash(GradedDims({-3: 1}) * GradedDims({3: 1})) == hash(GradedDims.one())
+    p = GradedDims(terms)
+    round_trip = p.times_power(shift) * GradedDims.term(-shift)
+    assert round_trip == p and hash(round_trip) == hash(p)
+    cancelled = (p + GradedDims({-9: 1, 9: 1})) - GradedDims({9: 1, -9: 1})
+    assert cancelled == p and hash(cancelled) == hash(p)
+    assert (p - p) == GradedDims.zero() and hash(p - p) == hash(GradedDims.zero())
+
+
+def test_quotient_with_negative_exponents_is_not_a_qpoly():
+    with pytest.raises(ValueError):
+        QPoly({0: 1}).exact_div(QPoly({1: 1}))
+    with pytest.raises(ValueError):
+        QPoly({0: 1}).times_power(-1)
+    assert QPoly({2: 1}).times_power(-2) == QPoly.one()
+
+
+def test_constructor_rejects_non_integers():
+    with pytest.raises(TypeError):
+        GradedDims({1.0: 1})
+    with pytest.raises(TypeError):
+        GradedDims({1: Fraction(1, 2)})
+    with pytest.raises(TypeError):
+        GradedDims.one().times_power(0.5)
+
+
+def test_span_is_bounded():
+    with pytest.raises(ValueError):
+        GradedDims({0: 1, MAX_SPAN: 1})
+    with pytest.raises(ValueError):
+        GradedDims({0: 1}) + GradedDims({MAX_SPAN: 1})
+    with pytest.raises(ValueError):
+        GradedDims({0: 1, 2: 1}).substitute_power(MAX_SPAN)
+    assert GradedDims({10**9: 1}) * GradedDims({-(10**9): 2}) == GradedDims.term(0, 2)
+    # cancelling terms do not count towards the span
+    assert GradedDims([(0, 1), (MAX_SPAN, 1), (MAX_SPAN, -1)]) == GradedDims.one()
+
+
+@pytest.mark.parametrize("lead", [1, 2**40])
+def test_span_bound_holds_for_products(lead, monkeypatch):
+    # small coefficients take the packed-integer product, 2^40 the row one;
+    # both accept a product spanning MAX_SPAN exponents and refuse a wider one
+    monkeypatch.setattr(qcombinat, "MAX_SPAN", 64)
+    wide = GradedDims({-3: lead, 28: 1})
+    square = wide * wide
+    assert square.degree() - square.min_degree() + 1 == 63
+    widest = square * GradedDims({0: 1, 1: lead})
+    assert widest.degree() - widest.min_degree() + 1 == 64
+    with pytest.raises(ValueError):
+        square * GradedDims({0: lead, 2: 1})
+
+
+@given(st.lists(st.tuples(st.integers(1, 12), _laurent), max_size=5), st.data())
+def test_integer_combination_matches_fraction_sum(weighted, data):
+    pairs = [
+        (Fraction(data.draw(st.integers(-6, 6)), den), GradedDims(terms)) for den, terms in weighted
+    ]
+    exact = {}
+    for weight, poly in pairs:
+        for e, c in poly.items():
+            exact[e] = exact.get(e, Fraction(0)) + weight * c
+    if all(v.denominator == 1 for v in exact.values()):
+        expected = GradedDims({e: int(v) for e, v in exact.items()})
+        assert integer_combination(pairs, GradedDims) == expected
+    else:
+        with pytest.raises(ConsistencyError):
+            integer_combination(pairs, GradedDims)
+
+
+def test_integer_combination_mixed_denominators():
+    x = GradedDims({-1: 1, 2: 3})
+    y = GradedDims({-1: 1})
+    # non-integral parts with an integral sum: 1/2 x + 1/3 x + 1/6 x = x
+    assert integer_combination([(Fraction(1, 2), x), (Fraction(1, 3), x), (Fraction(1, 6), x)], GradedDims) == x
+    assert integer_combination([(Fraction(3, 4), y), (Fraction(1, 4), y), (Fraction(5, 6), x - x)], GradedDims) == y
+    # 1/2 + 1/3 at t^-1 is not an integer
+    with pytest.raises(ConsistencyError):
+        integer_combination([(Fraction(1, 2), y), (Fraction(1, 3), y)], GradedDims)
+    with pytest.raises(ConsistencyError):
+        integer_combination([(Fraction(1, 2), x), (Fraction(1, 2), y)], GradedDims)
+    assert integer_combination([], QPoly) == QPoly.zero()
 
 
 # --------------------------------------------------------------------------
