@@ -86,64 +86,59 @@ class OutputDocument:
             raw["command"], raw["version"], raw["arguments"], raw["payload"], raw["format"]
         )
 
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        for row in _csv_rows(self.payload):
-            writer.writerow(row)
-        return out.getvalue()
-
-    def to_markdown(self) -> str:
-        return _markdown(self.payload, self.arguments)
-
     def render(self) -> str:
         if self.format == "json":
             return self.to_json()
-        if self.format == "csv":
-            return self.to_csv()
+        csv_rows, markdown = _RENDERERS[self.name]
         if self.format == "md":
-            return self.to_markdown()
+            return markdown(self.payload, self.arguments)
+        if self.format == "csv":
+            out = io.StringIO()
+            csv.writer(out, lineterminator="\n").writerows(csv_rows(self.payload))
+            return out.getvalue()
         raise UsageError(f"unknown format {self.format!r}")
 
 
-def _csv_rows(payload: dict[str, Any]) -> list[list[Any]]:
-    if "cells" in payload:
-        rows: list[list[Any]] = [["p", "q", "block", "rank"]]
-        for cell in payload["cells"]:
-            for parts, rank in sorted(cell["blocks"].items()):
-                rows.append([cell["p"], cell["q"], parts, rank])
-        return rows
-    if "polynomial" in payload:
-        rows = [["exponent", "coefficient"]]
-        rows.extend(payload["polynomial"])
-        return rows
-    if "checks" in payload:
-        rows = [["check", "location", "passed", "detail"]]
-        for check in payload["checks"]:
-            rows.append(
-                [check["name"], check["location"], int(check["passed"]), check["detail"]]
-            )
-        return rows
-    # flat key/value payloads (order, stab)
+def _csv_table(payload: dict[str, Any]) -> list[list[Any]]:
+    rows: list[list[Any]] = [["p", "q", "block", "rank"]]
+    for cell in payload["cells"]:
+        for parts, rank in sorted(cell["blocks"].items()):
+            rows.append([cell["p"], cell["q"], parts, rank])
+    return rows
+
+
+def _csv_polynomial(payload: dict[str, Any]) -> list[list[Any]]:
+    return [["exponent", "coefficient"], *payload["polynomial"]]
+
+
+def _csv_checks(payload: dict[str, Any]) -> list[list[Any]]:
+    rows: list[list[Any]] = [["check", "location", "passed", "detail"]]
+    for check in payload["checks"]:
+        rows.append([check["name"], check["location"], int(check["passed"]), check["detail"]])
+    return rows
+
+
+def _csv_flat(payload: dict[str, Any]) -> list[list[Any]]:
     keys = sorted(payload)
     return [keys, [json.dumps(payload[k]) if isinstance(payload[k], (list, dict)) else payload[k] for k in keys]]
 
 
-def _markdown(payload: dict[str, Any], arguments: dict[str, Any]) -> str:
-    if "cells" in payload:
-        return _markdown_table(payload, arguments)
-    if "polynomial" in payload:
-        return payload["pretty"] + "\n"
-    if "checks" in payload:
-        lines = [
-            f"{'ok' if c['passed'] else 'FAIL'} {c['name']} @ {c['location']}"
-            + (f" ({c['detail']})" if c["detail"] else "")
-            for c in payload["checks"]
-        ]
-        lines.append(f"result: {'all checks passed' if payload['passed'] else 'FAILURES'}")
-        return "\n".join(lines) + "\n"
-    lines = [f"{k} = {payload[k]}" for k in sorted(payload)]
+def _markdown_polynomial(payload: dict[str, Any], arguments: dict[str, Any]) -> str:
+    return payload["pretty"] + "\n"
+
+
+def _markdown_checks(payload: dict[str, Any], arguments: dict[str, Any]) -> str:
+    lines = [
+        f"{'ok' if c['passed'] else 'FAIL'} {c['name']} @ {c['location']}"
+        + (f" ({c['detail']})" if c["detail"] else "")
+        for c in payload["checks"]
+    ]
+    lines.append(f"result: {'all checks passed' if payload['passed'] else 'FAILURES'}")
     return "\n".join(lines) + "\n"
+
+
+def _markdown_flat(payload: dict[str, Any], arguments: dict[str, Any]) -> str:
+    return "\n".join(f"{k} = {payload[k]}" for k in sorted(payload)) + "\n"
 
 
 def _markdown_table(payload: dict[str, Any], arguments: dict[str, Any]) -> str:
@@ -194,6 +189,17 @@ def _markdown_table(payload: dict[str, Any], arguments: dict[str, Any]) -> str:
 
 def _parts_sort_key(parts: str) -> tuple[int, ...]:
     return tuple(-int(x) for x in parts.split(","))
+
+
+#: csv rows and markdown text, by document kind (``OutputDocument.name``)
+_RENDERERS = {
+    "table": (_csv_table, _markdown_table),
+    "link": (_csv_polynomial, _markdown_polynomial),
+    "gamma": (_csv_polynomial, _markdown_polynomial),
+    "verify": (_csv_checks, _markdown_checks),
+    "order": (_csv_flat, _markdown_flat),
+    "stab": (_csv_flat, _markdown_flat),
+}
 
 
 # --------------------------------------------------------------------------
@@ -251,7 +257,7 @@ def _table_cells(table: SpectralTable, view: str, total_degree: bool) -> list[di
 
 def _cmd_table(args: argparse.Namespace) -> tuple[OutputDocument, int]:
     _check_n(args.n, args.max_n)
-    table = spectral_table(args.n, koszul=args.koszul)
+    table = spectral_table(args.n)
     cells = _table_cells(table, args.view, args.total_degree)
     payload = {"n": args.n, "view": args.view, "cells": cells}
     doc = OutputDocument(
@@ -260,7 +266,6 @@ def _cmd_table(args: argparse.Namespace) -> tuple[OutputDocument, int]:
         {
             "n": args.n,
             "view": args.view,
-            "koszul": args.koszul,
             "total_degree": args.total_degree,
         },
         payload,
@@ -271,15 +276,13 @@ def _cmd_table(args: argparse.Namespace) -> tuple[OutputDocument, int]:
 
 def _cmd_link(args: argparse.Namespace) -> tuple[OutputDocument, int]:
     _check_n(args.n, args.max_n, minimum=3)
-    poly = link_poincare(args.n, koszul=args.koszul)
+    poly = link_poincare(args.n)
     payload = {
         "n": args.n,
         "polynomial": _poly_pairs(poly),
         "pretty": str(poly),
     }
-    doc = OutputDocument(
-        "link", __version__, {"n": args.n, "koszul": args.koszul}, payload, args.format
-    )
+    doc = OutputDocument("link", __version__, {"n": args.n}, payload, args.format)
     return doc, 0
 
 
@@ -310,7 +313,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[OutputDocument, int]:
     _check_n(args.n, args.max_n)
     checks = tuple(args.checks.split(",")) if args.checks else None
     try:
-        report = verify(args.n, checks=checks, koszul=args.koszul)
+        report = verify(args.n, checks=checks)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     payload = {
@@ -329,7 +332,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[OutputDocument, int]:
     doc = OutputDocument(
         "verify",
         __version__,
-        {"n": args.n, "checks": args.checks or "all", "koszul": args.koszul},
+        {"n": args.n, "checks": args.checks or "all"},
         payload,
         args.format,
     )
@@ -397,12 +400,6 @@ def _build_parser() -> _Parser:
     def common(p: argparse.ArgumentParser, with_view: bool = False) -> None:
         p.add_argument("--format", choices=("json", "csv", "md"), default="md")
         p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
-        p.add_argument(
-            "--koszul",
-            action="store_true",
-            help="alternative (Koszul) sign rule for the fiber trace; for "
-            "sensitivity analysis, contradicts the known link values from n=4 on",
-        )
         if with_view:
             p.add_argument("--view", choices=("hom", "cohom"), default="hom")
             p.add_argument(
@@ -425,8 +422,7 @@ def _build_parser() -> _Parser:
     p_gamma.add_argument("--parts", required=True, help="comma-separated, e.g. 2,2")
     p_gamma.add_argument("--n", type=int, required=True)
     p_gamma.add_argument("--character", choices=CHARACTERS, default="trivial")
-    p_gamma.add_argument("--format", choices=("json", "csv", "md"), default="md")
-    p_gamma.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
+    common(p_gamma)
     p_gamma.set_defaults(func=_cmd_gamma)
 
     p_verify = sub.add_parser("verify", help="run the consistency checks")

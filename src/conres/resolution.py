@@ -18,10 +18,12 @@ complement.  That identity drives everything here:
 
 * ``block_poincare`` averages flag-quotient characters against fiber
   characters (an isotypic projection over the equal-block permutations);
-* ``h_poly`` recovers the open-cone homology of a single a-dimensional part
-  recursively, by subtracting all lower-complexity blocks from the known
-  total in ambient dimension a;
-* ``spectral_table`` assembles the per-index table, and ``verify`` re-checks
+* ``spectral_table`` builds the per-index table once per n: every block of
+  complexity at most n - 2 by ``block_poincare``, and the top block (n), the
+  open cone on the link of the whole collection, as the known total minus
+  the sum of those lower blocks;
+* ``h_poly`` reads the open-cone homology of a single a-dimensional part off
+  the top block of the ambient-dimension-a table, and ``verify`` re-checks
   every identity the construction is supposed to satisfy.
 
 Degree bookkeeping is centralized in :func:`fiber_char`: the single shift
@@ -35,20 +37,17 @@ permutation sign) and it reorders the tensor factors of the open-cone
 homology, which is defined only up to the reordering sign (again the
 permutation sign).  Both characters are computed explicitly and multiplied;
 their product is the trivial character, so the block reduces to the plain
-trivial-isotypic projection.  The ``koszul`` flag replaces the plain
-reordering trace by the Koszul-signed one (degree-dependent signs on top of
-the transposition sign); it exists for sensitivity analysis only.  At small
-sizes it happens to survive the parity and positivity checks, but it changes
-the open-cone series of every fourth dimension (a = 4, 8, ...) and with them
-the per-index tables, contradicting the independently known link homology;
-the golden tests pin the default reading.
+trivial-isotypic projection.  Since the top block is the total minus the
+lower blocks, the tables add up to the total by construction; what a wrong
+sign rule breaks is the parity and nonnegativity of the top blocks and the
+independently known link homology, which the golden tests pin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from typing import Iterator
 
 from . import flagchar
@@ -83,15 +82,7 @@ class HPoly:
             raise ConsistencyError(f"negative rank in h-polynomial for a={self.a}")
 
 
-def _substitute_power_signed(p: GradedDims, c: int) -> GradedDims:
-    # Koszul-signed trace of a c-cycle on the c-th tensor power: a basis
-    # element of degree d contributes (-1)^{d (c-1)} t^{c d}.
-    return GradedDims(
-        {e * c: (coeff if (e * (c - 1)) % 2 == 0 else -coeff) for e, coeff in p.items()}
-    )
-
-
-def fiber_char(A: MultiIndex, n: int, cls: BlockClass, koszul: bool = False) -> GradedDims:
+def fiber_char(A: MultiIndex, n: int, cls: BlockClass) -> GradedDims:
     """Graded trace (in t) of a block permutation on the Borel-Moore homology
     of the fiber over a collection of shape ``A``.
 
@@ -106,13 +97,11 @@ def fiber_char(A: MultiIndex, n: int, cls: BlockClass, koszul: bool = False) -> 
     reordering_sign = cls.sign
     out = GradedDims.term(shift, orientation_sign * reordering_sign)
     for c, a in cls.cycles:
-        series = h_poly(a, koszul=koszul).poly
-        factor = _substitute_power_signed(series, c) if koszul else series.substitute_power(c)
-        out = out * factor
+        out = out * h_poly(a).poly.substitute_power(c)
     return out
 
 
-def block_poincare(A: MultiIndex, n: int, koszul: bool = False) -> GradedDims:
+def block_poincare(A: MultiIndex, n: int) -> GradedDims:
     """Borel-Moore Poincare polynomial of the block of index ``A`` in ambient
     dimension n: the equal-block-invariant part of (flag cohomology) tensor
     (fiber homology), computed as a character average."""
@@ -122,7 +111,7 @@ def block_poincare(A: MultiIndex, n: int, koszul: bool = False) -> GradedDims:
     pairs = []
     for cls in conjugacy_classes(A):
         flag = flagchar.gamma_trace(A, n, cls).to_graded()
-        fiber = fiber_char(A, n, cls, koszul=koszul)
+        fiber = fiber_char(A, n, cls)
         pairs.append((Fraction(cls.class_size, order), flag * fiber))
     result = integer_combination(pairs, GradedDims)
     if not result.nonnegative():
@@ -148,32 +137,22 @@ def total_discriminant_poincare(n: int) -> GradedDims:
 
 
 @cache
-def h_poly(a: int, koszul: bool = False) -> HPoly:
-    """Open-cone homology series for a single part of dimension ``a``.
-
-    For a = 2 the cone is a point and the series is ``t``.  For larger a the
-    top block of the ambient-dimension-a table is the open cone itself, so its
-    series is the known total minus every block of complexity at most a - 2.
-    A negative coefficient or a parity violation falsifies the sign
-    convention and aborts rather than being repaired.
-    """
+def h_poly(a: int) -> HPoly:
+    """Open-cone homology series for a single part of dimension ``a``: the top
+    block of the ambient-dimension-a table (for a = 2 the cone is a point and
+    the series is ``t``)."""
     if a < 2:
         raise ValueError("parts have dimension at least 2")
-    if a == 2:
-        return HPoly(2, GradedDims.term(1))
-    remainder = total_discriminant_poincare(a)
-    for A in multiindices(a, a - 2):
-        remainder = remainder - block_poincare(A, a, koszul=koszul)
-    return HPoly(a, remainder)
+    return HPoly(a, spectral_table(a).block(MultiIndex((a,))))
 
 
-def link_poincare(n: int, koszul: bool = False) -> GradedDims:
+def link_poincare(n: int) -> GradedDims:
     """Reduced-homology Poincare polynomial of the link of the full cone of
     orthogonal collections in C^n (defined for n >= 3; the link is empty for
     n = 2).  Exponents never share the parity of n."""
     if n < 3:
         raise ValueError("the link is empty for n < 3")
-    return h_poly(n, koszul=koszul).poly.times_power(-2)
+    return h_poly(n).poly.times_power(-2)
 
 
 @dataclass(frozen=True)
@@ -189,29 +168,37 @@ class SpectralTable:
     n: int
     blocks: tuple[tuple[MultiIndex, GradedDims], ...]
 
+    @cached_property
+    def _columns(self) -> dict[int, dict[MultiIndex, GradedDims]]:
+        """Blocks grouped by complexity, ascending; built once per table."""
+        columns: dict[int, dict[MultiIndex, GradedDims]] = {}
+        for A, poly in self.blocks:
+            columns.setdefault(A.complexity, {})[A] = poly
+        return dict(sorted(columns.items()))
+
     def block(self, A: MultiIndex) -> GradedDims:
-        return dict(self.blocks)[A]
+        return self._columns[A.complexity][A]
 
     def indices(self) -> tuple[MultiIndex, ...]:
         return tuple(A for A, _ in self.blocks)
 
     def complexities(self) -> tuple[int, ...]:
-        return tuple(sorted({A.complexity for A, _ in self.blocks}))
+        return tuple(self._columns)
 
     def column(self, p: int) -> tuple[tuple[MultiIndex, GradedDims], ...]:
         """Blocks of complexity p, parts lexicographically decreasing."""
-        return tuple((A, poly) for A, poly in self.blocks if A.complexity == p)
+        return tuple(self._columns.get(p, {}).items())
 
     def breakdown(self, p: int, i: int) -> dict[MultiIndex, int]:
         out = {}
-        for A, poly in self.column(p):
+        for A, poly in self._columns.get(p, {}).items():
             c = poly.coefficient(i)
             if c:
                 out[A] = c
         return out
 
     def rank(self, p: int, i: int) -> int:
-        return sum(poly.coefficient(i) for _, poly in self.column(p))
+        return sum(poly.coefficient(i) for poly in self._columns.get(p, {}).values())
 
     def total(self) -> GradedDims:
         out = GradedDims.zero()
@@ -221,9 +208,8 @@ class SpectralTable:
 
     def cells(self) -> Iterator[tuple[int, int, int]]:
         """Nonzero (p, i, rank) triples, sorted."""
-        for p in self.complexities():
-            degrees = sorted({e for _, poly in self.column(p) for e in poly.support()})
-            for i in degrees:
+        for p, column in self._columns.items():
+            for i in sorted({e for poly in column.values() for e in poly.support()}):
                 r = self.rank(p, i)
                 if r:
                     yield p, i, r
@@ -235,22 +221,31 @@ class SpectralTable:
         return self.rank(-p, self.n * self.n - q - 1 - p)
 
 
-def spectral_table(n: int, koszul: bool = False) -> SpectralTable:
-    """The full first-page table: one block per index of size <= n, including
-    the top column p = n - 1 carrying the link of the whole cone."""
+@cache
+def spectral_table(n: int) -> SpectralTable:
+    """The full first-page table: one block per index of size <= n.
+
+    The blocks of complexity at most n - 2 come from :func:`block_poincare`.
+    The top block (n), the open cone on the link of the whole collection, is
+    the known total minus their sum.  A negative rank or a parity violation
+    there falsifies the sign convention and raises :class:`ConsistencyError`
+    rather than being repaired.
+    """
     if n < 2:
         raise ValueError("n must be at least 2")
-    blocks = tuple(
-        (A, block_poincare(A, n, koszul=koszul)) for A in multiindices(n, n - 1)
-    )
-    return SpectralTable(n, blocks)
+    blocks = [(A, block_poincare(A, n)) for A in multiindices(n, n - 2)]
+    top = total_discriminant_poincare(n)
+    for _, poly in blocks:
+        top = top - poly
+    blocks.append((MultiIndex((n,)), HPoly(n, top).poly))
+    return SpectralTable(n, tuple(blocks))
 
 
 def symbols(n: int, i: int) -> dict[MultiIndex, int]:
     """Residue targets in total degree i: the per-index ranks at the largest
     complexity whose cell (p, i) is nonzero.  Empty if the degree is empty."""
     table = spectral_table(n)
-    for p in sorted(table.complexities(), reverse=True):
+    for p in reversed(table.complexities()):
         breakdown = table.breakdown(p, i)
         if breakdown:
             return breakdown
@@ -324,11 +319,15 @@ ALL_CHECKS = ("block-parity", "table-total", "h-poly", "miller", "gamma-oracle")
 def verify(
     n: int,
     checks: tuple[str, ...] | None = None,
-    koszul: bool = False,
     budget: int = flagchar.NAIVE_BUDGET,
 ) -> VerificationReport:
     """Run the consistency checks for ambient dimension n and report every
-    outcome; failures are collected, not raised."""
+    outcome; failures are collected, not raised.
+
+    ``table-total`` holds by construction: the table's top block is the total
+    minus the lower blocks.  The live guards on the table are ``block-parity``
+    and the parity and nonnegativity of each top block (``h-poly``).
+    """
     if n < 2:
         raise ValueError("n must be at least 2")
     selected = ALL_CHECKS if checks is None else tuple(checks)
@@ -340,7 +339,7 @@ def verify(
     table = None
     if {"block-parity", "table-total"} & set(selected):
         try:
-            table = spectral_table(n, koszul=koszul)
+            table = spectral_table(n)
         except ConsistencyError as exc:
             for name in ("block-parity", "table-total"):
                 if name in selected:
@@ -373,7 +372,7 @@ def verify(
     if "h-poly" in selected:
         for a in range(2, n + 1):
             try:
-                h_poly(a, koszul=koszul)  # parity and nonnegativity checked on build
+                h_poly(a)  # parity and nonnegativity checked on build
                 results.append(CheckResult("h-poly", f"a={a}", True))
             except ConsistencyError as exc:
                 results.append(CheckResult("h-poly", f"a={a}", False, str(exc)))

@@ -26,6 +26,7 @@ def test_usage_errors_exit_one(capsys):
     assert _run(capsys, "stab", "--p", "-1", "--q", "3", "--parts", "2")[0] == 1
     assert _run(capsys, "nonsense")[0] == 1
     assert _run(capsys, "table")[0] == 1
+    assert _run(capsys, "table", "--n", "4", "--koszul")[0] == 1
 
 
 def test_successful_commands_exit_zero(capsys):

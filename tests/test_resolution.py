@@ -1,5 +1,6 @@
 import pytest
 
+from conres import resolution
 from conres.flagchar import gamma_poincare
 from conres.qcombinat import (
     ConsistencyError,
@@ -11,6 +12,7 @@ from conres.qcombinat import (
 )
 from conres.resolution import (
     HPoly,
+    SpectralTable,
     block_poincare,
     fiber_char,
     h_poly,
@@ -21,6 +23,7 @@ from conres.resolution import (
     total_discriminant_poincare,
     verify,
 )
+from conres.stab import stable_table
 
 from golden import LINK_POLYNOMIALS, SPECTRAL_TABLES
 
@@ -257,14 +260,99 @@ def test_verify_check_selection():
 
 
 # --------------------------------------------------------------------------
+# one table per n
+# --------------------------------------------------------------------------
+
+
+@pytest.fixture
+def fresh_tables():
+    # the tables and open-cone series are memoized per process; tests that
+    # count builds or swap an ingredient start and end with empty caches
+    h_poly.cache_clear()
+    spectral_table.cache_clear()
+    yield
+    h_poly.cache_clear()
+    spectral_table.cache_clear()
+
+
+def test_each_table_is_built_once(fresh_tables):
+    cells = stable_table(-3, 6)
+    read = {m for c in cells if c.p < 0 for m in (c.bound_n, c.bound_n + 1, c.bound_n + 2)}
+    # the table for n reads the open-cone series, hence the tables, of every
+    # smaller dimension
+    distinct = set(range(2, max(read) + 1))
+    assert read <= distinct
+    info = spectral_table.cache_info()
+    assert info.misses == info.currsize == len(distinct)
+    assert info.hits > 0
+
+
+def test_columns_agree_with_a_rescan_of_the_blocks():
+    for n in range(2, 10):
+        table = spectral_table(n)
+        assert table.complexities() == tuple(sorted({A.complexity for A, _ in table.blocks}))
+        for p in range(-1, n + 1):
+            brute = tuple((A, poly) for A, poly in table.blocks if A.complexity == p)
+            assert table.column(p) == brute
+            for i in range(-1, n * n + 1):
+                assert table.rank(p, i) == sum(poly.coefficient(i) for _, poly in brute)
+                expected = [(A, poly.coefficient(i)) for A, poly in brute if poly.coefficient(i)]
+                assert list(table.breakdown(p, i).items()) == expected
+        for A, poly in table.blocks:
+            assert table.block(A) == poly
+
+
+def test_table_groups_blocks_given_in_any_order():
+    blocks = spectral_table(5).blocks
+    shuffled = SpectralTable(5, tuple(reversed(blocks)))
+    assert shuffled.complexities() == spectral_table(5).complexities()
+    assert list(shuffled.cells()) == list(spectral_table(5).cells())
+
+
+def test_a_wrong_total_raises_and_is_reported(monkeypatch, fresh_tables):
+    real = resolution.total_discriminant_poincare
+
+    def lowered(n):
+        # one rank short in degree 3 at n = 4, where only the block (2,2) lives
+        return real(n) - GradedDims.term(3) if n == 4 else real(n)
+
+    monkeypatch.setattr(resolution, "total_discriminant_poincare", lowered)
+    with pytest.raises(ConsistencyError):
+        spectral_table(4)
+    report = verify(4)
+    assert not report.ok
+    failed = {c.name for c in report.failures()}
+    assert {"block-parity", "table-total", "h-poly"} <= failed
+    assert [c.passed for c in report.checks if c.name == "h-poly"] == [True, True, False]
+
+
+# --------------------------------------------------------------------------
 # the alternative sign rule is falsified by the known values
 # --------------------------------------------------------------------------
 
 
-def test_koszul_rule_changes_the_answers():
+def _koszul_fiber_char(A, n, cls):
+    # the fiber trace with the Koszul-signed reordering: a c-cycle acting on
+    # the c-th tensor power of the single-part series gives a basis element
+    # of degree d the sign (-1)^{d (c - 1)} on top of the transposition sign
+    delta = A.liberty(n)
+    out = GradedDims.term(A.length + delta * delta - 1)
+    for c, a in cls.cycles:
+        series = resolution.h_poly(a).poly
+        out = out * GradedDims(
+            {e * c: (coeff if e * (c - 1) % 2 == 0 else -coeff) for e, coeff in series.items()}
+        )
+    return out
+
+
+def test_koszul_rule_changes_the_answers(monkeypatch, fresh_tables):
     default = block_poincare(MultiIndex((2, 2)), 4)
-    alternative = block_poincare(MultiIndex((2, 2)), 4, koszul=True)
+    default_h4 = h_poly(4).poly
+    monkeypatch.setattr(resolution, "fiber_char", _koszul_fiber_char)
+    h_poly.cache_clear()
+    spectral_table.cache_clear()
+    alternative = block_poincare(MultiIndex((2, 2)), 4)
     assert alternative == GradedDims({5: 1, 7: 1, 9: 1})
     assert alternative != default
-    assert h_poly(4, koszul=True).poly != h_poly(4).poly
-    assert link_poincare(4, koszul=True) != GradedDims(LINK_POLYNOMIALS[4])
+    assert h_poly(4).poly != default_h4
+    assert link_poincare(4) != GradedDims(LINK_POLYNOMIALS[4])
