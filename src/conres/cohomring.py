@@ -35,7 +35,7 @@ from functools import cache
 from operator import add
 from typing import Iterator, Mapping, Sequence
 
-from .qcombinat import QPoly
+from .qcombinat import QPoly, divide_out, q_pochhammer
 
 Monomial = tuple[int, ...]
 
@@ -151,14 +151,6 @@ class RingElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def q_degrees(self) -> QPoly:
-        """Number of terms per q-degree (half the real degree)."""
-        acc: dict[int, int] = {}
-        for mono, _ in self.terms:
-            d = sum(mono)
-            acc[d] = acc.get(d, 0) + 1
-        return QPoly(acc)
-
     def homogeneous(self, q_degree: int) -> "RingElement":
         return RingElement(
             self.n, tuple((m, c) for m, c in self.terms if sum(m) == q_degree)
@@ -256,14 +248,11 @@ def staircase_monomials(n: int) -> Iterator[Monomial]:
 
 
 def ring_poincare(n: int) -> QPoly:
-    """Rank of the quotient ring per q-degree:
-    (1 + q)(1 + q + q^2) ... (1 + q + ... + q^{n-1})."""
+    """Rank of the quotient ring per q-degree: the q-factorial
+    (1 + q)(1 + q + q^2) ... (1 + q + ... + q^{n-1}) = prod_{i<=n} (1 - q^i) / (1 - q)^n."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    out = QPoly.one()
-    for j in range(2, n + 1):
-        out = out * QPoly({k: 1 for k in range(j)})
-    return out
+    return divide_out(q_pochhammer(n), [1] * n)
 
 
 # --------------------------------------------------------------------------

@@ -25,9 +25,11 @@ blocks contributes the partition-averaged factor
 and the free part contributes the same factor with c = 1 over partitions of
 d.  Over the common denominator prod_{j<=a}(1 - q^{c j}) every such factor
 sums to exactly 1 (the Molien series of the permutation action of S_a on a
-polynomial ring); this collapse is recomputed and checked on every call, so
-the trace reduces to a single exact division by the product of the common
-denominators.
+polynomial ring); this collapse is recomputed and checked once per (a, c), so
+the trace is prod_{i<=n} (1 - q^i) with the factors 1 - q^{c j} of every
+block cycle and of the free part divided out one by one, each a running sum
+with stride c j.  Isotypic parts and the blocks of ``resolution`` are class
+averages over S(A), all taken by ``class_average``.
 
 ``gamma_trace_naive`` is the guard for all of this: it averages coinvariant
 traces over an explicit enumeration of W_A and must agree with ``gamma_trace``
@@ -42,6 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial, prod
+from typing import Callable
 
 from .qcombinat import (
     BlockClass,
@@ -51,10 +54,11 @@ from .qcombinat import (
     QPoly,
     centralizer_order,
     conjugacy_classes,
+    divide_out,
     integer_combination,
-    one_minus_q,
     partitions,
     q_pochhammer,
+    _P,
 )
 
 #: Largest parabolic group the brute-force oracle will enumerate (8! covers
@@ -72,30 +76,24 @@ def coinvariant_trace(n: int, mu: tuple[int, ...]) -> QPoly:
         raise ValueError(f"cycle type {mu} is not a partition of {n}")
     if any(part < 1 for part in mu):
         raise ValueError(f"cycle type {mu} has invalid parts")
-    denominator = QPoly.one()
-    for part in mu:
-        denominator = denominator * one_minus_q(part)
-    return q_pochhammer(n).exact_div(denominator)
+    return divide_out(q_pochhammer(n), mu)
 
 
 @cache
-def _averaged_denominator(m: int, step: int) -> QPoly:
-    """Common denominator of the partition-averaged factor for m blocks moved
-    in steps of ``step``; checks that the averaged numerator collapses to 1."""
-    if m == 0:
-        return QPoly.one()
-    denominator = q_pochhammer(m, step)
-    pairs = []
-    for lam in partitions(m, 1):
-        lam_product = QPoly.one()
-        for part in lam:
-            lam_product = lam_product * one_minus_q(step * part)
-        pairs.append((Fraction(1, centralizer_order(lam)), denominator.exact_div(lam_product)))
+def _averaged_denominator(m: int, step: int) -> tuple[int, ...]:
+    """Exponents e of the common denominator prod (1 - q^e) of the
+    partition-averaged factor for m blocks moved in steps of ``step``; checks
+    that the averaged numerator collapses to 1."""
+    numerator = q_pochhammer(m, step)
+    pairs = [
+        (Fraction(1, centralizer_order(lam)), divide_out(numerator, [step * k for k in lam]))
+        for lam in partitions(m, 1)
+    ]
     if integer_combination(pairs, QPoly) != QPoly.one():
         raise ConsistencyError(
             f"partition average for m={m}, step={step} did not collapse to 1"
         )
-    return denominator
+    return tuple(range(step, (m + 1) * step, step))
 
 
 @cache
@@ -105,11 +103,8 @@ def gamma_trace(A: MultiIndex, n: int, cls: BlockClass) -> QPoly:
     shape ``A`` in C^n."""
     if A.size > n:
         raise ValueError(f"index {A} does not fit in ambient dimension {n}")
-    denominator = QPoly.one()
-    for c, a in cls.cycles:
-        denominator = denominator * _averaged_denominator(a, c)
-    denominator = denominator * _averaged_denominator(n - A.size, 1)
-    return q_pochhammer(n).exact_div(denominator)
+    cycles = cls.cycles + ((1, n - A.size),)
+    return divide_out(q_pochhammer(n), [e for c, a in cycles for e in _averaged_denominator(a, c)])
 
 
 def _block_positions(A: MultiIndex, n: int) -> tuple[list[list[int]], list[int]]:
@@ -191,6 +186,18 @@ def gamma_trace_naive(
     return integer_combination(pairs, QPoly)
 
 
+def class_average(A: MultiIndex, trace: Callable[[BlockClass], _P], kind: type[_P]) -> _P:
+    """Average of a class function over the group S(A) permuting equal blocks:
+    the sum of class_size * trace(cls) / |S(A)| over its classes.  The result's
+    coefficients are ranks: a negative one raises :class:`ConsistencyError`."""
+    order = A.symmetry_order
+    pairs = [(Fraction(cls.class_size, order), trace(cls)) for cls in conjugacy_classes(A)]
+    result = integer_combination(pairs, kind)
+    if not result.nonnegative():
+        raise ConsistencyError(f"negative rank in the class average over S({A})")
+    return result
+
+
 @dataclass(frozen=True)
 class GammaCharacter:
     """The full graded character table of the block-permutation action on the
@@ -204,22 +211,13 @@ class GammaCharacter:
         return dict(self.values)[cls]
 
     def isotypic(self, chi: str) -> QPoly:
-        """Graded multiplicity of a rank-1 character: average of
-        class_size * chi(class) * trace / |S(A)|.  Coefficients are ranks and
-        must come out nonnegative integers."""
+        """Graded multiplicity of a rank-1 character: the class average of
+        chi(class) * trace."""
         if chi not in CHARACTERS:
             raise ValueError(f"unknown character {chi!r}; expected one of {CHARACTERS}")
-        order = self.A.symmetry_order
-        pairs = []
-        for cls, trace in self.values:
-            chi_value = 1 if chi == "trivial" else cls.sign
-            pairs.append((Fraction(cls.class_size * chi_value, order), trace))
-        result = integer_combination(pairs, QPoly)
-        if not result.nonnegative():
-            raise ConsistencyError(
-                f"negative isotypic rank for {self.A}, n={self.n}, chi={chi}"
-            )
-        return result
+        values = dict(self.values)
+        signed = chi == "sign"
+        return class_average(self.A, lambda cls: (cls.sign if signed else 1) * values[cls], QPoly)
 
 
 def gamma_character(A: MultiIndex, n: int) -> GammaCharacter:

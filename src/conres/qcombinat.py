@@ -17,9 +17,11 @@ impossible to confuse silently.
 
 Both are stored densely: a low exponent plus the tuple of coefficients up to
 the degree, trimmed at both ends.  Products go through one big-integer product
-(Kronecker substitution) when the coefficients fit 64-bit slots, exact
-division is a single synthetic-division pass that stops at the first
-remainder, and rational averages of polynomials are summed in integers over
+(Kronecker substitution) when the coefficients fit 64-bit slots.  Quotients
+by prod (1 - x^e), as in every flag manifold, go through ``divide_out``: one
+running sum with stride e per factor, no denominator built.  ``exact_div``
+stays as the general division, one synthetic-division pass that stops at the
+first remainder.  Rational averages of polynomials are summed in integers over
 the common denominator, which is divided out once per coefficient at the end.
 
 The module also owns the index combinatorics: integer partitions,
@@ -385,6 +387,31 @@ def q_pochhammer(k: int, step: int = 1) -> QPoly:
     return q_pochhammer(k - 1, step) * one_minus_q(k * step)
 
 
+def divide_out(poly: _P, exponents: Iterable[int]) -> _P:
+    """``poly / prod_e (1 - x^e)``, or :class:`InexactDivisionError`.  Each
+    factor is an in-place running sum with stride e (quotient_i = poly_i +
+    quotient_{i-e}), exact iff the last e sums are zero; those are dropped."""
+    if not isinstance(poly, _SparsePoly):
+        raise TypeError(f"cannot divide {type(poly).__name__}; expected a polynomial")
+    coeffs = list(poly._coeffs)
+    stop = len(coeffs)
+    for e in exponents:
+        if e < 1:
+            raise ValueError("exponent must be positive")
+        if not stop:
+            continue
+        # a nonzero multiple of 1 - x^e spans more than e exponents; the
+        # buffer past ``stop`` holds stale sums, so no slice may reach it
+        if e >= stop:
+            raise InexactDivisionError(f"{poly!r} has no factor 1 - {poly._var}^{e} left")
+        for r in range(e):
+            coeffs[r:stop:e] = itertools.accumulate(coeffs[r:stop:e])
+        stop -= e
+        if any(coeffs[stop : stop + e]):
+            raise InexactDivisionError(f"{poly!r} has no factor 1 - {poly._var}^{e} left")
+    return poly._dense(poly._low, coeffs[:stop])
+
+
 def integer_combination(pairs: Iterable[tuple[Fraction, _P]], cls: type[_P]) -> _P:
     """Sum weight * polynomial with rational weights; the result must have
     integer coefficients (it is a rank), else :class:`ConsistencyError`.
@@ -593,10 +620,7 @@ def gauss_multinomial(n: int, parts: Sequence[int]) -> QPoly:
     total = sum(parts)
     if total > n:
         raise ValueError(f"parts sum to {total} > n = {n}")
-    denominator = QPoly.one()
-    for a in parts + (n - total,):
-        denominator = denominator * q_pochhammer(a)
-    result = q_pochhammer(n).exact_div(denominator)
+    result = divide_out(q_pochhammer(n), [i for a in parts + (n - total,) for i in range(1, a + 1)])
     if not result.nonnegative():
         raise ConsistencyError(f"negative coefficient in [{n}; {parts}]_q")
     return result

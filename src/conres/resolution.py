@@ -46,7 +46,6 @@ independently known link homology, which the golden tests pin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, cached_property
 from typing import Iterator
 
@@ -57,7 +56,6 @@ from .qcombinat import (
     GradedDims,
     MultiIndex,
     conjugacy_classes,
-    integer_combination,
     multiindices,
     gauss_multinomial,
 )
@@ -107,31 +105,25 @@ def block_poincare(A: MultiIndex, n: int) -> GradedDims:
     (fiber homology), computed as a character average."""
     if A.size > n:
         raise ValueError(f"index {A} does not fit in ambient dimension {n}")
-    order = A.symmetry_order
-    pairs = []
-    for cls in conjugacy_classes(A):
-        flag = flagchar.gamma_trace(A, n, cls).to_graded()
-        fiber = fiber_char(A, n, cls)
-        pairs.append((Fraction(cls.class_size, order), flag * fiber))
-    result = integer_combination(pairs, GradedDims)
-    if not result.nonnegative():
-        raise ConsistencyError(f"negative block rank for A={A}, n={n}")
-    return result
+
+    def trace(cls: BlockClass) -> GradedDims:
+        return flagchar.gamma_trace(A, n, cls).to_graded() * fiber_char(A, n, cls)
+
+    return flagchar.class_average(A, trace, GradedDims)
 
 
 def total_discriminant_poincare(n: int) -> GradedDims:
     """Borel-Moore Poincare polynomial of the whole repeated-eigenvalue locus
     in ambient dimension n.
 
-    The complement has the cohomology of CP^{n-1} x ... x CP^1; Alexander
-    duality inside the n^2-dimensional operator space turns its reduced
-    Poincare polynomial P(t) - 1 into ``t^{n^2 - 1} (P(1/t) - 1)``.
+    The complement is homotopic to the complete flag manifold, whose
+    cohomology (that of CP^{n-1} x ... x CP^1) is the coinvariant algebra;
+    Alexander duality inside the n^2-dimensional operator space turns its
+    reduced Poincare polynomial P(t) - 1 into ``t^{n^2 - 1} (P(1/t) - 1)``.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    complement = GradedDims.one()
-    for j in range(2, n + 1):
-        complement = complement * GradedDims({2 * k: 1 for k in range(j)})
+    complement = flagchar.coinvariant_trace(n, (1,) * n).to_graded()
     top = n * n - 1
     return GradedDims({top - e: c for e, c in complement.items() if e > 0})
 
@@ -178,9 +170,6 @@ class SpectralTable:
 
     def block(self, A: MultiIndex) -> GradedDims:
         return self._columns[A.complexity][A]
-
-    def indices(self) -> tuple[MultiIndex, ...]:
-        return tuple(A for A, _ in self.blocks)
 
     def complexities(self) -> tuple[int, ...]:
         return tuple(self._columns)

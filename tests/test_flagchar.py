@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from conres.cohomring import normal_form, staircase_monomials
@@ -200,3 +202,32 @@ def test_gamma_character_table():
     trivial = conjugacy_classes(A)[0]
     assert table.value(trivial) == gauss_multinomial(4, (2, 2))
     assert table.isotypic("trivial") == gamma_poincare(A, 4, "trivial")
+
+
+# --------------------------------------------------------------------------
+# pinned outputs
+# --------------------------------------------------------------------------
+
+# SHA-256 of the reprs of gamma_poincare(A, n, chi) for every A in
+# multiindices(n, n - 1), characters trivial then sign, one per line;
+# generated with quotients by multiplied-out denominators and exact_div, so
+# they check the stride divisions against an independent computation
+GAMMA_DIGESTS = {
+    2: "fe0979ea753ec147b5ce20655c7c5ca1992c80c7a061db870869c6bcec771003",
+    3: "9dfa9cc4cc6206a2497bdbbdd25df4572f161fd2553221c09c77445a41bd6daf",
+    4: "727ff028c03e2f15b66f4b74b649534dd93edc001da1e9907b92ced72bec8628",
+    5: "b8429dc56acaa2881f41751021330cd326e681aca3a8d5725aa44c734feb7a8f",
+    6: "71992057a245ed173d403db1a09a9f9698e3d09b2437c62409b22995bc592242",
+    7: "984959e0f5c3e5cf768690fc6b717d6b394946cbae8e7e66e93edae70e5eb4dd",
+    8: "89f429a894224df126b6d048f8230136e925351d623a947b1ab6664154cd46d5",
+}
+
+
+@pytest.mark.parametrize("n", sorted(GAMMA_DIGESTS))
+def test_gamma_poincare_is_pinned(n):
+    text = "\n".join(
+        repr(gamma_poincare(A, n, chi))
+        for A in multiindices(n, n - 1)
+        for chi in ("trivial", "sign")
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == GAMMA_DIGESTS[n]

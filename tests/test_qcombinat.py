@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 from math import factorial, prod
@@ -17,6 +18,7 @@ from conres.qcombinat import (
     QPoly,
     centralizer_order,
     conjugacy_classes,
+    divide_out,
     gauss_multinomial,
     integer_combination,
     multiindices,
@@ -192,6 +194,85 @@ def test_trimming_makes_equality_and_hash_agree(terms, shift):
     cancelled = (p + GradedDims({-9: 1, 9: 1})) - GradedDims({9: 1, -9: 1})
     assert cancelled == p and hash(cancelled) == hash(p)
     assert (p - p) == GradedDims.zero() and hash(p - p) == hash(GradedDims.zero())
+
+
+# --------------------------------------------------------------------------
+# divide_out against exact_div by the multiplied-out denominator
+# --------------------------------------------------------------------------
+
+
+def _denominator(kind, exponents):
+    out = kind.one()
+    for e in exponents:
+        out = out * kind({0: 1, e: -1})
+    return out
+
+
+_exponents = st.lists(st.integers(1, 8), max_size=5)
+
+
+@settings(max_examples=200)
+@given(_laurent, _exponents)
+def test_divide_out_recovers_the_cofactor(terms, exponents):
+    for cofactor in (GradedDims(terms), QPoly({e + 6: c for e, c in terms.items()})):
+        product = cofactor * _denominator(type(cofactor), exponents)
+        assert divide_out(product, exponents) == cofactor
+        assert divide_out(product, reversed(exponents)) == cofactor
+
+
+@settings(max_examples=300)
+@given(_laurent, _exponents, _exponents, st.integers(-2, 2))
+def test_divide_out_is_inexact_exactly_when_exact_div_is(terms, factors, exponents, noise):
+    # a multiple of some factors plus a little noise: the exponents to divide
+    # out overlap the factors in part, so exact and inexact cases both occur
+    poly = GradedDims(terms) * _denominator(GradedDims, factors) + GradedDims({0: noise})
+    try:
+        expected = poly.exact_div(_denominator(GradedDims, exponents))
+    except InexactDivisionError:
+        with pytest.raises(InexactDivisionError):
+            divide_out(poly, exponents)
+    else:
+        assert divide_out(poly, exponents) == expected
+
+
+def test_divide_out_examples():
+    assert divide_out(QPoly({0: 1, 3: -1}), [1]) == QPoly({0: 1, 1: 1, 2: 1})
+    assert divide_out(q_pochhammer(4), [2, 4, 1, 3]) == QPoly.one()
+    assert divide_out(q_pochhammer(3), []) == q_pochhammer(3)
+    # Laurent input keeps its low exponent
+    p = GradedDims({-3: 2, 1: -2})
+    assert divide_out(p, [4]) == GradedDims({-3: 2})
+    assert divide_out(p, [2]) == GradedDims({-3: 2, -1: 2})
+    with pytest.raises(InexactDivisionError):
+        divide_out(p, [2, 2])
+    with pytest.raises(InexactDivisionError):
+        divide_out(QPoly({0: 1, 1: 1}), [1])
+
+
+def test_divide_out_zero_and_bad_exponents():
+    assert divide_out(QPoly.zero(), [1, 5, 100]) == QPoly.zero()
+    assert divide_out(GradedDims.zero(), []) == GradedDims.zero()
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            divide_out(q_pochhammer(3), [1, bad])
+        with pytest.raises(ValueError):
+            divide_out(QPoly.zero(), [bad])
+    with pytest.raises(TypeError):
+        divide_out({0: 1, 1: -1}, [1])
+
+
+@pytest.mark.parametrize("kind", [QPoly, GradedDims])
+def test_divide_out_exponent_at_least_the_length_is_inexact(kind):
+    # a nonzero multiple of 1 - x^e spans more than e exponents; this holds
+    # also once earlier factors have shrunk the quotient, while the buffer
+    # still holds the earlier, longer sums
+    for last in (2, 4, 5, 6, 7):
+        with pytest.raises(InexactDivisionError):
+            divide_out(_denominator(kind, [1, 2, 3]), [1, 2, 3, last])
+    p = kind({1: 1, 3: -1})
+    for e in (3, 4, 10, 2**62):
+        with pytest.raises(InexactDivisionError):
+            divide_out(p, [e])
 
 
 def test_quotient_with_negative_exponents_is_not_a_qpoly():
@@ -473,6 +554,31 @@ def test_gauss_multinomial_at_one_is_multinomial():
             value = gauss_multinomial(n, parts)(1)
             rest = n - sum(parts)
             assert value == factorial(n) // prod(factorial(a) for a in parts + (rest,))
+
+
+# SHA-256 of the reprs of gauss_multinomial(n, lam) for every partition lam
+# of 0, 1, ..., n in the order of ``partitions``, one per line; generated
+# with a multiplied-out denominator and exact_div, independently of divide_out
+GAUSS_DIGESTS = {
+    0: "13a1ea4644e15d50ee083295112894f03ab925708c111bbaa802cb9eab40934d",
+    1: "fe0979ea753ec147b5ce20655c7c5ca1992c80c7a061db870869c6bcec771003",
+    2: "b848d46223eb62ed00b9d9c14b3a8522c54676a431e2c7f997684419a5f1c80b",
+    3: "06ab1036a0b6d5f993a97d8f6afd193cf0c40950b5c7c03423be7d3eb9bb959f",
+    4: "8fb21d33caf2281d4f9e5cba4c75c5f2c541feae9483e908108badaebe2b3632",
+    5: "46d81f56c09691c86c5489d87ca40dabd9272afdd906b6fd121f53f769abffec",
+    6: "ac869d05960b40568730a5c96651a06487332606d8e65184bd888cf1e6c5866f",
+    7: "692220864aa52ad24e66283e8795bb27aae62929e62dc90990130cc33d5ba9ce",
+    8: "55f840f02af4594b71cb82c98ddc7901dc4f8a0e401e2a4713f38af0f168e2e6",
+    9: "0d9a4bd1f9a60cbdb780c655bc95b37b3663883e7a773be85604c222dfda035a",
+}
+
+
+@pytest.mark.parametrize("n", sorted(GAUSS_DIGESTS))
+def test_gauss_multinomial_is_pinned(n):
+    text = "\n".join(
+        repr(gauss_multinomial(n, lam)) for s in range(n + 1) for lam in partitions(s)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == GAUSS_DIGESTS[n]
 
 
 def test_gauss_multinomial_palindromic_and_degree():

@@ -1,6 +1,6 @@
 import pytest
 
-from conres import resolution
+from conres import flagchar, resolution
 from conres.flagchar import gamma_poincare
 from conres.qcombinat import (
     ConsistencyError,
@@ -324,6 +324,19 @@ def test_a_wrong_total_raises_and_is_reported(monkeypatch, fresh_tables):
     failed = {c.name for c in report.failures()}
     assert {"block-parity", "table-total", "h-poly"} <= failed
     assert [c.passed for c in report.checks if c.name == "h-poly"] == [True, True, False]
+
+
+def test_a_negative_class_average_raises(monkeypatch, fresh_tables):
+    # block_poincare and gamma_poincare share one class average over S(A);
+    # flag traces of the wrong sign must make both raise, not return
+    real = flagchar.gamma_trace
+    monkeypatch.setattr(flagchar, "gamma_trace", lambda A, n, cls: -real(A, n, cls))
+    A = MultiIndex((2, 2))
+    with pytest.raises(ConsistencyError, match="negative rank"):
+        block_poincare(A, 4)
+    for chi in ("trivial", "sign"):
+        with pytest.raises(ConsistencyError, match="negative rank"):
+            gamma_poincare(A, 4, chi)
 
 
 # --------------------------------------------------------------------------

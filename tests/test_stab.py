@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from conres.qcombinat import MultiIndex, QPoly, gauss_multinomial
@@ -92,3 +94,10 @@ def test_stable_table_examples():
     assert cells[(-1, 3)].bound_n == 2
     # odd lines are empty
     assert cells[(-1, 4)].rank == 0
+
+
+def test_stable_table_is_pinned():
+    # SHA-256 of repr(stable_table(-5, 12)), generated with flag quotients by
+    # multiplied-out denominators and exact_div, independently of divide_out
+    digest = hashlib.sha256(repr(stable_table(-5, 12)).encode()).hexdigest()
+    assert digest == "3ec0d55cec9932bba5585e08ff7ce5e34a435996a896e4899cc3742f244d58b7"
