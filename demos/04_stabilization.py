@@ -22,7 +22,7 @@ for m in range(2, 8):
     poly = gauss_multinomial(m, A.parts)
     print(f"  m={m}: {[poly.coefficient(j) for j in range(4)]}")
 
-# The scan finds the freezing point for each degree.
+# The freezing point is |A| + degree // 2, checked on these coefficients.
 for degree in (0, 2, 4, 6):
     report = stab_index(A, degree)
     print(f"stab((2), degree {degree}) = {report.stab_n}, witness {report.witness}")

@@ -8,7 +8,7 @@ Subcommands
 ``conres gamma``    quotient collection-space homology (trivial or sign system)
 ``conres verify``   run the consistency checks and report them
 ``conres order``    order of a degree-2 class given as an integer sequence
-``conres stab``     stabilization bound of a cell, or the scan for one shape
+``conres stab``     stabilization bound of a cell, or of one shape
 
 Output goes to stdout as json, csv or markdown; diagnostics go to stderr.
 Exit codes: 0 success, 1 usage error, 2 a consistency check failed.
@@ -350,8 +350,8 @@ def _cmd_order(args: argparse.Namespace) -> tuple[OutputDocument, int]:
 
 def _cmd_stab(args: argparse.Namespace) -> tuple[OutputDocument, int]:
     cell_mode = args.p is not None or args.q is not None
-    scan_mode = args.parts is not None or args.degree is not None
-    if cell_mode == scan_mode:
+    shape_mode = args.parts is not None or args.degree is not None
+    if cell_mode == shape_mode:
         raise UsageError("give either --p and --q, or --parts and --degree")
     if cell_mode:
         if args.p is None or args.q is None:
@@ -438,7 +438,7 @@ def _build_parser() -> _Parser:
     p_order.add_argument("--format", choices=("json", "csv", "md"), default="md")
     p_order.set_defaults(func=_cmd_order)
 
-    p_stab = sub.add_parser("stab", help="stabilization bound or coefficient scan")
+    p_stab = sub.add_parser("stab", help="stabilization bound of a cell or of a shape")
     p_stab.add_argument("--p", type=int, default=None)
     p_stab.add_argument("--q", type=int, default=None)
     p_stab.add_argument("--parts", default=None, help="comma-separated, e.g. 2,2")

@@ -41,7 +41,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from math import factorial, prod
 from typing import Callable
@@ -86,10 +85,10 @@ def _averaged_denominator(m: int, step: int) -> tuple[int, ...]:
     that the averaged numerator collapses to 1."""
     numerator = q_pochhammer(m, step)
     pairs = [
-        (Fraction(1, centralizer_order(lam)), divide_out(numerator, [step * k for k in lam]))
+        (factorial(m) // centralizer_order(lam), divide_out(numerator, [step * k for k in lam]))
         for lam in partitions(m, 1)
     ]
-    if integer_combination(pairs, QPoly) != QPoly.one():
+    if integer_combination(pairs, factorial(m)) != QPoly.one():
         raise ConsistencyError(
             f"partition average for m={m}, step={step} did not collapse to 1"
         )
@@ -179,20 +178,16 @@ def gamma_trace_naive(
             for src, dst in zip(group, image):
                 u[src] = dst
         counts[cycle_type(tuple(sigma[u[i]] for i in range(n)))] += 1
-    pairs = [
-        (Fraction(count, group_order), coinvariant_trace(n, mu))
-        for mu, count in sorted(counts.items())
-    ]
-    return integer_combination(pairs, QPoly)
+    pairs = [(count, coinvariant_trace(n, mu)) for mu, count in sorted(counts.items())]
+    return integer_combination(pairs, group_order)
 
 
-def class_average(A: MultiIndex, trace: Callable[[BlockClass], _P], kind: type[_P]) -> _P:
+def class_average(A: MultiIndex, trace: Callable[[BlockClass], _P]) -> _P:
     """Average of a class function over the group S(A) permuting equal blocks:
     the sum of class_size * trace(cls) / |S(A)| over its classes.  The result's
     coefficients are ranks: a negative one raises :class:`ConsistencyError`."""
-    order = A.symmetry_order
-    pairs = [(Fraction(cls.class_size, order), trace(cls)) for cls in conjugacy_classes(A)]
-    result = integer_combination(pairs, kind)
+    pairs = [(cls.class_size, trace(cls)) for cls in conjugacy_classes(A)]
+    result = integer_combination(pairs, A.symmetry_order)
     if not result.nonnegative():
         raise ConsistencyError(f"negative rank in the class average over S({A})")
     return result
@@ -216,8 +211,7 @@ class GammaCharacter:
         if chi not in CHARACTERS:
             raise ValueError(f"unknown character {chi!r}; expected one of {CHARACTERS}")
         values = dict(self.values)
-        signed = chi == "sign"
-        return class_average(self.A, lambda cls: (cls.sign if signed else 1) * values[cls], QPoly)
+        return class_average(self.A, lambda cls: (cls.sign if chi == "sign" else 1) * values[cls])
 
 
 def gamma_character(A: MultiIndex, n: int) -> GammaCharacter:

@@ -21,8 +21,10 @@ the degree, trimmed at both ends.  Products go through one big-integer product
 by prod (1 - x^e), as in every flag manifold, go through ``divide_out``: one
 running sum with stride e per factor, no denominator built.  ``exact_div``
 stays as the general division, one synthetic-division pass that stops at the
-first remainder.  Rational averages of polynomials are summed in integers over
-the common denominator, which is divided out once per coefficient at the end.
+first remainder.  Every average in the package is an orbit average over a
+finite group: integer weights (class sizes, or counts of cycle types) times
+polynomials, summed in integers and divided once per coefficient by the group
+order at the end.
 
 The module also owns the index combinatorics: integer partitions,
 multi-indices ``A`` of eigenvalue multiplicities, and the conjugacy classes of
@@ -35,9 +37,8 @@ import itertools
 import operator
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
-from math import factorial, lcm, prod
+from math import factorial, prod
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 
@@ -264,8 +265,11 @@ class _SparsePoly:
         return self.__mul__(other)
 
     def __call__(self, value: int) -> int:
-        """Evaluate at an integer, e.g. at q = 1 for a total rank."""
-        return sum(c * value**e for e, c in self.items())
+        """Evaluate at an integer, e.g. at q = 1 for a total rank.  Negative
+        exponents only evaluate to integers at 1 and -1, where x^e = x^|e|."""
+        if self._low < 0 and value not in (1, -1):
+            raise ValueError(f"negative powers of {self._var} at {value} are not integers")
+        return sum(c * value ** abs(e) for e, c in self.items())
 
     def substitute_power(self: _P, c: int) -> _P:
         """Multiply every exponent by c >= 1, keeping coefficients."""
@@ -412,32 +416,31 @@ def divide_out(poly: _P, exponents: Iterable[int]) -> _P:
     return poly._dense(poly._low, coeffs[:stop])
 
 
-def integer_combination(pairs: Iterable[tuple[Fraction, _P]], cls: type[_P]) -> _P:
-    """Sum weight * polynomial with rational weights; the result must have
-    integer coefficients (it is a rank), else :class:`ConsistencyError`.
-
-    Every weight is scaled to the least common multiple of the denominators,
-    the integer polynomials are summed, and each coefficient of the sum is
-    checked for divisibility by that multiple once."""
-    terms = [(Fraction(weight), poly) for weight, poly in pairs if poly]
+def integer_combination(pairs: Iterable[tuple[int, _P]], divisor: int) -> _P:
+    """The exact average sum(weight * poly) / divisor, for integer weights and
+    polynomials of one type, which the result keeps.  Its coefficients are
+    ranks, so a remainder raises :class:`ConsistencyError`; the weighted sum
+    is taken in integers and each of its coefficients is divided once."""
+    terms = list(pairs)
     if not terms:
-        return cls()
-    scale = lcm(*(weight.denominator for weight, _ in terms))
-    low = min(poly._low for _, poly in terms)
-    acc = _zeros(max(poly._low + len(poly._coeffs) for _, poly in terms) - low)
+        raise ValueError("an average needs at least one term")
+    first = terms[0][1]
+    for _, poly in terms:
+        first._check_same_type(poly)
+    # zero terms are dropped so that their exponent 0 cannot widen the span
+    terms = [(weight, poly) for weight, poly in terms if poly]
+    low = min((poly._low for _, poly in terms), default=0)
+    acc = _zeros(max((poly._low + len(poly._coeffs) for _, poly in terms), default=low) - low)
     for weight, poly in terms:
-        w = weight.numerator * (scale // weight.denominator)
         i = poly._low - low
         width = len(poly._coeffs)
-        acc[i : i + width] = map(operator.add, acc[i : i + width], map(w.__mul__, poly._coeffs))
-    if scale != 1:
+        acc[i : i + width] = map(operator.add, acc[i : i + width], map(weight.__mul__, poly._coeffs))
+    if divisor != 1:
         for i, c in enumerate(acc):
-            acc[i], r = divmod(c, scale)
+            acc[i], r = divmod(c, divisor)
             if r:
-                raise ConsistencyError(
-                    f"non-integral rank {Fraction(c, scale)} at exponent {low + i}"
-                )
-    return cls._dense(low, acc)
+                raise ConsistencyError(f"non-integral rank {c}/{divisor} at exponent {low + i}")
+    return first._dense(low, acc)
 
 
 # --------------------------------------------------------------------------
@@ -492,6 +495,8 @@ class MultiIndex:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
+        if not all(isinstance(p, int) for p in self.parts):
+            raise TypeError(f"parts must be integers, not {self.parts!r}")
         if any(p < 2 for p in self.parts):
             raise ValueError("every part must be at least 2")
         if any(a < b for a, b in zip(self.parts, self.parts[1:])):

@@ -109,7 +109,7 @@ def block_poincare(A: MultiIndex, n: int) -> GradedDims:
     def trace(cls: BlockClass) -> GradedDims:
         return flagchar.gamma_trace(A, n, cls).to_graded() * fiber_char(A, n, cls)
 
-    return flagchar.class_average(A, trace, GradedDims)
+    return flagchar.class_average(A, trace)
 
 
 def total_discriminant_poincare(n: int) -> GradedDims:

@@ -5,9 +5,9 @@ operator with simple spectrum on the complement) is compatible with the whole
 construction, and the induced maps between cohomological tables are onto and
 eventually bijective cell by cell.  The engine behind the estimate is that the
 low-degree cohomology of the flag manifold of a fixed shape A stops changing
-once the ambient dimension is large enough: ``stab_index`` finds that moment
-by scanning Gaussian-multinomial coefficients, and ``e1_stable_bound`` turns
-it into a sufficient bound for one cohomological cell,
+once the ambient dimension reaches |A| + degree // 2, the closed form that
+``stab_index`` checks on Gaussian-multinomial coefficients; ``e1_stable_bound``
+turns it into a sufficient bound for one cohomological cell,
 
     n*(p, q) = max over A of complexity -p of stab(A, p + q - 2 #A).
 
@@ -26,7 +26,7 @@ from .resolution import spectral_table
 
 @dataclass(frozen=True)
 class StabReport:
-    """Outcome of a stabilization scan for one shape and one degree.
+    """Stabilization index of one shape in one degree.
 
     ``witness`` holds the stable coefficients of the flag Poincare polynomial
     in q-degrees up to degree // 2.
@@ -46,24 +46,24 @@ def _low_coefficients(A: MultiIndex, m: int, q_cut: int) -> tuple[int, ...]:
 @cache
 def stab_index(A: MultiIndex, degree: int) -> StabReport:
     """Smallest ambient dimension past which the flag cohomology of shape A
-    stops changing in real degrees up to ``degree``.
+    stops changing in real degrees up to ``degree``: m = |A| + q_cut with
+    q_cut = max(degree, 0) // 2, since odd degrees are empty.
 
-    Odd degrees are empty, so only q-degrees up to ``degree // 2`` matter;
-    negative degrees are clamped to 0.  The scan accepts m once the low
-    coefficients agree at m, m + 1 and m + 2, and cannot run past
-    ``degree // 2 + |A|``: low Gaussian-multinomial coefficients are
-    nondecreasing in the ambient dimension and constant from that point on.
+    Proof: [m; A, m - |A|]_q = [m; |A|]_q [|A|; A]_q.  The q^j coefficient of
+    [m; s]_q counts partitions of j into at most s parts of size at most
+    d = m - s, so it grows from d to d + 1 exactly when some j <= q_cut is
+    >= d + 1; the second factor (constant term 1, nonnegative coefficients)
+    keeps that change visible.  The coefficients must agree at m, m + 1 and
+    m + 2 and, if q_cut > 0, differ at m - 1.
     """
     q_cut = max(degree, 0) // 2
-    bound = q_cut + A.size
-    for m in range(A.size, bound + 1):
-        low = _low_coefficients(A, m, q_cut)
-        if low == _low_coefficients(A, m + 1, q_cut) == _low_coefficients(A, m + 2, q_cut):
-            witness = QPoly({j: c for j, c in enumerate(low)})
-            return StabReport(A, degree, m, witness)
-    raise ConsistencyError(
-        f"coefficients of shape {A} failed to stabilize by m={bound}"
-    )
+    m = A.size + q_cut
+    low = _low_coefficients(A, m, q_cut)
+    if not low == _low_coefficients(A, m + 1, q_cut) == _low_coefficients(A, m + 2, q_cut):
+        raise ConsistencyError(f"coefficients of shape {A} failed to stabilize by m={m}")
+    if q_cut and low == _low_coefficients(A, m - 1, q_cut):
+        raise ConsistencyError(f"coefficients of shape {A} were already stable at m={m - 1}")
+    return StabReport(A, degree, m, QPoly({j: c for j, c in enumerate(low)}))
 
 
 def complexity_indices(p: int) -> list[MultiIndex]:

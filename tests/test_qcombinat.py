@@ -66,6 +66,21 @@ def test_evaluation():
     p = QPoly({0: 1, 1: 2, 3: -1})
     assert p(1) == 2
     assert p(2) == 1 + 4 - 8
+    # Laurent terms are exact integers at 1 and -1, and refused elsewhere
+    for poly, value, expected in [
+        (GradedDims({-1: 3, 2: 1}), 1, 4),
+        (GradedDims({-1: 3, 2: 1}), -1, -2),
+        (GradedDims({-2: 1}), -1, 1),
+        (GradedDims({-2: 1, 3: 1}), 2, None),
+        (GradedDims({-2: 1}), 0, None),
+        (p, 2, -3),
+        (QPoly.zero(), 5, 0),
+    ]:
+        if expected is None:
+            with pytest.raises(ValueError):
+                poly(value)
+        else:
+            assert poly(value) == expected and type(poly(value)) is int
 
 
 def test_exact_div_examples():
@@ -318,35 +333,52 @@ def test_span_bound_holds_for_products(lead, monkeypatch):
         square * GradedDims({0: lead, 2: 1})
 
 
-@given(st.lists(st.tuples(st.integers(1, 12), _laurent), max_size=5), st.data())
-def test_integer_combination_matches_fraction_sum(weighted, data):
-    pairs = [
-        (Fraction(data.draw(st.integers(-6, 6)), den), GradedDims(terms)) for den, terms in weighted
-    ]
+@given(
+    st.lists(st.tuples(st.integers(-6, 6), _laurent), min_size=1, max_size=5),
+    st.integers(1, 12),
+)
+def test_integer_combination_matches_fraction_sum(weighted, divisor):
+    # the exact rational average is the reference
+    pairs = [(weight, GradedDims(terms)) for weight, terms in weighted]
     exact = {}
     for weight, poly in pairs:
         for e, c in poly.items():
-            exact[e] = exact.get(e, Fraction(0)) + weight * c
+            exact[e] = exact.get(e, Fraction(0)) + Fraction(weight * c, divisor)
     if all(v.denominator == 1 for v in exact.values()):
         expected = GradedDims({e: int(v) for e, v in exact.items()})
-        assert integer_combination(pairs, GradedDims) == expected
+        assert integer_combination(pairs, divisor) == expected
     else:
-        with pytest.raises(ConsistencyError):
-            integer_combination(pairs, GradedDims)
+        with pytest.raises(ConsistencyError, match=rf"non-integral rank -?\d+/{divisor} at exponent"):
+            integer_combination(pairs, divisor)
 
 
 def test_integer_combination_mixed_denominators():
     x = GradedDims({-1: 1, 2: 3})
     y = GradedDims({-1: 1})
-    # non-integral parts with an integral sum: 1/2 x + 1/3 x + 1/6 x = x
-    assert integer_combination([(Fraction(1, 2), x), (Fraction(1, 3), x), (Fraction(1, 6), x)], GradedDims) == x
-    assert integer_combination([(Fraction(3, 4), y), (Fraction(1, 4), y), (Fraction(5, 6), x - x)], GradedDims) == y
-    # 1/2 + 1/3 at t^-1 is not an integer
+    # non-integral parts with an integral sum: (3 x + 2 x + x) / 6 = x
+    assert integer_combination([(3, x), (2, x), (1, x)], 6) == x
+    assert integer_combination([(9, y), (3, y), (10, x - x)], 12) == y
+    # (3 + 2) / 6 at t^-1 is not an integer
+    with pytest.raises(ConsistencyError, match=r"5/6 at exponent -1"):
+        integer_combination([(3, y), (2, y)], 6)
     with pytest.raises(ConsistencyError):
-        integer_combination([(Fraction(1, 2), y), (Fraction(1, 3), y)], GradedDims)
-    with pytest.raises(ConsistencyError):
-        integer_combination([(Fraction(1, 2), x), (Fraction(1, 2), y)], GradedDims)
-    assert integer_combination([], QPoly) == QPoly.zero()
+        integer_combination([(1, x), (1, y)], 2)
+    # divisor 1 is a plain integer combination
+    assert integer_combination([(2, x), (-1, y)], 1) == GradedDims({-1: 1, 2: 6})
+
+
+def test_integer_combination_keeps_the_type_and_needs_a_term():
+    q = QPoly({0: 1, 2: 1})
+    assert integer_combination([(2, q), (2, q)], 4) == q
+    for kind in (QPoly, GradedDims):
+        zero = integer_combination([(1, kind.zero()), (0, kind.one())], 3)
+        assert zero == kind.zero() and type(zero) is kind
+    with pytest.raises(TypeError):
+        integer_combination([(1, q), (1, q.to_graded())], 1)
+    with pytest.raises(TypeError):
+        integer_combination([(1, GradedDims.zero()), (1, QPoly.zero())], 1)
+    with pytest.raises(ValueError):
+        integer_combination([], 1)
 
 
 # --------------------------------------------------------------------------
@@ -443,6 +475,10 @@ def test_multiindex_validation():
         MultiIndex((2, 3))
     with pytest.raises(ValueError):
         MultiIndex((2, 1))
+    # rejected where the index is built, not deep inside a later computation
+    for parts in [(3.0,), (3, 2.0), ("2",), (Fraction(4),)]:
+        with pytest.raises(TypeError):
+            MultiIndex(parts)
 
 
 def test_multiindices_examples():

@@ -2,7 +2,8 @@ import hashlib
 
 import pytest
 
-from conres.qcombinat import MultiIndex, QPoly, gauss_multinomial
+from conres import stab
+from conres.qcombinat import ConsistencyError, MultiIndex, QPoly, gauss_multinomial, multiindices
 from conres.stab import (
     cohomological_rank,
     complexity_indices,
@@ -27,6 +28,33 @@ def test_stab_index_witness():
     for extra in (0, 1, 2, 5):
         poly = gauss_multinomial(m + extra, (2,))
         assert all(poly.coefficient(j) == report.witness.coefficient(j) for j in (0, 1))
+
+
+def test_stab_index_is_pinned():
+    # SHA-256 of the reports for every shape with |A| <= 14 and degree -3..30,
+    # generated with the scan over m = |A|, |A| + 1, ... that the closed form
+    # replaced
+    reports = [stab_index(A, d) for A in multiindices(14, 13) for d in range(-3, 31)]
+    assert all(r.stab_n == r.A.size + max(r.degree, 0) // 2 for r in reports)
+    digest = hashlib.sha256(repr(reports).encode()).hexdigest()
+    assert digest == "c2bd617a85132003519896cdabebc36a839ff2078ed5ebb582eb73b1b623563a"
+
+
+@pytest.fixture
+def fresh_stab_index():
+    stab_index.cache_clear()
+    yield
+    stab_index.cache_clear()
+
+
+@pytest.mark.parametrize("shift, message", [(1, "already stable"), (-1, "failed to stabilize")])
+def test_stab_index_checks_its_closed_form(monkeypatch, fresh_stab_index, shift, message):
+    # coefficients that settle one step early fail the minimality check, and
+    # ones that settle one step late fail the three-point agreement
+    real = stab.gauss_multinomial
+    monkeypatch.setattr(stab, "gauss_multinomial", lambda m, parts: real(m + shift, parts))
+    with pytest.raises(ConsistencyError, match=message):
+        stab_index(MultiIndex((2, 2)), 4)
 
 
 def test_stab_index_clamps_negative_degrees():
