@@ -77,6 +77,7 @@ from .stab import (
     cohomological_rank,
     e1_stable_bound,
     stab_index,
+    stable_cell,
     stable_table,
 )
 
@@ -124,6 +125,7 @@ __all__ = [
     "shift_difference",
     "spectral_table",
     "stab_index",
+    "stable_cell",
     "stable_table",
     "substitute_power",
     "symbols",

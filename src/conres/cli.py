@@ -10,6 +10,11 @@ Subcommands
 ``conres order``    order of a degree-2 class given as an integer sequence
 ``conres stab``     stabilization bound of a cell, or of one shape
 
+A cell's stable rank comes from ``stab.stable_cell``, the one place that
+evaluates the cell at its bound n* and at n* + 1, n* + 2 and requires the
+ranks to agree.  Each subcommand returns its arguments, payload and exit
+code; ``main`` wraps them in the one ``OutputDocument`` it renders.
+
 Output goes to stdout as json, csv or markdown; diagnostics go to stderr.
 Exit codes: 0 success, 1 usage error, 2 a consistency check failed.
 """
@@ -29,7 +34,7 @@ from .cohomring import h2_order
 from .flagchar import CHARACTERS, gamma_poincare
 from .qcombinat import ConsistencyError, GradedDims, MultiIndex, QPoly
 from .resolution import ALL_CHECKS, SpectralTable, link_poincare, spectral_table, verify
-from .stab import cohomological_rank, e1_stable_bound, stab_index
+from .stab import stab_index, stable_cell
 
 DEFAULT_MAX_N = 10
 
@@ -148,24 +153,16 @@ def _markdown_table(payload: dict[str, Any], arguments: dict[str, Any]) -> str:
     columns = sorted({c["p"] for c in cells})
     rows = sorted({c["q"] for c in cells}, reverse=True)
     by_pos = {(c["p"], c["q"]): c for c in cells}
-    column_blocks: dict[int, list[str]] = {}
-    for p in columns:
-        seen: list[str] = []
-        for c in cells:
-            if c["p"] == p:
-                for parts in c["blocks"]:
-                    if parts not in seen:
-                        seen.append(parts)
-        column_blocks[p] = sorted(seen, key=_parts_sort_key)
+    column_blocks = {
+        p: sorted(
+            {parts for c in cells if c["p"] == p for parts in c["blocks"]}, key=_parts_sort_key
+        )
+        for p in columns
+    }
     row_label = "i" if arguments.get("total_degree") and payload["view"] == "hom" else "q"
     header = f"| {row_label} \\ p | " + " | ".join(str(p) for p in columns) + " |"
     rule = "|" + "---|" * (len(columns) + 1)
-    lines = [
-        f"spectral table, n = {payload['n']} ({payload['view']} view)",
-        "",
-        header,
-        rule,
-    ]
+    lines = [f"spectral table, n = {payload['n']} ({payload['view']} view)", "", header, rule]
     for q in rows:
         entries = []
         for p in columns:
@@ -230,86 +227,50 @@ def _check_n(n: int, max_n: int, minimum: int = 2) -> None:
 def _table_cells(table: SpectralTable, view: str, total_degree: bool) -> list[dict[str, Any]]:
     cells: list[dict[str, Any]] = []
     for p, i, rank in table.cells():
-        blocks = {
-            ",".join(map(str, A.parts)): r for A, r in table.breakdown(p, i).items()
-        }
         if view == "hom":
-            q = i if total_degree else i - p
-            cells.append({"p": p, "q": q, "rank": rank, "blocks": blocks})
+            column, row = p, (i if total_degree else i - p)
         else:
-            n = table.n
-            cells.append(
-                {
-                    "p": -p,
-                    "q": n * n - (i - p) - 1,
-                    "rank": rank,
-                    "blocks": blocks,
-                }
-            )
+            column, row = -p, table.n * table.n - (i - p) - 1
+        blocks = {",".join(map(str, A.parts)): r for A, r in table.breakdown(p, i).items()}
+        cells.append({"p": column, "q": row, "rank": rank, "blocks": blocks})
     cells.sort(key=lambda c: (c["p"], c["q"]))
     return cells
 
 
-# --------------------------------------------------------------------------
-# subcommands
-# --------------------------------------------------------------------------
+def _poly_payload(poly: QPoly | GradedDims, **fields: Any) -> dict[str, Any]:
+    return {**fields, "polynomial": _poly_pairs(poly), "pretty": str(poly)}
 
 
-def _cmd_table(args: argparse.Namespace) -> tuple[OutputDocument, int]:
+# --------------------------------------------------------------------------
+# subcommands: each returns (arguments, payload, exit code)
+# --------------------------------------------------------------------------
+
+_Result = tuple[dict[str, Any], dict[str, Any], int]
+
+
+def _cmd_table(args: argparse.Namespace) -> _Result:
     _check_n(args.n, args.max_n)
-    table = spectral_table(args.n)
-    cells = _table_cells(table, args.view, args.total_degree)
-    payload = {"n": args.n, "view": args.view, "cells": cells}
-    doc = OutputDocument(
-        "table",
-        __version__,
-        {
-            "n": args.n,
-            "view": args.view,
-            "total_degree": args.total_degree,
-        },
-        payload,
-        args.format,
-    )
-    return doc, 0
+    cells = _table_cells(spectral_table(args.n), args.view, args.total_degree)
+    arguments = {"n": args.n, "view": args.view, "total_degree": args.total_degree}
+    return arguments, {"n": args.n, "view": args.view, "cells": cells}, 0
 
 
-def _cmd_link(args: argparse.Namespace) -> tuple[OutputDocument, int]:
+def _cmd_link(args: argparse.Namespace) -> _Result:
     _check_n(args.n, args.max_n, minimum=3)
-    poly = link_poincare(args.n)
-    payload = {
-        "n": args.n,
-        "polynomial": _poly_pairs(poly),
-        "pretty": str(poly),
-    }
-    doc = OutputDocument("link", __version__, {"n": args.n}, payload, args.format)
-    return doc, 0
+    return {"n": args.n}, _poly_payload(link_poincare(args.n), n=args.n), 0
 
 
-def _cmd_gamma(args: argparse.Namespace) -> tuple[OutputDocument, int]:
+def _cmd_gamma(args: argparse.Namespace) -> _Result:
     A = _parse_parts(args.parts)
     _check_n(args.n, args.max_n)
     if A.size > args.n:
         raise UsageError(f"parts {A} do not fit in ambient dimension {args.n}")
     poly = gamma_poincare(A, args.n, args.character)
-    payload = {
-        "n": args.n,
-        "parts": list(A.parts),
-        "character": args.character,
-        "polynomial": _poly_pairs(poly),
-        "pretty": str(poly),
-    }
-    doc = OutputDocument(
-        "gamma",
-        __version__,
-        {"parts": list(A.parts), "n": args.n, "character": args.character},
-        payload,
-        args.format,
-    )
-    return doc, 0
+    arguments = {"parts": list(A.parts), "n": args.n, "character": args.character}
+    return arguments, _poly_payload(poly, **arguments), 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[OutputDocument, int]:
+def _cmd_verify(args: argparse.Namespace) -> _Result:
     _check_n(args.n, args.max_n)
     checks = tuple(args.checks.split(",")) if args.checks else None
     try:
@@ -320,35 +281,21 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[OutputDocument, int]:
         "n": args.n,
         "passed": report.ok,
         "checks": [
-            {
-                "name": c.name,
-                "location": c.location,
-                "passed": c.passed,
-                "detail": c.detail,
-            }
+            {"name": c.name, "location": c.location, "passed": c.passed, "detail": c.detail}
             for c in report.checks
         ],
     }
-    doc = OutputDocument(
-        "verify",
-        __version__,
-        {"n": args.n, "checks": args.checks or "all"},
-        payload,
-        args.format,
-    )
-    return doc, 0 if report.ok else 2
+    return {"n": args.n, "checks": args.checks or "all"}, payload, 0 if report.ok else 2
 
 
-def _cmd_order(args: argparse.Namespace) -> tuple[OutputDocument, int]:
+def _cmd_order(args: argparse.Namespace) -> _Result:
     seq = _parse_seq(args.seq)
     if not seq:
         raise UsageError("--seq must contain at least one integer")
-    payload = {"sequence": list(seq), "order": h2_order(seq)}
-    doc = OutputDocument("order", __version__, {"seq": list(seq)}, payload, args.format)
-    return doc, 0
+    return {"seq": list(seq)}, {"sequence": list(seq), "order": h2_order(seq)}, 0
 
 
-def _cmd_stab(args: argparse.Namespace) -> tuple[OutputDocument, int]:
+def _cmd_stab(args: argparse.Namespace) -> _Result:
     cell_mode = args.p is not None or args.q is not None
     shape_mode = args.parts is not None or args.degree is not None
     if cell_mode == shape_mode:
@@ -358,19 +305,15 @@ def _cmd_stab(args: argparse.Namespace) -> tuple[OutputDocument, int]:
             raise UsageError("--p and --q must be given together")
         if args.p > 0 or args.p + args.q < 0:
             raise UsageError("the cell must satisfy p <= 0 <= p + q")
-        bound = e1_stable_bound(args.p, args.q)
-        ranks = [cohomological_rank(m, args.p, args.q) for m in (bound, bound + 1, bound + 2)]
+        cell = stable_cell(args.p, args.q)
         payload = {
-            "p": args.p,
-            "q": args.q,
-            "bound_n": bound,
-            "ranks": ranks,
-            "stable_rank": ranks[0] if len(set(ranks)) == 1 else None,
+            "p": cell.p,
+            "q": cell.q,
+            "bound_n": cell.bound_n,
+            "ranks": [cell.rank] * 3,
+            "stable_rank": cell.rank,
         }
-        doc = OutputDocument(
-            "stab", __version__, {"p": args.p, "q": args.q}, payload, args.format
-        )
-        return doc, 0 if len(set(ranks)) == 1 else 2
+        return {"p": args.p, "q": args.q}, payload, 0
     if args.parts is None or args.degree is None:
         raise UsageError("--parts and --degree must be given together")
     A = _parse_parts(args.parts)
@@ -381,10 +324,7 @@ def _cmd_stab(args: argparse.Namespace) -> tuple[OutputDocument, int]:
         "stab_n": report.stab_n,
         "witness": _poly_pairs(report.witness),
     }
-    doc = OutputDocument(
-        "stab", __version__, {"parts": list(A.parts), "degree": args.degree}, payload, args.format
-    )
-    return doc, 0
+    return {"parts": list(A.parts), "degree": args.degree}, payload, 0
 
 
 # --------------------------------------------------------------------------
@@ -397,9 +337,12 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"conres {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_view: bool = False) -> None:
+    def common(
+        p: argparse.ArgumentParser, with_max_n: bool = True, with_view: bool = False
+    ) -> None:
         p.add_argument("--format", choices=("json", "csv", "md"), default="md")
-        p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
+        if with_max_n:
+            p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
         if with_view:
             p.add_argument("--view", choices=("hom", "cohom"), default="hom")
             p.add_argument(
@@ -435,7 +378,7 @@ def _build_parser() -> _Parser:
 
     p_order = sub.add_parser("order", help="order of a degree-2 class")
     p_order.add_argument("--seq", required=True, help="comma-separated integers")
-    p_order.add_argument("--format", choices=("json", "csv", "md"), default="md")
+    common(p_order, with_max_n=False)
     p_order.set_defaults(func=_cmd_order)
 
     p_stab = sub.add_parser("stab", help="stabilization bound of a cell or of a shape")
@@ -443,7 +386,7 @@ def _build_parser() -> _Parser:
     p_stab.add_argument("--q", type=int, default=None)
     p_stab.add_argument("--parts", default=None, help="comma-separated, e.g. 2,2")
     p_stab.add_argument("--degree", type=int, default=None)
-    p_stab.add_argument("--format", choices=("json", "csv", "md"), default="md")
+    common(p_stab, with_max_n=False)
     p_stab.set_defaults(func=_cmd_stab)
 
     return parser
@@ -453,7 +396,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        doc, code = args.func(args)
+        arguments, payload, code = args.func(args)
+        doc = OutputDocument(args.command, __version__, arguments, payload, args.format)
         sys.stdout.write(doc.render())
         if code == 2:
             sys.stderr.write("consistency failure; see the document payload\n")

@@ -280,9 +280,10 @@ class DegreeTwoClass:
 
 
 def _as_sequence(alpha: DegreeTwoClass | Sequence[int]) -> tuple[int, ...]:
-    if isinstance(alpha, DegreeTwoClass):
-        return alpha.alpha
-    return tuple(alpha)
+    # a plain sequence is validated (nonempty, integer entries) as a class
+    if not isinstance(alpha, DegreeTwoClass):
+        alpha = DegreeTwoClass(tuple(alpha))
+    return alpha.alpha
 
 
 def shift_difference(alpha: DegreeTwoClass | Sequence[int]) -> DegreeTwoClass:
@@ -302,8 +303,6 @@ def h2_order(alpha: DegreeTwoClass | Sequence[int]) -> int:
     sequences (the zero class) have order 0.  Always at most n - 1.
     """
     seq = _as_sequence(alpha)
-    if not seq:
-        raise ValueError("the sequence must be nonempty")
     order = 0
     step = 0
     current = seq

@@ -41,6 +41,15 @@ trivial-isotypic projection.  Since the top block is the total minus the
 lower blocks, the tables add up to the total by construction; what a wrong
 sign rule breaks is the parity and nonnegativity of the top blocks and the
 independently known link homology, which the golden tests pin.
+
+Palindromes.  The link polynomial need not be palindromic, and no sign rule
+should make it so.  For even n the swap of the two parts of (n/2, n/2) acts
+on Gr(n/2, n), of complex dimension (n/2)^2, and reverses its orientation
+exactly when that dimension is odd, i.e. when n = 2 (mod 4); its flag trace
+is then anti-palindromic (at n = 6 it is (1 - q)(1 - q^3)(1 - q^5)), the
+unordered quotient is non-orientable, and no duality forces the link to be
+symmetric.  Among n = 3..14 the link is palindromic exactly when n is not
+2 (mod 4); the tests pin this, so no value for n >= 6 may rest on symmetry.
 """
 
 from __future__ import annotations

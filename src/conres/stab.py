@@ -11,8 +11,9 @@ turns it into a sufficient bound for one cohomological cell,
 
     n*(p, q) = max over A of complexity -p of stab(A, p + q - 2 #A).
 
-``stable_table`` evaluates cells at n*, n* + 1, n* + 2 and insists the ranks
-agree, which is how the bound is kept honest.
+``stable_cell`` evaluates one cell at n*, n* + 1, n* + 2 and insists the ranks
+agree, which is how the bound is kept honest; ``stable_table`` and
+``conres stab --p --q`` both get their cells from it.
 """
 
 from __future__ import annotations
@@ -112,20 +113,20 @@ class StableCell:
     rank: int
 
 
+def stable_cell(p: int, q: int) -> StableCell:
+    """Stable rank of the cohomological cell (p, q), evaluated at its bound
+    ``e1_stable_bound(p, q)`` and re-evaluated twice beyond it; any
+    disagreement raises :class:`ConsistencyError` naming the cell."""
+    bound = e1_stable_bound(p, q)
+    ranks = [cohomological_rank(m, p, q) for m in (bound, bound + 1, bound + 2)]
+    if len(set(ranks)) != 1:
+        raise ConsistencyError(f"cell ({p}, {q}) not stable at its bound {bound}: ranks {ranks}")
+    return StableCell(p, q, bound, ranks[0])
+
+
 def stable_table(p_min: int, q_max: int) -> tuple[StableCell, ...]:
-    """Stable cohomological ranks for all cells with p_min <= p <= 0 and
-    -p <= q <= q_max, each evaluated at its bound and re-evaluated twice
-    beyond it; any disagreement raises :class:`ConsistencyError`."""
+    """The :func:`stable_cell` of every cell with p_min <= p <= 0 and
+    -p <= q <= q_max."""
     if p_min > 0:
         raise ValueError("p_min must be at most 0")
-    cells: list[StableCell] = []
-    for p in range(p_min, 1):
-        for q in range(-p, q_max + 1):
-            bound = e1_stable_bound(p, q)
-            ranks = [cohomological_rank(m, p, q) for m in (bound, bound + 1, bound + 2)]
-            if len(set(ranks)) != 1:
-                raise ConsistencyError(
-                    f"cell ({p}, {q}) not stable at its bound {bound}: ranks {ranks}"
-                )
-            cells.append(StableCell(p, q, bound, ranks[0]))
-    return tuple(cells)
+    return tuple(stable_cell(p, q) for p in range(p_min, 1) for q in range(-p, q_max + 1))

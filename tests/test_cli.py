@@ -55,6 +55,14 @@ def test_verify_failure_exits_two(monkeypatch, capsys):
     assert "consistency" in err
 
 
+def test_unstable_cell_exits_two(monkeypatch, capsys):
+    monkeypatch.setattr("conres.stab.cohomological_rank", lambda n, p, q: n)
+    code, out, err = _run(capsys, "stab", "--p", "-1", "--q", "3", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err == "consistency failure: cell (-1, 3) not stable at its bound 2: ranks [2, 3, 4]\n"
+
+
 # --------------------------------------------------------------------------
 # document round trips and cross-format equality
 # --------------------------------------------------------------------------

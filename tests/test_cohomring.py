@@ -287,6 +287,14 @@ def test_h2_order_bounded_by_length():
         assert 0 <= h2_order(seq) <= n - 1
 
 
+@pytest.mark.parametrize("seq", [(0, 0.1, 0.3), (0, 1.5), ("a",), ("1", "2"), ()])
+def test_degree_two_functions_validate_like_the_class(seq):
+    # floats once rounded their way to an order and strings got order 0
+    for fn in (DegreeTwoClass, h2_order, shift_difference):
+        with pytest.raises(ValueError, match="integers|nonempty"):
+            fn(seq)
+
+
 def test_shift_difference_examples():
     assert shift_difference((1, 2, 3, 4)) == DegreeTwoClass((1, 1, 1))
     assert shift_difference((1, 4, 9, 16)) == DegreeTwoClass((3, 5, 7))

@@ -5,10 +5,12 @@ import pytest
 from conres import stab
 from conres.qcombinat import ConsistencyError, MultiIndex, QPoly, gauss_multinomial, multiindices
 from conres.stab import (
+    StableCell,
     cohomological_rank,
     complexity_indices,
     e1_stable_bound,
     stab_index,
+    stable_cell,
     stable_table,
 )
 
@@ -129,3 +131,21 @@ def test_stable_table_is_pinned():
     # multiplied-out denominators and exact_div, independently of divide_out
     digest = hashlib.sha256(repr(stable_table(-5, 12)).encode()).hexdigest()
     assert digest == "3ec0d55cec9932bba5585e08ff7ce5e34a435996a896e4899cc3742f244d58b7"
+
+
+def test_stable_cell_is_the_table_entry():
+    cells = {(c.p, c.q): c for c in stable_table(-3, 7)}
+    for (p, q), cell in cells.items():
+        assert stable_cell(p, q) == cell
+    assert stable_cell(0, 0) == StableCell(0, 0, 2, 1)
+
+
+def test_an_unstable_cell_raises(monkeypatch):
+    # ranks that keep changing with n fail the three-point agreement, in the
+    # cell and in every table that contains it
+    monkeypatch.setattr(stab, "cohomological_rank", lambda n, p, q: n)
+    message = r"cell \(-1, 3\) not stable at its bound 2: ranks \[2, 3, 4\]"
+    with pytest.raises(ConsistencyError, match=message):
+        stable_cell(-1, 3)
+    with pytest.raises(ConsistencyError, match=r"cell \(-1, 1\) not stable"):
+        stable_table(-1, 3)
