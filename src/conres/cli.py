@@ -26,7 +26,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
 from . import __version__
@@ -159,7 +159,7 @@ def _markdown_table(payload: dict[str, Any], arguments: dict[str, Any]) -> str:
         )
         for p in columns
     }
-    row_label = "i" if arguments.get("total_degree") and payload["view"] == "hom" else "q"
+    row_label = "i" if arguments.get("total_degree") else "q"
     header = f"| {row_label} \\ p | " + " | ".join(str(p) for p in columns) + " |"
     rule = "|" + "---|" * (len(columns) + 1)
     lines = [f"spectral table, n = {payload['n']} ({payload['view']} view)", "", header, rule]
@@ -250,6 +250,8 @@ _Result = tuple[dict[str, Any], dict[str, Any], int]
 
 def _cmd_table(args: argparse.Namespace) -> _Result:
     _check_n(args.n, args.max_n)
+    if args.total_degree and args.view == "cohom":
+        raise UsageError("--total-degree applies only to --view hom")
     cells = _table_cells(spectral_table(args.n), args.view, args.total_degree)
     arguments = {"n": args.n, "view": args.view, "total_degree": args.total_degree}
     return arguments, {"n": args.n, "view": args.view, "cells": cells}, 0
@@ -280,10 +282,7 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
     payload = {
         "n": args.n,
         "passed": report.ok,
-        "checks": [
-            {"name": c.name, "location": c.location, "passed": c.passed, "detail": c.detail}
-            for c in report.checks
-        ],
+        "checks": [asdict(c) for c in report.checks],
     }
     return {"n": args.n, "checks": args.checks or "all"}, payload, 0 if report.ok else 2
 

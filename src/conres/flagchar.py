@@ -83,7 +83,7 @@ def _averaged_denominator(m: int, step: int) -> tuple[int, ...]:
     """Exponents e of the common denominator prod (1 - q^e) of the
     partition-averaged factor for m blocks moved in steps of ``step``; checks
     that the averaged numerator collapses to 1."""
-    numerator = q_pochhammer(m, step)
+    numerator = q_pochhammer(m).substitute_power(step)
     pairs = [
         (factorial(m) // centralizer_order(lam), divide_out(numerator, [step * k for k in lam]))
         for lam in partitions(m, 1)
@@ -100,14 +100,13 @@ def gamma_trace(A: MultiIndex, n: int, cls: BlockClass) -> QPoly:
     """Graded trace (in q) of a block permutation in the class ``cls`` on the
     cohomology of the flag manifold of ordered orthogonal collections of
     shape ``A`` in C^n."""
-    if A.size > n:
-        raise ValueError(f"index {A} does not fit in ambient dimension {n}")
-    cycles = cls.cycles + ((1, n - A.size),)
+    cycles = cls.cycles + ((1, A.liberty(n)),)
     return divide_out(q_pochhammer(n), [e for c, a in cycles for e in _averaged_denominator(a, c)])
 
 
 def _block_positions(A: MultiIndex, n: int) -> tuple[list[list[int]], list[int]]:
     """Consecutive coordinate blocks for the parts of A, plus the remainder."""
+    A.liberty(n)  # raises ValueError if A does not fit
     blocks: list[list[int]] = []
     offset = 0
     for a in A.parts:
@@ -119,8 +118,6 @@ def _block_positions(A: MultiIndex, n: int) -> tuple[list[list[int]], list[int]]
 def class_representative(A: MultiIndex, n: int, cls: BlockClass) -> tuple[int, ...]:
     """A concrete permutation of range(n) in the class: each block cycle maps
     every block identically onto the next one."""
-    if A.size > n:
-        raise ValueError(f"index {A} does not fit in ambient dimension {n}")
     blocks, _ = _block_positions(A, n)
     perm = list(range(n))
     block_index = 0
@@ -161,8 +158,6 @@ def gamma_trace_naive(
 ) -> QPoly:
     """Brute-force value of :func:`gamma_trace`: average the coinvariant trace
     of sigma * u over every u in the parabolic group W_A."""
-    if A.size > n:
-        raise ValueError(f"index {A} does not fit in ambient dimension {n}")
     blocks, rest = _block_positions(A, n)
     groups = [g for g in blocks + [rest] if g]
     group_order = prod(factorial(len(g)) for g in groups)

@@ -382,13 +382,13 @@ def one_minus_q(exponent: int) -> QPoly:
 
 
 @cache
-def q_pochhammer(k: int, step: int = 1) -> QPoly:
-    """The product ``(1 - q^step)(1 - q^{2 step}) ... (1 - q^{k step})``."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k == 0:
+def q_pochhammer(n: int, d: int = 0) -> QPoly:
+    """The product ``(1 - q^{d+1})(1 - q^{d+2}) ... (1 - q^n)``, 1 if n = d."""
+    if not 0 <= d <= n:
+        raise ValueError(f"need 0 <= d <= n (got n={n}, d={d})")
+    if n == d:
         return QPoly.one()
-    return q_pochhammer(k - 1, step) * one_minus_q(k * step)
+    return q_pochhammer(n - 1, d) * one_minus_q(n)
 
 
 def divide_out(poly: _P, exponents: Iterable[int]) -> _P:
@@ -625,7 +625,8 @@ def gauss_multinomial(n: int, parts: Sequence[int]) -> QPoly:
     total = sum(parts)
     if total > n:
         raise ValueError(f"parts sum to {total} > n = {n}")
-    result = divide_out(q_pochhammer(n), [i for a in parts + (n - total,) for i in range(1, a + 1)])
+    # the free part's factors (1 - q^i), i <= n - total, cancel unbuilt
+    result = divide_out(q_pochhammer(n, n - total), [i for a in parts for i in range(1, a + 1)])
     if not result.nonnegative():
         raise ConsistencyError(f"negative coefficient in [{n}; {parts}]_q")
     return result

@@ -27,6 +27,10 @@ def test_usage_errors_exit_one(capsys):
     assert _run(capsys, "nonsense")[0] == 1
     assert _run(capsys, "table")[0] == 1
     assert _run(capsys, "table", "--n", "4", "--koszul")[0] == 1
+    # rows of the cohomological view are always q; the flag is not ignored
+    code, out, err = _run(capsys, "table", "--n", "4", "--view", "cohom", "--total-degree")
+    assert (code, out) == (1, "")
+    assert "--total-degree" in err
 
 
 def test_successful_commands_exit_zero(capsys):

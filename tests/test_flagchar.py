@@ -22,6 +22,7 @@ from conres.qcombinat import (
     multiindices,
     one_minus_q,
 )
+from conres.resolution import block_poincare
 
 
 # --------------------------------------------------------------------------
@@ -129,6 +130,22 @@ def test_class_representative_layout():
 # --------------------------------------------------------------------------
 # the brute-force oracle
 # --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        gamma_trace,
+        class_representative,
+        gamma_trace_naive,
+        lambda A, n, cls: block_poincare(A, n),
+    ],
+    ids=["gamma_trace", "class_representative", "gamma_trace_naive", "block_poincare"],
+)
+def test_an_index_that_does_not_fit_is_rejected(call):
+    A = MultiIndex((3,))
+    with pytest.raises(ValueError, match="does not fit"):
+        call(A, 2, conjugacy_classes(A)[0])
 
 
 def test_naive_oracle_examples():

@@ -633,4 +633,9 @@ def test_gauss_multinomial_palindromic_and_degree():
 def test_q_pochhammer():
     assert q_pochhammer(0) == QPoly.one()
     assert q_pochhammer(2) == QPoly({0: 1, 1: -1}) * QPoly({0: 1, 2: -1})
-    assert q_pochhammer(2, 3) == QPoly({0: 1, 3: -1}) * QPoly({0: 1, 6: -1})
+    # a start d keeps only the factors above it: (1 - q^3)(1 - q^4)
+    assert q_pochhammer(4, 2) == QPoly({0: 1, 3: -1}) * QPoly({0: 1, 4: -1})
+    assert q_pochhammer(3, 3) == QPoly.one()
+    for bad in [(2, 3), (2, -1)]:
+        with pytest.raises(ValueError):
+            q_pochhammer(*bad)

@@ -15,6 +15,8 @@ from conres.qcombinat import (
     one_minus_q,
 )
 from conres.resolution import (
+    ALL_CHECKS,
+    CheckResult,
     HPoly,
     SpectralTable,
     block_poincare,
@@ -268,7 +270,7 @@ def test_verify_passes_for_small_n():
     for n in (2, 3, 4, 5):
         report = verify(n)
         assert report.ok, report.failures()
-        assert report.lines()
+        assert {c.name for c in report.checks} == set(ALL_CHECKS)
 
 
 def test_verify_check_selection():
@@ -276,6 +278,66 @@ def test_verify_check_selection():
     assert all(c.name == "miller" for c in report.checks)
     with pytest.raises(ValueError):
         verify(4, checks=("unknown",))
+
+
+def test_verify_reports_checks_in_table_order():
+    report = verify(4, checks=("gamma-oracle", "miller"))
+    names = [c.name for c in report.checks]
+    assert names[0] == "miller"
+    assert set(names[1:]) == {"gamma-oracle"}
+
+
+def test_verify_collects_an_oracle_that_raises(monkeypatch):
+    A = MultiIndex((2, 2))
+    bad = conjugacy_classes(A)[1]
+    real = flagchar.gamma_trace_naive
+
+    def naive(A_, n, cls, budget):
+        if (A_, n, cls) == (A, 4, bad):
+            raise ConsistencyError("forced oracle failure")
+        return real(A_, n, cls, budget=budget)
+
+    monkeypatch.setattr(flagchar, "gamma_trace_naive", naive)
+    report = verify(4)
+    oracle = [c for c in report.checks if c.name == "gamma-oracle"]
+    failed = [c for c in oracle if not c.passed]
+    assert [(c.location, c.detail) for c in failed] == [
+        (f"A={A}, n=4, cls={bad}", "forced oracle failure")
+    ]
+    # every other class of every index is still checked
+    expected = sum(len(conjugacy_classes(B)) for B in multiindices(4, 3))
+    assert len(oracle) == expected > 1
+
+
+@pytest.mark.parametrize(
+    "fast, slow, failing, message",
+    [
+        (QPoly.one(), QPoly.one(), "nontrivial", "nonzero at q = 1"),
+        (QPoly.one(), QPoly.zero(), "all", "traces disagree"),
+    ],
+)
+def test_gamma_oracle_names_the_failed_condition(monkeypatch, fast, slow, failing, message):
+    monkeypatch.setattr(flagchar, "gamma_trace", lambda A, n, cls: fast)
+    monkeypatch.setattr(flagchar, "gamma_trace_naive", lambda A, n, cls, budget: slow)
+    report = verify(4, checks=("gamma-oracle",))
+    expected = {
+        f"A={A}, n=4, cls={cls}"
+        for A in multiindices(4, 3)
+        for cls in conjugacy_classes(A)
+        if failing == "all" or not cls.is_trivial
+    }
+    assert expected and {c.location for c in report.failures()} == expected
+    assert all(message in c.detail for c in report.failures())
+
+
+def test_verify_collects_a_check_that_raises(monkeypatch):
+    def broken(n):
+        raise ConsistencyError("forced miller failure")
+
+    monkeypatch.setattr(resolution, "miller_check", broken)
+    report = verify(4)
+    assert report.failures() == (CheckResult("miller", "n=4", False, "forced miller failure"),)
+    assert [c.name for c in report.checks].count("gamma-oracle") > 0
 
 
 # --------------------------------------------------------------------------

@@ -32,6 +32,15 @@ def test_stab_index_witness():
         assert all(poly.coefficient(j) == report.witness.coefficient(j) for j in (0, 1))
 
 
+def test_stab_index_at_degree_600():
+    # the free part of [m; 2, m - 2]_q cancels before it is built, so a large
+    # degree costs a product of two factors, not one of m; the stable
+    # coefficients count partitions of j into parts 1 and 2
+    report = stab_index(MultiIndex((2,)), 600)
+    assert report.stab_n == 302
+    assert report.witness == QPoly({j: j // 2 + 1 for j in range(301)})
+
+
 def test_stab_index_is_pinned():
     # SHA-256 of the reports for every shape with |A| <= 14 and degree -3..30,
     # generated with the scan over m = |A|, |A| + 1, ... that the closed form
