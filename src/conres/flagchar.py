@@ -33,7 +33,11 @@ averages over S(A), all taken by ``class_average``.
 
 ``gamma_trace_naive`` is the guard for all of this: it averages coinvariant
 traces over an explicit enumeration of W_A and must agree with ``gamma_trace``
-everywhere within its budget.
+everywhere within its budget.  It enumerates W_A one orbit of sigma on the
+groups (blocks and free part) at a time and convolves the per-orbit counts of
+cycle types, which rests on one fact only: sigma * u maps the points of each
+orbit onto themselves, so its cycle type is the union of those of its
+restrictions.  It uses neither the uniform composite nor the collapse above.
 """
 
 from __future__ import annotations
@@ -60,8 +64,10 @@ from .qcombinat import (
     _P,
 )
 
-#: Largest parabolic group the brute-force oracle will enumerate (8! covers
-#: every multi-index in ambient dimension up to 8).
+#: Largest parabolic group |W_A| the brute-force oracle accepts (8! covers
+#: every multi-index in ambient dimension up to 8).  It bounds the order of
+#: W_A, not the number of permutations enumerated: W_A is enumerated one
+#: sigma-orbit of groups at a time, which visits at most |W_A| of them.
 NAIVE_BUDGET = factorial(8)
 
 CHARACTERS = ("trivial", "sign")
@@ -153,11 +159,55 @@ def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(lengths, reverse=True))
 
 
+def _orbits(sigma: tuple[int, ...], groups: list[list[int]]) -> list[list[list[int]]]:
+    """The orbits of sigma on the groups, each in the order sigma visits it.
+    Raises :class:`ConsistencyError` unless sigma maps every group onto a
+    group of the same size."""
+    index = {frozenset(g): k for k, g in enumerate(groups)}
+    target = [index.get(frozenset(sigma[p] for p in g)) for g in groups]
+    if None in target:
+        raise ConsistencyError(f"sigma = {sigma} maps a group of W_A onto no group")
+    orbits: list[list[list[int]]] = []
+    seen: set[int] = set()
+    for start in range(len(groups)):
+        if start in seen:
+            continue
+        orbit, k = [], start
+        while k not in seen:
+            seen.add(k)
+            orbit.append(groups[k])
+            k = target[k]
+        orbits.append(orbit)
+    return orbits
+
+
+def _orbit_cycle_types(sigma: tuple[int, ...], orbit: list[list[int]]) -> Counter[tuple[int, ...]]:
+    """Cycle types of sigma * u on the points of one orbit, counted over every
+    u in the product of the symmetric groups of the orbit's groups."""
+    points = [p for g in orbit for p in g]
+    local = {p: i for i, p in enumerate(points)}
+    sigma_local = [local[sigma[p]] for p in points]
+    local_groups = [[local[p] for p in g] for g in orbit]
+    counts: Counter[tuple[int, ...]] = Counter()
+    for images in itertools.product(*(itertools.permutations(g) for g in local_groups)):
+        # the points are numbered group after group, so the images in order are u
+        u = [i for image in images for i in image]
+        counts[cycle_type(tuple(sigma_local[i] for i in u))] += 1
+    return counts
+
+
 def gamma_trace_naive(
     A: MultiIndex, n: int, cls: BlockClass, budget: int = NAIVE_BUDGET
 ) -> QPoly:
     """Brute-force value of :func:`gamma_trace`: average the coinvariant trace
-    of sigma * u over every u in the parabolic group W_A."""
+    of sigma * u over every u in the parabolic group W_A.
+
+    W_A is enumerated one sigma-orbit of groups (blocks and free part) at a
+    time.  sigma * u maps the points of each orbit onto themselves, so its
+    cycle type is the union of those of its restrictions, and the number of u
+    giving a cycle type is a convolution of the per-orbit counts.  Nothing
+    else is assumed: neither the uniform composite around a block cycle nor
+    the collapse of the partition average that :func:`gamma_trace` uses."""
     blocks, rest = _block_positions(A, n)
     groups = [g for g in blocks + [rest] if g]
     group_order = prod(factorial(len(g)) for g in groups)
@@ -166,13 +216,19 @@ def gamma_trace_naive(
             f"|W_A| = {group_order} exceeds the enumeration budget {budget}"
         )
     sigma = class_representative(A, n, cls)
-    counts: Counter[tuple[int, ...]] = Counter()
-    for images in itertools.product(*(itertools.permutations(g) for g in groups)):
-        u = list(range(n))
-        for group, image in zip(groups, images):
-            for src, dst in zip(group, image):
-                u[src] = dst
-        counts[cycle_type(tuple(sigma[u[i]] for i in range(n)))] += 1
+    counts: Counter[tuple[int, ...]] = Counter({(): 1})
+    for orbit in _orbits(sigma, groups):
+        orbit_counts = _orbit_cycle_types(sigma, orbit)
+        merged: Counter[tuple[int, ...]] = Counter()
+        for mu, count in counts.items():
+            for nu, orbit_count in orbit_counts.items():
+                merged[tuple(sorted(mu + nu, reverse=True))] += count * orbit_count
+        counts = merged
+    enumerated = sum(counts.values())
+    if enumerated != group_order:
+        raise ConsistencyError(
+            f"the orbits of sigma = {sigma} count {enumerated} elements of W_A, not {group_order}"
+        )
     pairs = [(count, coinvariant_trace(n, mu)) for mu, count in sorted(counts.items())]
     return integer_combination(pairs, group_order)
 

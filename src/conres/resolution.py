@@ -54,8 +54,9 @@ symmetric.  Among n = 3..14 the link is palindromic exactly when n is not
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, wraps
 from typing import Callable, Iterator
 
 from . import flagchar
@@ -218,7 +219,32 @@ class SpectralTable:
         return self.rank(-p, self.n * self.n - q - 1 - p)
 
 
-@cache
+def _cache_failures(build: Callable[[int], SpectralTable]) -> Callable[[int], SpectralTable]:
+    """``functools.cache`` that also keeps a :class:`ConsistencyError`: a build
+    that failed raises again from the cache instead of being redone.  Each
+    raise is a fresh copy chained to the original, which keeps the traceback
+    of the failed build."""
+
+    @cache
+    def outcome(n: int) -> SpectralTable | ConsistencyError:
+        try:
+            return build(n)
+        except ConsistencyError as exc:
+            return exc
+
+    @wraps(build)
+    def cached(n: int) -> SpectralTable:
+        result = outcome(n)
+        if isinstance(result, ConsistencyError):
+            raise copy.copy(result) from result
+        return result
+
+    cached.cache_info = outcome.cache_info  # type: ignore[attr-defined]
+    cached.cache_clear = outcome.cache_clear  # type: ignore[attr-defined]
+    return cached
+
+
+@_cache_failures
 def spectral_table(n: int) -> SpectralTable:
     """The full first-page table: one block per index of size <= n.
 
@@ -226,7 +252,8 @@ def spectral_table(n: int) -> SpectralTable:
     The top block (n), the open cone on the link of the whole collection, is
     the known total minus their sum.  A negative rank or a parity violation
     there falsifies the sign convention and raises :class:`ConsistencyError`
-    rather than being repaired.
+    rather than being repaired; the failure is memoized like a table, so every
+    reader of a failed table gets the error without a rebuild.
     """
     if n < 2:
         raise ValueError("n must be at least 2")

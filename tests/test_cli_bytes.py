@@ -2,7 +2,8 @@
 
 Every performance change must leave the CLI's output unchanged to the byte.
 This file holds the digests of the json documents of ``table`` (both views)
-for n = 2..10, ``link`` for n = 3..10, ``verify`` for n = 2..9 and one sample
+for n = 2..10, ``link`` for n = 3..10, ``verify`` for n = 2..12 (past 10 with
+``--max-n``, up to the largest n of the ``verify`` benchmark) and one sample
 each of ``gamma``, ``order`` and ``stab``, and of the md and csv renderings of
 ``table --n 5`` (both views, and by total degree), ``link --n 5``,
 ``verify --n 4`` and the ``gamma``, ``order`` and ``stab`` samples.  The
@@ -58,6 +59,9 @@ DIGESTS = {
     "verify --n 7 --format json": "62e009a6195682654328146161c416739c204d7b75827b8a70bd2dbbe1d067b6",
     "verify --n 8 --format json": "7118a2446371d80a9e6a922065df0ace4900e8a8dcafd33999ce65d941f045b6",
     "verify --n 9 --format json": "a178b796162374dcd7ddd1d1b2b9ff938f533c4617d430f1ced3ba4d13ba2fc0",
+    "verify --n 10 --max-n 10 --format json": "3ccd44250ea2bafdcb345808c67eb1d9b2177c205cff9be4380c84fca5f4f8d9",
+    "verify --n 11 --max-n 11 --format json": "21e76b203aa7f928e7dc7013a8106e30b23f2fbb27241f58d27ecabc156fb916",
+    "verify --n 12 --max-n 12 --format json": "7a9c59e7dc3036f27447c3ee0cca4e17ef93b5d49aaa028aeca984a3d1bcfcfc",
     "table --n 5 --view hom --format md": "8199cbaaeb223838080dd57948bf2eb6ed971f0369354cd69aaf3913c0aae487",
     "table --n 5 --view hom --format csv": "34c42f7d35f0293ddb93b546f26c5cb831d726959276e1d5ab574d3ecd045f11",
     "table --n 5 --view cohom --format md": "ab2e8d1b62b16f71ff1dbef1c628ed8fa832a116753bc1c28375385aec0d2017",

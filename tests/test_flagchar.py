@@ -1,10 +1,14 @@
 import hashlib
+import itertools
+from collections import Counter
 
 import pytest
 
+from conres import flagchar
 from conres.cohomring import normal_form, staircase_monomials
 from conres.flagchar import (
     NAIVE_BUDGET,
+    _block_positions,
     class_representative,
     coinvariant_trace,
     cycle_type,
@@ -15,14 +19,16 @@ from conres.flagchar import (
 )
 from conres.qcombinat import (
     BudgetExceededError,
+    ConsistencyError,
     MultiIndex,
     QPoly,
     conjugacy_classes,
     gauss_multinomial,
+    integer_combination,
     multiindices,
     one_minus_q,
 )
-from conres.resolution import block_poincare
+from conres.resolution import block_poincare, verify
 
 
 # --------------------------------------------------------------------------
@@ -162,6 +168,55 @@ def test_naive_oracle_agrees_on_small_cases():
         for A in multiindices(n, n - 1):
             for cls in conjugacy_classes(A):
                 assert gamma_trace_naive(A, n, cls) == gamma_trace(A, n, cls)
+
+
+def _naive_whole_product(A, n, cls):
+    # the reference: one pass over the whole product of the groups'
+    # symmetric groups, with no factoring over the orbits of sigma
+    blocks, rest = _block_positions(A, n)
+    groups = [g for g in blocks + [rest] if g]
+    sigma = class_representative(A, n, cls)
+    counts = Counter()
+    for images in itertools.product(*(itertools.permutations(g) for g in groups)):
+        u = list(range(n))
+        for group, image in zip(groups, images):
+            for src, dst in zip(group, image):
+                u[src] = dst
+        counts[cycle_type(tuple(sigma[u[i]] for i in range(n)))] += 1
+    pairs = [(count, coinvariant_trace(n, mu)) for mu, count in sorted(counts.items())]
+    return integer_combination(pairs, sum(counts.values()))
+
+
+def test_naive_oracle_equals_the_whole_product_enumeration():
+    checked = 0
+    for n in range(2, 8):
+        for A in multiindices(n, n - 1):
+            for cls in conjugacy_classes(A):
+                assert gamma_trace_naive(A, n, cls) == _naive_whole_product(A, n, cls), (A, n, cls)
+                checked += 1
+    assert checked == 48
+
+
+def test_naive_oracle_rejects_a_representative_that_mixes_blocks(monkeypatch):
+    A = MultiIndex((2, 2))
+    swap = _swap_class(A)
+    # (0 1 2) sends the block {0, 1} to {1, 2}, which is no group of W_A
+    monkeypatch.setattr(flagchar, "class_representative", lambda A, n, cls: (1, 2, 0, 3, 4))
+    with pytest.raises(ConsistencyError, match="onto no group"):
+        gamma_trace_naive(A, 5, swap)
+    report = verify(5, checks=("gamma-oracle",))
+    assert report.failures()
+    assert all("onto no group" in c.detail for c in report.failures())
+
+
+def test_naive_oracle_checks_that_the_orbits_cover_w_a(monkeypatch):
+    A = MultiIndex((2, 2))
+    swap = _swap_class(A)
+    real = flagchar._orbits
+    # dropping the free part's orbit leaves 4 of the |W_A| = 8 elements
+    monkeypatch.setattr(flagchar, "_orbits", lambda sigma, groups: real(sigma, groups)[:-1])
+    with pytest.raises(ConsistencyError, match="count 4 elements of W_A, not 8"):
+        gamma_trace_naive(A, 6, swap)
 
 
 def test_naive_oracle_budget():

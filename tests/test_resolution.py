@@ -391,19 +391,32 @@ def test_table_groups_blocks_given_in_any_order():
 
 
 def test_a_wrong_total_raises_and_is_reported(monkeypatch, fresh_tables):
-    real = resolution.total_discriminant_poincare
+    real_total = resolution.total_discriminant_poincare
+    real_block = resolution.block_poincare
+    calls = []
 
     def lowered(n):
         # one rank short in degree 3 at n = 4, where only the block (2,2) lives
-        return real(n) - GradedDims.term(3) if n == 4 else real(n)
+        return real_total(n) - GradedDims.term(3) if n == 4 else real_total(n)
+
+    def counted(A, n):
+        calls.append(n)
+        return real_block(A, n)
 
     monkeypatch.setattr(resolution, "total_discriminant_poincare", lowered)
-    with pytest.raises(ConsistencyError):
+    monkeypatch.setattr(resolution, "block_poincare", counted)
+    message = "negative rank in h-polynomial for a=4"
+    with pytest.raises(ConsistencyError, match=message):
         spectral_table(4)
     report = verify(4)
-    assert not report.ok
-    failed = {c.name for c in report.failures()}
-    assert {"block-parity", "table-total", "h-poly"} <= failed
+    # the failed build is memoized: block-parity, table-total and h-poly at
+    # a = 4 read that one attempt (3 lower blocks), not a rebuild each
+    assert calls.count(4) == 3
+    assert report.failures() == (
+        CheckResult("block-parity", "n=4", False, message),
+        CheckResult("table-total", "n=4", False, message),
+        CheckResult("h-poly", "a=4", False, message),
+    )
     assert [c.passed for c in report.checks if c.name == "h-poly"] == [True, True, False]
 
 
