@@ -35,12 +35,9 @@ from .qcombinat import (
     gauss_multinomial,
     multiindices,
     partitions,
-    substitute_power,
 )
 from .flagchar import (
-    GammaCharacter,
     coinvariant_trace,
-    gamma_character,
     gamma_poincare,
     gamma_trace,
     gamma_trace_naive,
@@ -88,7 +85,6 @@ __all__ = [
     "BudgetExceededError",
     "ConsistencyError",
     "DegreeTwoClass",
-    "GammaCharacter",
     "GradedDims",
     "HPoly",
     "InexactDivisionError",
@@ -108,7 +104,6 @@ __all__ = [
     "e1_stable_bound",
     "fiber_char",
     "first_order_h4",
-    "gamma_character",
     "gamma_poincare",
     "gamma_trace",
     "gamma_trace_naive",
@@ -127,7 +122,6 @@ __all__ = [
     "stab_index",
     "stable_cell",
     "stable_table",
-    "substitute_power",
     "symbols",
     "total_discriminant_poincare",
     "verify",

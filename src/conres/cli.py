@@ -289,8 +289,6 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
 
 def _cmd_order(args: argparse.Namespace) -> _Result:
     seq = _parse_seq(args.seq)
-    if not seq:
-        raise UsageError("--seq must contain at least one integer")
     return {"seq": list(seq)}, {"sequence": list(seq), "order": h2_order(seq)}, 0
 
 
@@ -316,7 +314,10 @@ def _cmd_stab(args: argparse.Namespace) -> _Result:
     if args.parts is None or args.degree is None:
         raise UsageError("--parts and --degree must be given together")
     A = _parse_parts(args.parts)
-    report = stab_index(A, args.degree)
+    try:
+        report = stab_index(A, args.degree)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     payload = {
         "parts": list(A.parts),
         "degree": args.degree,

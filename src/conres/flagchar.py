@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from math import factorial, prod
 from typing import Callable
@@ -244,37 +243,13 @@ def class_average(A: MultiIndex, trace: Callable[[BlockClass], _P]) -> _P:
     return result
 
 
-@dataclass(frozen=True)
-class GammaCharacter:
-    """The full graded character table of the block-permutation action on the
-    flag cohomology for one (A, n)."""
-
-    A: MultiIndex
-    n: int
-    values: tuple[tuple[BlockClass, QPoly], ...]
-
-    def value(self, cls: BlockClass) -> QPoly:
-        return dict(self.values)[cls]
-
-    def isotypic(self, chi: str) -> QPoly:
-        """Graded multiplicity of a rank-1 character: the class average of
-        chi(class) * trace."""
-        if chi not in CHARACTERS:
-            raise ValueError(f"unknown character {chi!r}; expected one of {CHARACTERS}")
-        values = dict(self.values)
-        return class_average(self.A, lambda cls: (cls.sign if chi == "sign" else 1) * values[cls])
-
-
-def gamma_character(A: MultiIndex, n: int) -> GammaCharacter:
-    """Traces of every conjugacy class of equal-block permutations."""
-    values = tuple((cls, gamma_trace(A, n, cls)) for cls in conjugacy_classes(A))
-    return GammaCharacter(A, n, values)
-
-
 def gamma_poincare(A: MultiIndex, n: int, chi: str = "trivial") -> QPoly:
     """Poincare polynomial (in q) of the cohomology of the manifold of
     *unordered* orthogonal collections of shape ``A`` in C^n, with constant
     coefficients (``chi="trivial"``) or with the rank-1 local system where a
-    loop permuting equal blocks acts by the permutation sign (``chi="sign"``).
+    loop permuting equal blocks acts by the permutation sign (``chi="sign"``):
+    the class average of chi(class) * trace.
     """
-    return gamma_character(A, n).isotypic(chi)
+    if chi not in CHARACTERS:
+        raise ValueError(f"unknown character {chi!r}; expected one of {CHARACTERS}")
+    return class_average(A, lambda cls: (cls.sign if chi == "sign" else 1) * gamma_trace(A, n, cls))

@@ -368,12 +368,6 @@ class GradedDims(_SparsePoly):
     _var = "t"
 
 
-def substitute_power(p: _P, c: int) -> _P:
-    """Multiply every exponent of ``p`` by ``c`` (the graded trace of a
-    c-cycle permuting c tensor copies of a graded vector space, signs aside)."""
-    return p.substitute_power(c)
-
-
 def one_minus_q(exponent: int) -> QPoly:
     """The factor ``1 - q^exponent``."""
     if exponent < 1:

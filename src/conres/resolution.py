@@ -60,6 +60,7 @@ from functools import cache, cached_property, wraps
 from typing import Callable, Iterator
 
 from . import flagchar
+from .cohomring import ring_poincare
 from .qcombinat import (
     BlockClass,
     ConsistencyError,
@@ -125,14 +126,14 @@ def total_discriminant_poincare(n: int) -> GradedDims:
     """Borel-Moore Poincare polynomial of the whole repeated-eigenvalue locus
     in ambient dimension n.
 
-    The complement is homotopic to the complete flag manifold, whose
-    cohomology (that of CP^{n-1} x ... x CP^1) is the coinvariant algebra;
+    It dualizes :func:`conres.cohomring.ring_poincare`, the Poincare
+    polynomial P of the complement (homotopic to the complete flag manifold):
     Alexander duality inside the n^2-dimensional operator space turns its
-    reduced Poincare polynomial P(t) - 1 into ``t^{n^2 - 1} (P(1/t) - 1)``.
+    reduced part P(t) - 1 into ``t^{n^2 - 1} (P(1/t) - 1)``.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    complement = flagchar.coinvariant_trace(n, (1,) * n).to_graded()
+    complement = ring_poincare(n).to_graded()
     top = n * n - 1
     return GradedDims({top - e: c for e, c in complement.items() if e > 0})
 

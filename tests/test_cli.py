@@ -27,10 +27,18 @@ def test_usage_errors_exit_one(capsys):
     assert _run(capsys, "nonsense")[0] == 1
     assert _run(capsys, "table")[0] == 1
     assert _run(capsys, "table", "--n", "4", "--koszul")[0] == 1
+    # _parse_seq rejects an empty or blank sequence before h2_order sees it
+    assert _run(capsys, "order", "--seq", "")[0] == 1
+    assert _run(capsys, "order", "--seq", ",")[0] == 1
     # rows of the cohomological view are always q; the flag is not ignored
     code, out, err = _run(capsys, "table", "--n", "4", "--view", "cohom", "--total-degree")
     assert (code, out) == (1, "")
     assert "--total-degree" in err
+    # the witness would span more exponents than a polynomial may hold
+    code, out, err = _run(capsys, "stab", "--parts", "2", "--degree", "100000000")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_successful_commands_exit_zero(capsys):

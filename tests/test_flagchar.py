@@ -12,7 +12,6 @@ from conres.flagchar import (
     class_representative,
     coinvariant_trace,
     cycle_type,
-    gamma_character,
     gamma_poincare,
     gamma_trace,
     gamma_trace_naive,
@@ -270,10 +269,8 @@ def test_gamma_poincare_nonnegative():
 
 def test_gamma_character_table():
     A = MultiIndex((2, 2))
-    table = gamma_character(A, 4)
     trivial = conjugacy_classes(A)[0]
-    assert table.value(trivial) == gauss_multinomial(4, (2, 2))
-    assert table.isotypic("trivial") == gamma_poincare(A, 4, "trivial")
+    assert gamma_trace(A, 4, trivial) == gauss_multinomial(4, (2, 2))
 
 
 # --------------------------------------------------------------------------

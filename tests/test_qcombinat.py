@@ -24,7 +24,6 @@ from conres.qcombinat import (
     multiindices,
     partitions,
     q_pochhammer,
-    substitute_power,
 )
 
 
@@ -387,12 +386,12 @@ def test_integer_combination_keeps_the_type_and_needs_a_term():
 
 
 def test_substitute_power_examples():
-    assert substitute_power(QPoly({0: 1, 2: 1}), 2) == QPoly({0: 1, 4: 1})
-    assert substitute_power(GradedDims({1: 1}), 3) == GradedDims({3: 1})
+    assert QPoly({0: 1, 2: 1}).substitute_power(2) == QPoly({0: 1, 4: 1})
+    assert GradedDims({1: 1}).substitute_power(3) == GradedDims({3: 1})
     p = QPoly({0: 1, 1: 1, 2: 1})
-    assert substitute_power(p, 1) == p
+    assert p.substitute_power(1) == p
     with pytest.raises(ValueError):
-        substitute_power(p, 0)
+        p.substitute_power(0)
 
 
 @given(
@@ -402,7 +401,7 @@ def test_substitute_power_examples():
 )
 def test_substitute_power_composes(terms, a, b):
     p = QPoly(terms)
-    assert substitute_power(substitute_power(p, a), b) == substitute_power(p, a * b)
+    assert p.substitute_power(a).substitute_power(b) == p.substitute_power(a * b)
 
 
 # --------------------------------------------------------------------------
