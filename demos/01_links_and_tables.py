@@ -44,7 +44,7 @@ print("\nblocks sum to the total, degree by degree: OK")
 # known total in each ambient dimension.
 print("\nopen-cone series and links:")
 for a in range(2, n + 1):
-    print(f"  h_{a} = {h_poly(a).poly}")
+    print(f"  h_{a} = {h_poly(a)}")
 for m in range(3, n + 1):
     print(f"  link, n={m}: {link_poincare(m)}")
 

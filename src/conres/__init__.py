@@ -43,7 +43,6 @@ from .flagchar import (
     gamma_trace_naive,
 )
 from .resolution import (
-    HPoly,
     MillerReport,
     SpectralTable,
     VerificationReport,
@@ -86,7 +85,6 @@ __all__ = [
     "ConsistencyError",
     "DegreeTwoClass",
     "GradedDims",
-    "HPoly",
     "InexactDivisionError",
     "MillerReport",
     "MultiIndex",

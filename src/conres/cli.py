@@ -230,7 +230,7 @@ def _table_cells(table: SpectralTable, view: str, total_degree: bool) -> list[di
         if view == "hom":
             column, row = p, (i if total_degree else i - p)
         else:
-            column, row = -p, table.n * table.n - (i - p) - 1
+            column, row = table.cohomological_position(p, i)
         blocks = {",".join(map(str, A.parts)): r for A, r in table.breakdown(p, i).items()}
         cells.append({"p": column, "q": row, "rank": rank, "blocks": blocks})
     cells.sort(key=lambda c: (c["p"], c["q"]))
@@ -300,9 +300,10 @@ def _cmd_stab(args: argparse.Namespace) -> _Result:
     if cell_mode:
         if args.p is None or args.q is None:
             raise UsageError("--p and --q must be given together")
-        if args.p > 0 or args.p + args.q < 0:
-            raise UsageError("the cell must satisfy p <= 0 <= p + q")
-        cell = stable_cell(args.p, args.q)
+        try:
+            cell = stable_cell(args.p, args.q)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         payload = {
             "p": cell.p,
             "q": cell.q,

@@ -158,15 +158,16 @@ def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(lengths, reverse=True))
 
 
-def _orbits(sigma: tuple[int, ...], groups: list[list[int]]) -> list[list[list[int]]]:
-    """The orbits of sigma on the groups, each in the order sigma visits it.
-    Raises :class:`ConsistencyError` unless sigma maps every group onto a
-    group of the same size."""
+def _orbits(sigma: tuple[int, ...], groups: list[list[int]]) -> list[tuple[tuple[int, ...], ...]]:
+    """The orbits of sigma on the groups, each as its shape: the group sizes
+    in the order sigma visits them, and sigma on the orbit's points numbered
+    group after group in that order.  Raises :class:`ConsistencyError` unless
+    sigma maps every group onto a group of the same size."""
     index = {frozenset(g): k for k, g in enumerate(groups)}
     target = [index.get(frozenset(sigma[p] for p in g)) for g in groups]
     if None in target:
         raise ConsistencyError(f"sigma = {sigma} maps a group of W_A onto no group")
-    orbits: list[list[list[int]]] = []
+    orbits: list[tuple[tuple[int, ...], ...]] = []
     seen: set[int] = set()
     for start in range(len(groups)):
         if start in seen:
@@ -176,23 +177,27 @@ def _orbits(sigma: tuple[int, ...], groups: list[list[int]]) -> list[list[list[i
             seen.add(k)
             orbit.append(groups[k])
             k = target[k]
-        orbits.append(orbit)
+        local = {point: i for i, point in enumerate(itertools.chain(*orbit))}
+        orbits.append((tuple(map(len, orbit)), tuple(local[sigma[p]] for p in local)))
     return orbits
 
 
-def _orbit_cycle_types(sigma: tuple[int, ...], orbit: list[list[int]]) -> Counter[tuple[int, ...]]:
-    """Cycle types of sigma * u on the points of one orbit, counted over every
-    u in the product of the symmetric groups of the orbit's groups."""
-    points = [p for g in orbit for p in g]
-    local = {p: i for i, p in enumerate(points)}
-    sigma_local = [local[sigma[p]] for p in points]
-    local_groups = [[local[p] for p in g] for g in orbit]
+@cache
+def _orbit_cycle_types(
+    sizes: tuple[int, ...], sigma: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(cycle type, count) pairs of sigma * u on the points of one orbit
+    shape (see :func:`_orbits`), over every u in the product of the symmetric
+    groups of its groups.  Shapes recur across classes and multi-indices, so
+    each is enumerated once."""
+    starts = itertools.accumulate(sizes, initial=0)
+    groups = [range(start, start + size) for start, size in zip(starts, sizes)]
     counts: Counter[tuple[int, ...]] = Counter()
-    for images in itertools.product(*(itertools.permutations(g) for g in local_groups)):
+    for images in itertools.product(*(itertools.permutations(g) for g in groups)):
         # the points are numbered group after group, so the images in order are u
         u = [i for image in images for i in image]
-        counts[cycle_type(tuple(sigma_local[i] for i in u))] += 1
-    return counts
+        counts[cycle_type(tuple(sigma[i] for i in u))] += 1
+    return tuple(counts.items())
 
 
 def gamma_trace_naive(
@@ -217,10 +222,10 @@ def gamma_trace_naive(
     sigma = class_representative(A, n, cls)
     counts: Counter[tuple[int, ...]] = Counter({(): 1})
     for orbit in _orbits(sigma, groups):
-        orbit_counts = _orbit_cycle_types(sigma, orbit)
+        orbit_counts = _orbit_cycle_types(*orbit)
         merged: Counter[tuple[int, ...]] = Counter()
         for mu, count in counts.items():
-            for nu, orbit_count in orbit_counts.items():
+            for nu, orbit_count in orbit_counts:
                 merged[tuple(sorted(mu + nu, reverse=True))] += count * orbit_count
         counts = merged
     enumerated = sum(counts.values())

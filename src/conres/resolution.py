@@ -26,17 +26,21 @@ complement.  That identity drives everything here:
   the top block of the ambient-dimension-a table, and ``verify`` re-checks
   every identity the construction is supposed to satisfy.
 
-Degree bookkeeping is centralized in :func:`fiber_char`: the single shift
-``t^{#A + d^2 - 1}`` accounts for the Euclidean factor (#A), the Hermitian
-factor (d^2) and the one-degree gap between open-cone homology and the
-h-grading.  No other function applies shifts.
+Degree bookkeeping.  Each shift has one owner.  :func:`fiber_char` applies
+the block shift ``t^{#A + d^2 - 1}``, which accounts for the Euclidean factor
+(#A), the Hermitian factor (d^2) and the one-degree gap between open-cone
+homology and the h-grading.  :func:`total_discriminant_poincare` applies the
+Alexander-duality shift ``t^{n^2 - 1}``, :func:`link_poincare` the ``t^{-2}``
+from the open-cone series to the link's reduced homology, and
+:class:`SpectralTable` the relabelling (p, i) -> (-p, n^2 - (i - p) - 1) of
+the cohomological view.
 
 Signs.  A permutation of equal-size blocks acts on the fiber twice: it
 permutes the coordinates of the Euclidean factor (orientation character =
 permutation sign) and it reorders the tensor factors of the open-cone
 homology, which is defined only up to the reordering sign (again the
-permutation sign).  Both characters are computed explicitly and multiplied;
-their product is the trivial character, so the block reduces to the plain
+permutation sign).  Their product is the trivial character, so
+:func:`fiber_char` carries no sign and the block reduces to the plain
 trivial-isotypic projection.  Since the top block is the total minus the
 lower blocks, the tables add up to the total by construction; what a wrong
 sign rule breaks is the parity and nonnegativity of the top blocks and the
@@ -72,41 +76,20 @@ from .qcombinat import (
 )
 
 
-@dataclass(frozen=True)
-class HPoly:
-    """Homology of the open cone on the link of a single a-dimensional part.
-
-    The coefficient of ``t^i`` is the rank of the open cone's Borel-Moore
-    homology in degree ``i - 1``.  Exponents never share the parity of ``a``,
-    and the base case a = 2 is exactly ``t`` (the cone is a point).
-    """
-
-    a: int
-    poly: GradedDims
-
-    def __post_init__(self) -> None:
-        if any(e % 2 == self.a % 2 for e in self.poly.support()):
-            raise ConsistencyError(f"parity violation in h-polynomial for a={self.a}")
-        if not self.poly.nonnegative():
-            raise ConsistencyError(f"negative rank in h-polynomial for a={self.a}")
-
-
 def fiber_char(A: MultiIndex, n: int, cls: BlockClass) -> GradedDims:
     """Graded trace (in t) of a block permutation on the Borel-Moore homology
     of the fiber over a collection of shape ``A``.
 
     Equals ``t^{#A + d^2 - 1}`` times the product over block cycles (length
-    c, part size a) of the c-fold degree dilation of the single-part series,
-    times the product of the two sign characters (orientation of the
-    Euclidean factor, reordering of the tensor factors), which cancel.
+    c, part size a) of the c-fold degree dilation of the single-part series.
+    The permutation also acts by two sign characters, the orientation of the
+    Euclidean factor and the reordering of the tensor factors; both are the
+    permutation sign, so they cancel and no sign appears.
     """
     delta = A.liberty(n)
-    shift = A.length + delta * delta - 1
-    orientation_sign = cls.sign
-    reordering_sign = cls.sign
-    out = GradedDims.term(shift, orientation_sign * reordering_sign)
+    out = GradedDims.term(A.length + delta * delta - 1)
     for c, a in cls.cycles:
-        out = out * h_poly(a).poly.substitute_power(c)
+        out = out * h_poly(a).substitute_power(c)
     return out
 
 
@@ -139,13 +122,14 @@ def total_discriminant_poincare(n: int) -> GradedDims:
 
 
 @cache
-def h_poly(a: int) -> HPoly:
+def h_poly(a: int) -> GradedDims:
     """Open-cone homology series for a single part of dimension ``a``: the top
-    block of the ambient-dimension-a table (for a = 2 the cone is a point and
-    the series is ``t``)."""
+    block of the ambient-dimension-a table, whose parity and nonnegativity
+    :func:`spectral_table` checks.  The coefficient of ``t^i`` is the rank in
+    degree ``i - 1``; for a = 2 the cone is a point and the series is ``t``."""
     if a < 2:
         raise ValueError("parts have dimension at least 2")
-    return HPoly(a, spectral_table(a).block(MultiIndex((a,))))
+    return spectral_table(a).block(MultiIndex((a,)))
 
 
 def link_poincare(n: int) -> GradedDims:
@@ -154,7 +138,7 @@ def link_poincare(n: int) -> GradedDims:
     n = 2).  Exponents never share the parity of n."""
     if n < 3:
         raise ValueError("the link is empty for n < 3")
-    return h_poly(n).poly.times_power(-2)
+    return h_poly(n).times_power(-2)
 
 
 @dataclass(frozen=True)
@@ -162,9 +146,10 @@ class SpectralTable:
     """Per-index Borel-Moore homology table in ambient dimension n.
 
     Cell (p, i) holds the rank coming from all indices of complexity p in
-    total degree i; the per-index breakdown is kept.  The cohomological view
-    relabels (p, i) as (-p, n^2 - (i - p) - 1), landing in the wedge
-    p <= 0 <= p + q.
+    total degree i; the per-index breakdown is kept.  The table owns the
+    cohomological view too: it relabels (p, i) as (-p, n^2 - (i - p) - 1),
+    landing in the wedge p <= 0 <= p + q, whose column 0 holds only the unit
+    class of the complement.
     """
 
     n: int
@@ -213,10 +198,23 @@ class SpectralTable:
                 if r:
                     yield p, i, r
 
+    @staticmethod
+    def check_cell(p: int, q: int) -> None:
+        """Raise ``ValueError`` unless (p, q) lies in the cohomological wedge
+        p <= 0 <= p + q."""
+        if p > 0 or p + q < 0:
+            raise ValueError("the cell must satisfy p <= 0 <= p + q")
+
+    def cohomological_position(self, p: int, i: int) -> tuple[int, int]:
+        """The cohomological cell (-p, n^2 - (i - p) - 1) of the cell (p, i)."""
+        return -p, self.n * self.n - (i - p) - 1
+
     def cohomological_rank(self, p: int, q: int) -> int:
-        """Rank of the cohomological cell (p, q), p < 0 <= p + q."""
-        if p >= 0:
-            raise ValueError("cohomological columns of the locus have p < 0")
+        """Rank of the cohomological cell (p, q) of the complement: the unit
+        class at (0, 0), else the cell (-p, n^2 - q - 1 - p) of the locus."""
+        self.check_cell(p, q)
+        if p == 0:
+            return 1 if q == 0 else 0
         return self.rank(-p, self.n * self.n - q - 1 - p)
 
 
@@ -262,7 +260,11 @@ def spectral_table(n: int) -> SpectralTable:
     top = total_discriminant_poincare(n)
     for _, poly in blocks:
         top = top - poly
-    blocks.append((MultiIndex((n,)), HPoly(n, top).poly))
+    if any(e % 2 == n % 2 for e in top.support()):
+        raise ConsistencyError(f"parity violation in h-polynomial for a={n}")
+    if not top.nonnegative():
+        raise ConsistencyError(f"negative rank in h-polynomial for a={n}")
+    blocks.append((MultiIndex((n,)), top))
     return SpectralTable(n, tuple(blocks))
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .qcombinat import ConsistencyError, MultiIndex, QPoly, gauss_multinomial, multiindices
-from .resolution import spectral_table
+from .resolution import SpectralTable, spectral_table
 
 
 @dataclass(frozen=True)
@@ -84,10 +84,7 @@ def e1_stable_bound(p: int, q: int) -> int:
     convention the bound returned for it is 2 (the smallest ambient
     dimension the tables are built for).
     """
-    if p > 0:
-        raise ValueError("cohomological columns have p <= 0")
-    if p + q < 0:
-        raise ValueError("cells below the diagonal p + q = 0 are empty")
+    SpectralTable.check_cell(p, q)
     if p == 0:
         return 2
     return max(
@@ -96,12 +93,7 @@ def e1_stable_bound(p: int, q: int) -> int:
 
 
 def cohomological_rank(n: int, p: int, q: int) -> int:
-    """Rank of the cohomological cell (p, q) in ambient dimension n; the
-    column p = 0 carries exactly the unit class."""
-    if p > 0 or p + q < 0:
-        raise ValueError("cells must satisfy p <= 0 <= p + q")
-    if p == 0:
-        return 1 if q == 0 else 0
+    """Rank of the cohomological cell (p, q) of the table for n."""
     return spectral_table(n).cohomological_rank(p, q)
 
 

@@ -100,7 +100,7 @@ def test_criterion_05_parity_properties():
     for n in range(3, 9):
         assert all(e % 2 != n % 2 for e in link_poincare(n).support()), n
     for a in range(2, 9):
-        assert h_poly(a).poly.nonnegative()  # the recursion never clamps
+        assert h_poly(a).nonnegative()  # the recursion never clamps
     _report(5, "block and link parity, nonnegative subtraction, n <= 8", started)
 
 

@@ -7,6 +7,7 @@ output changed.  If that change is intended, regenerate the digest from the
 new output and say why in the changelog.
 """
 
+import doctest
 import hashlib
 import os
 import subprocess
@@ -37,3 +38,10 @@ def test_demo_stdout_digest(name):
         cwd=ROOT, env=env, capture_output=True, check=True,
     )
     assert hashlib.sha256(result.stdout).hexdigest() == DIGESTS[name]
+
+
+def test_readme_library_tour_runs():
+    # the README's examples are doctests: each output line is what runs print
+    result = doctest.testfile(str(ROOT / "README.md"), module_relative=False, verbose=False)
+    assert result.attempted > 0
+    assert result.failed == 0

@@ -196,6 +196,23 @@ def test_naive_oracle_equals_the_whole_product_enumeration():
     assert checked == 48
 
 
+def test_naive_oracle_enumerates_each_orbit_shape_once(monkeypatch):
+    # the oracle runs over verify(12) visit 424 orbits of only 18 shapes
+    # (group sizes in visit order, sigma in local coordinates): 76,869
+    # permutations orbit by orbit, 36,385 when each shape is enumerated once
+    flagchar._orbit_cycle_types.cache_clear()
+    enumerated = Counter()
+    real = flagchar.cycle_type
+
+    def counted(perm):
+        enumerated["perms"] += 1
+        return real(perm)
+
+    monkeypatch.setattr(flagchar, "cycle_type", counted)
+    assert verify(12, checks=("gamma-oracle",)).ok
+    assert enumerated["perms"] == 36385
+
+
 def test_naive_oracle_rejects_a_representative_that_mixes_blocks(monkeypatch):
     A = MultiIndex((2, 2))
     swap = _swap_class(A)

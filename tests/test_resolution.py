@@ -17,7 +17,6 @@ from conres.qcombinat import (
 from conres.resolution import (
     ALL_CHECKS,
     CheckResult,
-    HPoly,
     SpectralTable,
     block_poincare,
     fiber_char,
@@ -101,7 +100,7 @@ def test_fiber_char_minimum_degree_offset():
                 A.length
                 + delta * delta
                 - 1
-                + sum(h_poly(a).poly.min_degree() for a in A.parts)
+                + sum(h_poly(a).min_degree() for a in A.parts)
             )
             assert low == expected
 
@@ -130,7 +129,7 @@ def test_block_of_minimal_index_is_shifted_grassmannian():
 
 def test_top_block_is_the_open_cone_series():
     for n in range(2, 9):
-        assert block_poincare(MultiIndex((n,)), n) == h_poly(n).poly
+        assert block_poincare(MultiIndex((n,)), n) == h_poly(n)
 
 
 # --------------------------------------------------------------------------
@@ -139,9 +138,9 @@ def test_top_block_is_the_open_cone_series():
 
 
 def test_h_poly_base_and_small_values():
-    assert h_poly(2).poly == GradedDims({1: 1})
-    assert h_poly(3).poly == GradedDims({4: 1, 6: 1})
-    assert h_poly(4).poly == GradedDims({5: 1, 7: 1, 9: 2, 11: 1, 13: 1})
+    assert h_poly(2) == GradedDims({1: 1})
+    assert h_poly(3) == GradedDims({4: 1, 6: 1})
+    assert h_poly(4) == GradedDims({5: 1, 7: 1, 9: 2, 11: 1, 13: 1})
     with pytest.raises(ValueError):
         h_poly(1)
 
@@ -149,15 +148,29 @@ def test_h_poly_base_and_small_values():
 def test_h_poly_parity_and_nonnegativity():
     for a in range(2, 11):
         h = h_poly(a)
-        assert h.poly.nonnegative()
-        assert all(e % 2 != a % 2 for e in h.poly.support())
+        assert h.nonnegative()
+        assert all(e % 2 != a % 2 for e in h.support())
 
 
-def test_hpoly_type_rejects_parity_violation():
-    with pytest.raises(ConsistencyError):
-        HPoly(3, GradedDims({3: 1}))
-    with pytest.raises(ConsistencyError):
-        HPoly(3, GradedDims({4: -1}))
+def test_top_block_rejects_parity_violation_or_negative_rank(monkeypatch, fresh_tables):
+    # the top block of n = 3 is h_3 = t^4 + t^6; a total off by t^3 puts a
+    # rank in a degree of the parity of 3, one off by -2 t^4 leaves -1 there
+    real_total = resolution.total_discriminant_poincare
+    for error, message in (
+        (GradedDims({3: 1}), "parity violation in h-polynomial for a=3"),
+        (GradedDims({4: -2}), "negative rank in h-polynomial for a=3"),
+    ):
+        monkeypatch.setattr(
+            resolution,
+            "total_discriminant_poincare",
+            lambda n: real_total(n) + error if n == 3 else real_total(n),
+        )
+        h_poly.cache_clear()
+        spectral_table.cache_clear()
+        with pytest.raises(ConsistencyError, match=message):
+            spectral_table(3)
+        with pytest.raises(ConsistencyError, match=message):
+            h_poly(3)
 
 
 def test_link_poincare_golden_values():
@@ -478,7 +491,7 @@ def _koszul_fiber_char(A, n, cls):
     delta = A.liberty(n)
     out = GradedDims.term(A.length + delta * delta - 1)
     for c, a in cls.cycles:
-        series = resolution.h_poly(a).poly
+        series = resolution.h_poly(a)
         out = out * GradedDims(
             {e * c: (coeff if e * (c - 1) % 2 == 0 else -coeff) for e, coeff in series.items()}
         )
@@ -487,12 +500,12 @@ def _koszul_fiber_char(A, n, cls):
 
 def test_koszul_rule_changes_the_answers(monkeypatch, fresh_tables):
     default = block_poincare(MultiIndex((2, 2)), 4)
-    default_h4 = h_poly(4).poly
+    default_h4 = h_poly(4)
     monkeypatch.setattr(resolution, "fiber_char", _koszul_fiber_char)
     h_poly.cache_clear()
     spectral_table.cache_clear()
     alternative = block_poincare(MultiIndex((2, 2)), 4)
     assert alternative == GradedDims({5: 1, 7: 1, 9: 1})
     assert alternative != default
-    assert h_poly(4).poly != default_h4
+    assert h_poly(4) != default_h4
     assert link_poincare(4) != GradedDims(LINK_POLYNOMIALS[4])

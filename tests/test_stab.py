@@ -1,9 +1,13 @@
 import hashlib
+import json
+import re
 
 import pytest
 
 from conres import stab
+from conres.cli import main
 from conres.qcombinat import ConsistencyError, MultiIndex, QPoly, gauss_multinomial, multiindices
+from conres.resolution import spectral_table
 from conres.stab import (
     StableCell,
     cohomological_rank,
@@ -158,3 +162,33 @@ def test_an_unstable_cell_raises(monkeypatch):
         stable_cell(-1, 3)
     with pytest.raises(ConsistencyError, match=r"cell \(-1, 1\) not stable"):
         stable_table(-1, 3)
+
+
+def test_cohomological_view_is_the_cohomological_rank(capsys):
+    # every cell the CLI prints is the library's rank; every other cell of
+    # the wedge (columns down to -n, rows up to n^2) reads 0, bar the unit
+    for n in range(2, 10):
+        assert main(["table", "--n", str(n), "--view", "cohom", "--format", "json"]) == 0
+        cells = json.loads(capsys.readouterr().out)["payload"]["cells"]
+        printed = {(c["p"], c["q"]): c["rank"] for c in cells}
+        for (p, q), rank in printed.items():
+            assert cohomological_rank(n, p, q) == rank
+        for p in range(-n, 1):
+            for q in range(-p, n * n + 1):
+                if (p, q) not in printed:
+                    assert cohomological_rank(n, p, q) == (1 if (p, q) == (0, 0) else 0)
+
+
+@pytest.mark.parametrize("p, q", [(1, 0), (-2, 1)])
+def test_cells_off_the_wedge_raise_one_message(capsys, p, q):
+    message = "the cell must satisfy p <= 0 <= p + q"
+    for read in (
+        lambda: cohomological_rank(4, p, q),
+        lambda: spectral_table(4).cohomological_rank(p, q),
+        lambda: e1_stable_bound(p, q),
+        lambda: stable_cell(p, q),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read()
+    assert main(["stab", "--p", str(p), "--q", str(q)]) == 1
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
