@@ -33,11 +33,14 @@ averages over S(A), all taken by ``class_average``.
 
 ``gamma_trace_naive`` is the guard for all of this: it averages coinvariant
 traces over an explicit enumeration of W_A and must agree with ``gamma_trace``
-everywhere within its budget.  It enumerates W_A one orbit of sigma on the
-groups (blocks and free part) at a time and convolves the per-orbit counts of
-cycle types, which rests on one fact only: sigma * u maps the points of each
-orbit onto themselves, so its cycle type is the union of those of its
-restrictions.  It uses neither the uniform composite nor the collapse above.
+everywhere within its budget.  The orbits of sigma on the groups (blocks and
+free part) are read off the class: a block cycle of length c over size-a
+blocks is an orbit of c groups of a points, each mapped identically onto the
+next, and the free part is one fixed group.  W_A is enumerated one orbit at a
+time and the per-orbit counts of cycle types are convolved, which rests on one
+fact only: sigma * u maps the points of each orbit onto themselves, so its
+cycle type is the union of those of its restrictions.  It uses neither the
+uniform composite nor the collapse above.
 """
 
 from __future__ import annotations
@@ -100,45 +103,26 @@ def _averaged_denominator(m: int, step: int) -> tuple[int, ...]:
     return tuple(range(step, (m + 1) * step, step))
 
 
+def _block_cycles(A: MultiIndex, n: int, cls: BlockClass) -> tuple[tuple[int, int], ...]:
+    """The orbits of a block permutation in ``cls`` on the groups of W_A, as
+    (cycle length, group size) pairs: the block cycles, then the free part as
+    one fixed group if it is not empty.  Raises ValueError unless ``A`` fits
+    in C^n and ``cls`` is a class of the group permuting its equal blocks."""
+    d = A.liberty(n)
+    cycles = cls.cycles
+    # the cycles must move A's blocks, each exactly once, sizes descending
+    if any(c < 1 for c, _ in cycles) or [a for c, a in cycles for _ in range(c)] != list(A.parts):
+        raise ValueError(f"class {cls} does not match the shape of {A}")
+    return cycles + ((1, d),) if d else cycles
+
+
 @cache
 def gamma_trace(A: MultiIndex, n: int, cls: BlockClass) -> QPoly:
     """Graded trace (in q) of a block permutation in the class ``cls`` on the
     cohomology of the flag manifold of ordered orthogonal collections of
     shape ``A`` in C^n."""
-    cycles = cls.cycles + ((1, A.liberty(n)),)
-    return divide_out(q_pochhammer(n), [e for c, a in cycles for e in _averaged_denominator(a, c)])
-
-
-def _block_positions(A: MultiIndex, n: int) -> tuple[list[list[int]], list[int]]:
-    """Consecutive coordinate blocks for the parts of A, plus the remainder."""
-    A.liberty(n)  # raises ValueError if A does not fit
-    blocks: list[list[int]] = []
-    offset = 0
-    for a in A.parts:
-        blocks.append(list(range(offset, offset + a)))
-        offset += a
-    return blocks, list(range(offset, n))
-
-
-def class_representative(A: MultiIndex, n: int, cls: BlockClass) -> tuple[int, ...]:
-    """A concrete permutation of range(n) in the class: each block cycle maps
-    every block identically onto the next one."""
-    blocks, _ = _block_positions(A, n)
-    perm = list(range(n))
-    block_index = 0
-    rho = dict(cls.rho)
-    for size, mult in A.multiplicities():
-        cycle_type = rho.get(size)
-        if cycle_type is None or sum(cycle_type) != mult:
-            raise ValueError(f"class {cls} does not match the shape of {A}")
-        for c in cycle_type:
-            members = range(block_index, block_index + c)
-            for j in members:
-                target = block_index + (j - block_index + 1) % c
-                for src, dst in zip(blocks[j], blocks[target]):
-                    perm[src] = dst
-            block_index += c
-    return tuple(perm)
+    exponents = [e for c, a in _block_cycles(A, n, cls) for e in _averaged_denominator(a, c)]
+    return divide_out(q_pochhammer(n), exponents)
 
 
 def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -158,40 +142,15 @@ def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(lengths, reverse=True))
 
 
-def _orbits(sigma: tuple[int, ...], groups: list[list[int]]) -> list[tuple[tuple[int, ...], ...]]:
-    """The orbits of sigma on the groups, each as its shape: the group sizes
-    in the order sigma visits them, and sigma on the orbit's points numbered
-    group after group in that order.  Raises :class:`ConsistencyError` unless
-    sigma maps every group onto a group of the same size."""
-    index = {frozenset(g): k for k, g in enumerate(groups)}
-    target = [index.get(frozenset(sigma[p] for p in g)) for g in groups]
-    if None in target:
-        raise ConsistencyError(f"sigma = {sigma} maps a group of W_A onto no group")
-    orbits: list[tuple[tuple[int, ...], ...]] = []
-    seen: set[int] = set()
-    for start in range(len(groups)):
-        if start in seen:
-            continue
-        orbit, k = [], start
-        while k not in seen:
-            seen.add(k)
-            orbit.append(groups[k])
-            k = target[k]
-        local = {point: i for i, point in enumerate(itertools.chain(*orbit))}
-        orbits.append((tuple(map(len, orbit)), tuple(local[sigma[p]] for p in local)))
-    return orbits
-
-
 @cache
-def _orbit_cycle_types(
-    sizes: tuple[int, ...], sigma: tuple[int, ...]
-) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """(cycle type, count) pairs of sigma * u on the points of one orbit
-    shape (see :func:`_orbits`), over every u in the product of the symmetric
-    groups of its groups.  Shapes recur across classes and multi-indices, so
-    each is enumerated once."""
-    starts = itertools.accumulate(sizes, initial=0)
-    groups = [range(start, start + size) for start, size in zip(starts, sizes)]
+def _orbit_cycle_types(c: int, a: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(cycle type, count) pairs of sigma * u on one orbit of c groups of a
+    points, numbered group after group, which sigma maps each identically
+    onto the next, over every u in the product of the groups' symmetric
+    groups.  Orbits recur across classes and multi-indices, so each is
+    enumerated once."""
+    sigma = [(p + a) % (c * a) for p in range(c * a)]
+    groups = [range(start, start + a) for start in range(0, c * a, a)]
     counts: Counter[tuple[int, ...]] = Counter()
     for images in itertools.product(*(itertools.permutations(g) for g in groups)):
         # the points are numbered group after group, so the images in order are u
@@ -212,17 +171,15 @@ def gamma_trace_naive(
     giving a cycle type is a convolution of the per-orbit counts.  Nothing
     else is assumed: neither the uniform composite around a block cycle nor
     the collapse of the partition average that :func:`gamma_trace` uses."""
-    blocks, rest = _block_positions(A, n)
-    groups = [g for g in blocks + [rest] if g]
-    group_order = prod(factorial(len(g)) for g in groups)
+    cycles = _block_cycles(A, n, cls)
+    group_order = prod(factorial(a) for a in A.parts) * factorial(A.liberty(n))
     if group_order > budget:
         raise BudgetExceededError(
             f"|W_A| = {group_order} exceeds the enumeration budget {budget}"
         )
-    sigma = class_representative(A, n, cls)
     counts: Counter[tuple[int, ...]] = Counter({(): 1})
-    for orbit in _orbits(sigma, groups):
-        orbit_counts = _orbit_cycle_types(*orbit)
+    for c, a in cycles:
+        orbit_counts = _orbit_cycle_types(c, a)
         merged: Counter[tuple[int, ...]] = Counter()
         for mu, count in counts.items():
             for nu, orbit_count in orbit_counts:
@@ -231,7 +188,7 @@ def gamma_trace_naive(
     enumerated = sum(counts.values())
     if enumerated != group_order:
         raise ConsistencyError(
-            f"the orbits of sigma = {sigma} count {enumerated} elements of W_A, not {group_order}"
+            f"the orbits of class {cls} count {enumerated} elements of W_A, not {group_order}"
         )
     pairs = [(count, coinvariant_trace(n, mu)) for mu, count in sorted(counts.items())]
     return integer_combination(pairs, group_order)

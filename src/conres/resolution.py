@@ -86,6 +86,7 @@ def fiber_char(A: MultiIndex, n: int, cls: BlockClass) -> GradedDims:
     Euclidean factor and the reordering of the tensor factors; both are the
     permutation sign, so they cancel and no sign appears.
     """
+    flagchar._block_cycles(A, n, cls)  # raises ValueError unless cls is a class of A that fits
     delta = A.liberty(n)
     out = GradedDims.term(A.length + delta * delta - 1)
     for c, a in cls.cycles:

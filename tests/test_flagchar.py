@@ -8,8 +8,6 @@ from conres import flagchar
 from conres.cohomring import normal_form, staircase_monomials
 from conres.flagchar import (
     NAIVE_BUDGET,
-    _block_positions,
-    class_representative,
     coinvariant_trace,
     cycle_type,
     gamma_poincare,
@@ -17,6 +15,7 @@ from conres.flagchar import (
     gamma_trace_naive,
 )
 from conres.qcombinat import (
+    BlockClass,
     BudgetExceededError,
     ConsistencyError,
     MultiIndex,
@@ -27,7 +26,7 @@ from conres.qcombinat import (
     multiindices,
     one_minus_q,
 )
-from conres.resolution import block_poincare, verify
+from conres.resolution import block_poincare, fiber_char, verify
 
 
 # --------------------------------------------------------------------------
@@ -123,15 +122,6 @@ def test_gamma_trace_nontrivial_classes_vanish_at_one():
                     assert gamma_trace(A, n, cls)(1) == 0
 
 
-def test_class_representative_layout():
-    A = MultiIndex((2, 2))
-    swap = _swap_class(A)
-    assert class_representative(A, 4, swap) == (2, 3, 0, 1)
-    assert class_representative(A, 5, swap) == (2, 3, 0, 1, 4)
-    trivial = conjugacy_classes(A)[0]
-    assert class_representative(A, 4, trivial) == (0, 1, 2, 3)
-
-
 # --------------------------------------------------------------------------
 # the brute-force oracle
 # --------------------------------------------------------------------------
@@ -141,16 +131,39 @@ def test_class_representative_layout():
     "call",
     [
         gamma_trace,
-        class_representative,
         gamma_trace_naive,
+        fiber_char,
         lambda A, n, cls: block_poincare(A, n),
     ],
-    ids=["gamma_trace", "class_representative", "gamma_trace_naive", "block_poincare"],
+    ids=["gamma_trace", "gamma_trace_naive", "fiber_char", "block_poincare"],
 )
 def test_an_index_that_does_not_fit_is_rejected(call):
     A = MultiIndex((3,))
     with pytest.raises(ValueError, match="does not fit"):
         call(A, 2, conjugacy_classes(A)[0])
+
+
+@pytest.mark.parametrize(
+    "call", [gamma_trace, gamma_trace_naive, fiber_char], ids=lambda f: f.__name__
+)
+@pytest.mark.parametrize(
+    "classes",
+    [
+        # unchecked, gamma_trace reads the (3) class as 1 - q^4 and fails on
+        # the (2,2,2) ones with an inexact division
+        conjugacy_classes(MultiIndex((3,))),  # another size
+        conjugacy_classes(MultiIndex((2, 2, 2))),  # too many blocks
+        conjugacy_classes(MultiIndex((2,))),  # too few blocks
+        conjugacy_classes(MultiIndex((3, 2, 2))),  # an extra size
+        [BlockClass(((2, (3, -1)),))],  # a cycle type that is no partition
+    ],
+    ids=["(3)", "(2,2,2)", "(2)", "(3,2,2)", "no-partition"],
+)
+def test_a_class_of_another_index_is_rejected(call, classes):
+    A = MultiIndex((2, 2))
+    for cls in classes:
+        with pytest.raises(ValueError, match=r"does not match the shape of \(2,2\)"):
+            call(A, 8, cls)
 
 
 def test_naive_oracle_examples():
@@ -171,10 +184,22 @@ def test_naive_oracle_agrees_on_small_cases():
 
 def _naive_whole_product(A, n, cls):
     # the reference: one pass over the whole product of the groups'
-    # symmetric groups, with no factoring over the orbits of sigma
-    blocks, rest = _block_positions(A, n)
-    groups = [g for g in blocks + [rest] if g]
-    sigma = class_representative(A, n, cls)
+    # symmetric groups, with no factoring over the orbits of sigma, for an
+    # explicit sigma in the class on consecutive coordinate blocks: each
+    # block cycle maps every block identically onto the next one
+    starts = list(itertools.accumulate(A.parts, initial=0))
+    blocks = [range(start, start + a) for start, a in zip(starts, A.parts)]
+    groups = [g for g in blocks + [range(A.size, n)] if g]
+    sigma = list(range(n))
+    first = 0
+    for _, lengths in cls.rho:
+        for c in lengths:
+            for j in range(first, first + c):
+                target = first + (j - first + 1) % c
+                for src, dst in zip(blocks[j], blocks[target]):
+                    sigma[src] = dst
+            first += c
+    assert first == A.length
     counts = Counter()
     for images in itertools.product(*(itertools.permutations(g) for g in groups)):
         u = list(range(n))
@@ -198,39 +223,36 @@ def test_naive_oracle_equals_the_whole_product_enumeration():
 
 def test_naive_oracle_enumerates_each_orbit_shape_once(monkeypatch):
     # the oracle runs over verify(12) visit 424 orbits of only 18 shapes
-    # (group sizes in visit order, sigma in local coordinates): 76,869
-    # permutations orbit by orbit, 36,385 when each shape is enumerated once
-    flagchar._orbit_cycle_types.cache_clear()
+    # (c groups of a points): 76,869 permutations orbit by orbit, 36,385 when
+    # each shape is enumerated once; an empty free part is no orbit
+    memo = flagchar._orbit_cycle_types
+    memo.cache_clear()
     enumerated = Counter()
+    shapes = set()
     real = flagchar.cycle_type
 
     def counted(perm):
         enumerated["perms"] += 1
         return real(perm)
 
+    def recorded(c, a):
+        shapes.add((c, a))
+        return memo(c, a)
+
     monkeypatch.setattr(flagchar, "cycle_type", counted)
+    monkeypatch.setattr(flagchar, "_orbit_cycle_types", recorded)
     assert verify(12, checks=("gamma-oracle",)).ok
     assert enumerated["perms"] == 36385
-
-
-def test_naive_oracle_rejects_a_representative_that_mixes_blocks(monkeypatch):
-    A = MultiIndex((2, 2))
-    swap = _swap_class(A)
-    # (0 1 2) sends the block {0, 1} to {1, 2}, which is no group of W_A
-    monkeypatch.setattr(flagchar, "class_representative", lambda A, n, cls: (1, 2, 0, 3, 4))
-    with pytest.raises(ConsistencyError, match="onto no group"):
-        gamma_trace_naive(A, 5, swap)
-    report = verify(5, checks=("gamma-oracle",))
-    assert report.failures()
-    assert all("onto no group" in c.detail for c in report.failures())
+    assert len(shapes) == memo.cache_info().currsize == 18
+    assert all(a > 0 for _, a in shapes)
 
 
 def test_naive_oracle_checks_that_the_orbits_cover_w_a(monkeypatch):
     A = MultiIndex((2, 2))
     swap = _swap_class(A)
-    real = flagchar._orbits
+    real = flagchar._block_cycles
     # dropping the free part's orbit leaves 4 of the |W_A| = 8 elements
-    monkeypatch.setattr(flagchar, "_orbits", lambda sigma, groups: real(sigma, groups)[:-1])
+    monkeypatch.setattr(flagchar, "_block_cycles", lambda A, n, cls: real(A, n, cls)[:-1])
     with pytest.raises(ConsistencyError, match="count 4 elements of W_A, not 8"):
         gamma_trace_naive(A, 6, swap)
 
