@@ -275,10 +275,11 @@ def _cmd_gamma(args: argparse.Namespace) -> _Result:
 def _cmd_verify(args: argparse.Namespace) -> _Result:
     _check_n(args.n, args.max_n)
     checks = tuple(args.checks.split(",")) if args.checks else None
-    try:
-        report = verify(args.n, checks=checks)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    # validated up front: a ValueError out of a running check is a bug, not a bad request
+    unknown = set(checks or ()) - set(ALL_CHECKS)
+    if unknown:
+        raise UsageError(f"unknown checks: {sorted(unknown)}; known: {ALL_CHECKS}")
+    report = verify(args.n, checks=checks)
     payload = {
         "n": args.n,
         "passed": report.ok,

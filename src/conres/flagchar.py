@@ -20,27 +20,29 @@ of sigma: the composite of c independently uniform elements of S_a around a
 cycle is again uniform on S_a, so each block cycle of length c over size-a
 blocks contributes the partition-averaged factor
 
-    sum_{lambda |- a} (1/z_lambda) prod_k 1 / (1 - q^{c lambda_k}),
+    sum_{lambda |- a} (1/z_lambda) prod_k 1 / (1 - q^{c lambda_k}).
 
-and the free part contributes the same factor with c = 1 over partitions of
-d.  Over the common denominator prod_{j<=a}(1 - q^{c j}) every such factor
-sums to exactly 1 (the Molien series of the permutation action of S_a on a
-polynomial ring); this collapse is recomputed and checked once per (a, c), so
-the trace is prod_{i<=n} (1 - q^i) with the factors 1 - q^{c j} of every
-block cycle and of the free part divided out one by one, each a running sum
-with stride c j.  Isotypic parts and the blocks of ``resolution`` are class
-averages over S(A), all taken by ``class_average``.
+Over the common denominator prod_{j<=a}(1 - q^{c j}) every such factor sums
+to exactly 1 (the Molien series of the permutation action of S_a on a
+polynomial ring); this collapse is recomputed and checked once per (a, c).
+sigma fixes the free part, whose S_d averages to 1 / prod_{j<=d} (1 - q^j)
+by the collapse with c = 1 (checked for the trivial class of (d,)); so, as in
+``gauss_multinomial``, those factors are never built.  The trace is
+prod_{d<i<=n} (1 - q^i) with the factors 1 - q^{c j} of every block cycle
+divided out one by one, each a running sum with stride c j.  Isotypic parts
+and the blocks of ``resolution`` are class averages over S(A), all taken by
+``class_average``.
 
 ``gamma_trace_naive`` is the guard for all of this: it averages coinvariant
 traces over an explicit enumeration of W_A and must agree with ``gamma_trace``
-everywhere within its budget.  The orbits of sigma on the groups (blocks and
-free part) are read off the class: a block cycle of length c over size-a
-blocks is an orbit of c groups of a points, each mapped identically onto the
-next, and the free part is one fixed group.  W_A is enumerated one orbit at a
-time and the per-orbit counts of cycle types are convolved, which rests on one
-fact only: sigma * u maps the points of each orbit onto themselves, so its
-cycle type is the union of those of its restrictions.  It uses neither the
-uniform composite nor the collapse above.
+everywhere within its budget.  The orbits of sigma on the blocks are read
+off the class: a block cycle of length c over size-a blocks is an orbit of c
+groups of a points, each mapped identically onto the next.  The free part,
+which the class does not list, is one more orbit: a fixed group of d points.
+W_A is enumerated one orbit at a time and the per-orbit counts of cycle types
+are convolved, which rests on one fact only: sigma * u maps the points of
+each orbit onto themselves, so its cycle type is the union of those of its
+restrictions.  It uses neither the uniform composite nor the collapse above.
 """
 
 from __future__ import annotations
@@ -103,17 +105,16 @@ def _averaged_denominator(m: int, step: int) -> tuple[int, ...]:
     return tuple(range(step, (m + 1) * step, step))
 
 
-def _block_cycles(A: MultiIndex, n: int, cls: BlockClass) -> tuple[tuple[int, int], ...]:
-    """The orbits of a block permutation in ``cls`` on the groups of W_A, as
-    (cycle length, group size) pairs: the block cycles, then the free part as
-    one fixed group if it is not empty.  Raises ValueError unless ``A`` fits
-    in C^n and ``cls`` is a class of the group permuting its equal blocks."""
+def _block_cycles(A: MultiIndex, n: int, cls: BlockClass) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The block cycles of ``cls``, as (cycle length, block size) pairs, and
+    the free part's dimension d = n - |A|.  Raises ValueError unless ``A`` fits
+    in C^n and ``cls`` is a class of the group S(A) permuting its equal blocks."""
     d = A.liberty(n)
     cycles = cls.cycles
     # the cycles must move A's blocks, each exactly once, sizes descending
     if any(c < 1 for c, _ in cycles) or [a for c, a in cycles for _ in range(c)] != list(A.parts):
         raise ValueError(f"class {cls} does not match the shape of {A}")
-    return cycles + ((1, d),) if d else cycles
+    return cycles, d
 
 
 @cache
@@ -121,8 +122,9 @@ def gamma_trace(A: MultiIndex, n: int, cls: BlockClass) -> QPoly:
     """Graded trace (in q) of a block permutation in the class ``cls`` on the
     cohomology of the flag manifold of ordered orthogonal collections of
     shape ``A`` in C^n."""
-    exponents = [e for c, a in _block_cycles(A, n, cls) for e in _averaged_denominator(a, c)]
-    return divide_out(q_pochhammer(n), exponents)
+    cycles, d = _block_cycles(A, n, cls)
+    exponents = [e for c, a in cycles for e in _averaged_denominator(a, c)]
+    return divide_out(q_pochhammer(n, d), exponents)
 
 
 def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -171,14 +173,14 @@ def gamma_trace_naive(
     giving a cycle type is a convolution of the per-orbit counts.  Nothing
     else is assumed: neither the uniform composite around a block cycle nor
     the collapse of the partition average that :func:`gamma_trace` uses."""
-    cycles = _block_cycles(A, n, cls)
-    group_order = prod(factorial(a) for a in A.parts) * factorial(A.liberty(n))
+    cycles, d = _block_cycles(A, n, cls)
+    group_order = prod(factorial(a) for a in A.parts) * factorial(d)
     if group_order > budget:
         raise BudgetExceededError(
             f"|W_A| = {group_order} exceeds the enumeration budget {budget}"
         )
     counts: Counter[tuple[int, ...]] = Counter({(): 1})
-    for c, a in cycles:
+    for c, a in cycles + ((1, d),) if d else cycles:
         orbit_counts = _orbit_cycle_types(c, a)
         merged: Counter[tuple[int, ...]] = Counter()
         for mu, count in counts.items():

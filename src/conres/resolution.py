@@ -86,10 +86,9 @@ def fiber_char(A: MultiIndex, n: int, cls: BlockClass) -> GradedDims:
     Euclidean factor and the reordering of the tensor factors; both are the
     permutation sign, so they cancel and no sign appears.
     """
-    flagchar._block_cycles(A, n, cls)  # raises ValueError unless cls is a class of A that fits
-    delta = A.liberty(n)
-    out = GradedDims.term(A.length + delta * delta - 1)
-    for c, a in cls.cycles:
+    cycles, d = flagchar._block_cycles(A, n, cls)
+    out = GradedDims.term(A.length + d * d - 1)
+    for c, a in cycles:
         out = out * h_poly(a).substitute_power(c)
     return out
 
@@ -98,8 +97,6 @@ def block_poincare(A: MultiIndex, n: int) -> GradedDims:
     """Borel-Moore Poincare polynomial of the block of index ``A`` in ambient
     dimension n: the equal-block-invariant part of (flag cohomology) tensor
     (fiber homology), computed as a character average."""
-    A.liberty(n)  # raises ValueError if A does not fit
-
     def trace(cls: BlockClass) -> GradedDims:
         return flagchar.gamma_trace(A, n, cls).to_graded() * fiber_char(A, n, cls)
 

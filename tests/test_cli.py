@@ -2,6 +2,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from conres.cli import OutputDocument, main
 
 
@@ -39,6 +41,10 @@ def test_usage_errors_exit_one(capsys):
     assert (code, out) == (1, "")
     assert err.startswith("usage error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    # an unknown check name is a bad request, not a failed check
+    code, out, err = _run(capsys, "verify", "--n", "3", "--checks", "nonsense")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: unknown checks: ['nonsense']") and err.count("\n") == 1
 
 
 def test_successful_commands_exit_zero(capsys):
@@ -65,6 +71,19 @@ def test_verify_failure_exits_two(monkeypatch, capsys):
     assert code == 2
     assert "FAIL" in out
     assert "consistency" in err
+
+
+def test_a_value_error_inside_a_check_is_not_a_usage_error(monkeypatch, capsys):
+    from conres import resolution
+
+    def broken(n, budget):
+        yield "n=3", True, ""
+        raise ValueError("bug inside a check")
+
+    monkeypatch.setitem(resolution._CHECKS, "miller", broken)
+    with pytest.raises(ValueError, match="bug inside a check"):
+        main(["verify", "--n", "3", "--checks", "miller"])
+    assert "usage error" not in capsys.readouterr().err
 
 
 def test_unstable_cell_exits_two(monkeypatch, capsys):

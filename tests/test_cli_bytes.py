@@ -2,16 +2,17 @@
 
 Every performance change must leave the CLI's output unchanged to the byte.
 This file holds the digests of the json documents of ``table`` (both views)
-for n = 2..10, ``link`` for n = 3..10, ``verify`` for n = 2..12 (past 10 with
-``--max-n``, up to the largest n of the ``verify`` benchmark) and one sample
-each of ``gamma``, ``order`` and ``stab``, and of the md and csv renderings of
-``table --n 5`` (both views, and by total degree), ``link --n 5``,
-``verify --n 4`` and the ``gamma``, ``order`` and ``stab`` samples.  The
-package version is the one field that changes without any computation
-changing, so in json its value is replaced by ``null`` before hashing;
-everything else is hashed as printed.  A mismatch means the output changed;
-if that change is intended, regenerate the digests from the new output and
-say why in the changelog.
+for n = 2..13 (past 10 with ``--max-n``, where the free part of an index
+reaches dimension 11), ``link`` for n = 3..10, ``verify`` for n = 2..12
+(past 10 with ``--max-n``, up to the largest n of the ``verify`` benchmark)
+and one sample each of ``gamma``, ``order`` and ``stab``, and of the md and
+csv renderings of ``table --n 5`` (both views, and by total degree),
+``link --n 5``, ``verify --n 4`` and the ``gamma``, ``order`` and ``stab``
+samples.  The package version is the one field that changes without any
+computation changing, so in json its value is replaced by ``null`` before
+hashing; everything else is hashed as printed.  A mismatch means the output
+changed; if that change is intended, regenerate the digests from the new
+output and say why in the changelog.
 """
 
 import hashlib
@@ -35,6 +36,12 @@ DIGESTS = {
     "stab --parts 2 --degree 4 --format json": "9c9fa739c64c580dd90fd15f9188544424c03bae3e121ad90db2485075683907",
     "table --n 10 --view cohom --format json": "2be4629c16fd283c582e513ea3c98bc942798d778d0f197045372a6bdfa9ac93",
     "table --n 10 --view hom --format json": "0bf22d7de9998dbed793b953514fb4a93ff8fe9b0e4a769f1803a7e294db8bf9",
+    "table --n 11 --max-n 13 --view cohom --format json": "b5371140a0c790b79150366e156589f9b2bc6d949ed5c7aa83a274840c95cd55",
+    "table --n 11 --max-n 13 --view hom --format json": "953d9dbc81b1137be7f6917a6de9db7aa5dbc16da490e1c63ef707ee3049f0dc",
+    "table --n 12 --max-n 13 --view cohom --format json": "a0fa6a9d25d90a86224f6eea50ee07a5e7188575a754856223f9bdeb7012cadb",
+    "table --n 12 --max-n 13 --view hom --format json": "4e83ea6cfa7c3e9f517815b3f533391b41436174468bf886f70445e4c3e92899",
+    "table --n 13 --max-n 13 --view cohom --format json": "0d07de872f821ea685102afa504acf6472af54f7b05f7006417af16baabfccbc",
+    "table --n 13 --max-n 13 --view hom --format json": "6ebd6da7cd5a583916eb537d152174360a7487cfaa358b9f94d4c5444e59f6c5",
     "table --n 2 --view cohom --format json": "04467773f6f60490c51e9c437060d98807b44ac4f90eec78f2de55be0a216df5",
     "table --n 2 --view hom --format json": "213c0118e399b141758d991cd3a5b46687febf59fa353de78f2e625b6473d0c2",
     "table --n 3 --view cohom --format json": "f11ebcfbc20730ad1da24cd305e36acac623906b6fc07a7de3cd2ad5f638f077",

@@ -114,6 +114,24 @@ def test_gamma_trace_trivial_class_is_flag_poincare():
             assert gamma_trace(A, n, trivial) == gauss_multinomial(n, A.parts)
 
 
+def test_gamma_trace_starts_past_the_free_part(monkeypatch):
+    # (2) in C^12 leaves a free part of dimension 10, whose factors
+    # 1 - q^j, j <= 10, are never built, so only the block's are divided out
+    A = MultiIndex((2,))
+    trivial = conjugacy_classes(A)[0]
+    flagchar._averaged_denominator(2, 1)  # run the block's collapse check before recording
+    divided = []
+    real = flagchar.divide_out
+
+    def recording(poly, exponents):
+        divided.append(list(exponents))
+        return real(poly, divided[-1])
+
+    monkeypatch.setattr(flagchar, "divide_out", recording)
+    assert gamma_trace.__wrapped__(A, 12, trivial) == gauss_multinomial(12, (2,))
+    assert divided == [[1, 2]]
+
+
 def test_gamma_trace_nontrivial_classes_vanish_at_one():
     for n in range(2, 8):
         for A in multiindices(n, n - 1):
@@ -251,9 +269,9 @@ def test_naive_oracle_checks_that_the_orbits_cover_w_a(monkeypatch):
     A = MultiIndex((2, 2))
     swap = _swap_class(A)
     real = flagchar._block_cycles
-    # dropping the free part's orbit leaves 4 of the |W_A| = 8 elements
-    monkeypatch.setattr(flagchar, "_block_cycles", lambda A, n, cls: real(A, n, cls)[:-1])
-    with pytest.raises(ConsistencyError, match="count 4 elements of W_A, not 8"):
+    # dropping the block cycle leaves the free part's 2 of the |W_A| = 8 elements
+    monkeypatch.setattr(flagchar, "_block_cycles", lambda A, n, cls: ((), real(A, n, cls)[1]))
+    with pytest.raises(ConsistencyError, match="count 2 elements of W_A, not 8"):
         gamma_trace_naive(A, 6, swap)
 
 
