@@ -16,7 +16,8 @@ ranks to agree.  Each subcommand returns its arguments, payload and exit
 code; ``main`` wraps them in the one ``OutputDocument`` it renders.
 
 Output goes to stdout as json, csv or markdown; diagnostics go to stderr.
-Exit codes: 0 success, 1 usage error, 2 a consistency check failed.
+Exit codes: 0 success, 1 usage error, 2 a consistency check failed, 3 any
+other error (a bug), whose traceback goes to stderr.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import csv
 import io
 import json
 import sys
+import traceback
 from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
@@ -410,6 +412,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConsistencyError as exc:
         sys.stderr.write(f"consistency failure: {exc}\n")
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ from functools import cache
 from operator import add
 from typing import Iterator, Mapping, Sequence
 
-from .qcombinat import QPoly, divide_out, q_pochhammer
+from .qcombinat import QPoly, divide_out, q_pochhammer, signed_sum_str
 
 Monomial = tuple[int, ...]
 
@@ -171,27 +171,11 @@ class RingElement:
         return self + (-other)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-
         def mono_str(mono: Monomial) -> str:
-            factors = [
-                f"c{i}" if e == 1 else f"c{i}^{e}"
-                for i, e in enumerate(mono, start=1)
-                if e
-            ]
-            return "*".join(factors) if factors else "1"
+            factors = [f"c{i}" if e == 1 else f"c{i}^{e}" for i, e in enumerate(mono, 1) if e]
+            return "*".join(factors) or "1"
 
-        chunks = []
-        for mono, coeff in self.terms:
-            body = mono_str(mono) if abs(coeff) == 1 and any(mono) else (
-                f"{abs(coeff)}*{mono_str(mono)}" if any(mono) else str(abs(coeff))
-            )
-            if not chunks:
-                chunks.append(body if coeff > 0 else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(chunks)
+        return signed_sum_str((mono_str(mono), coeff) for mono, coeff in self.terms)
 
 
 def normal_form(expr: Mapping[Monomial, int] | RingElement, n: int) -> RingElement:

@@ -21,10 +21,11 @@ the degree, trimmed at both ends.  Products go through one big-integer product
 by prod (1 - x^e), as in every flag manifold, go through ``divide_out``: one
 running sum with stride e per factor, no denominator built.  ``exact_div``
 stays as the general division, one synthetic-division pass that stops at the
-first remainder.  Every average in the package is an orbit average over a
-finite group: integer weights (class sizes, or counts of cycle types) times
-polynomials, summed in integers and divided once per coefficient by the group
-order at the end.
+first remainder.  Every linear combination goes through
+``integer_combination``: sums, differences, negation and scalar multiples
+(divisor 1), and the orbit averages over finite groups, whose integer weights
+(class sizes, or counts of cycle types) times polynomials are summed in
+integers and divided once per coefficient by the group order at the end.
 
 The module also owns the index combinatorics: integer partitions,
 multi-indices ``A`` of eigenvalue multiplicities, and the conjugacy classes of
@@ -39,7 +40,7 @@ import struct
 from dataclasses import dataclass
 from functools import cache
 from math import factorial, prod
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 
 class ConsistencyError(RuntimeError):
@@ -61,6 +62,19 @@ class BudgetExceededError(RuntimeError):
 # --------------------------------------------------------------------------
 # dense integer polynomials
 # --------------------------------------------------------------------------
+
+
+def signed_sum_str(terms: Iterable[tuple[str, int]]) -> str:
+    """Text of a sum of (monomial text, nonzero coefficient) terms, such as
+    ``-q + 2*q^2``: the monomial "1" prints as its coefficient, a coefficient
+    +-1 as its sign, and later terms join with "+ " or "- "; "0" if empty."""
+    chunks: list[str] = []
+    for mono, c in terms:
+        body = str(abs(c)) if mono == "1" else (mono if abs(c) == 1 else f"{abs(c)}*{mono}")
+        sign = ("" if c > 0 else "-") if not chunks else ("+ " if c > 0 else "- ")
+        chunks.append(sign + body)
+    return " ".join(chunks) or "0"
+
 
 _P = TypeVar("_P", bound="_SparsePoly")
 
@@ -209,7 +223,7 @@ class _SparsePoly:
         return hash((type(self).__name__, self._low, self._coeffs))
 
     def __neg__(self: _P) -> _P:
-        return self._dense(self._low, [-c for c in self._coeffs])
+        return integer_combination([(-1, self)], 1)
 
     def _check_same_type(self, other: object) -> None:
         if type(other) is not type(self):
@@ -218,28 +232,15 @@ class _SparsePoly:
                 " convert explicitly"
             )
 
-    def _combine(self: _P, other: _P, op: Callable[[int, int], int]) -> _P:
-        self._check_same_type(other)
-        if not other._coeffs:
-            return self
-        low = min(self._low, other._low) if self._coeffs else other._low
-        high = max(self._low + len(self._coeffs), other._low + len(other._coeffs))
-        acc = _zeros(high - low)
-        i = self._low - low
-        acc[i : i + len(self._coeffs)] = self._coeffs
-        i = other._low - low
-        acc[i : i + len(other._coeffs)] = map(op, acc[i : i + len(other._coeffs)], other._coeffs)
-        return self._dense(low, acc)
-
     def __add__(self: _P, other: _P) -> _P:
-        return self._combine(other, operator.add)
+        return integer_combination([(1, self), (1, other)], 1)
 
     def __sub__(self: _P, other: _P) -> _P:
-        return self._combine(other, operator.sub)
+        return integer_combination([(1, self), (-1, other)], 1)
 
     def __mul__(self: _P, other: _P | int) -> _P:
         if isinstance(other, int):
-            return self._dense(self._low, [c * other for c in self._coeffs])
+            return integer_combination([(other, self)], 1)
         self._check_same_type(other)
         a, b = self._coeffs, other._coeffs
         if not a or not b:
@@ -327,22 +328,8 @@ class _SparsePoly:
         return all(c >= 0 for c in self._coeffs)
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        chunks: list[str] = []
-        for e, c in self.items():
-            mono = "1" if e == 0 else (self._var if e == 1 else f"{self._var}^{e}")
-            if e == 0:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-            if not chunks:
-                chunks.append(body if c > 0 else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(chunks)
+        monos = {0: "1", 1: self._var}
+        return signed_sum_str((monos.get(e, f"{self._var}^{e}"), c) for e, c in self.items())
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self.items())!r})"
@@ -411,13 +398,15 @@ def divide_out(poly: _P, exponents: Iterable[int]) -> _P:
 
 
 def integer_combination(pairs: Iterable[tuple[int, _P]], divisor: int) -> _P:
-    """The exact average sum(weight * poly) / divisor, for integer weights and
-    polynomials of one type, which the result keeps.  Its coefficients are
-    ranks, so a remainder raises :class:`ConsistencyError`; the weighted sum
-    is taken in integers and each of its coefficients is divided once."""
+    """sum(weight * poly) / divisor, divided exactly, for integer weights and
+    polynomials of one type, which the result keeps: the package's one linear
+    combination (sums, differences, negation, scalar multiples and averages).
+    Its coefficients are ranks, so a remainder raises
+    :class:`ConsistencyError`; the weighted sum is taken in integers and each
+    of its coefficients is divided once."""
     terms = list(pairs)
     if not terms:
-        raise ValueError("an average needs at least one term")
+        raise ValueError("a combination needs at least one term")
     first = terms[0][1]
     for _, poly in terms:
         first._check_same_type(poly)

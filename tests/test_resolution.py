@@ -397,10 +397,33 @@ def test_columns_agree_with_a_rescan_of_the_blocks():
 
 
 def test_table_groups_blocks_given_in_any_order():
-    blocks = spectral_table(5).blocks
-    shuffled = SpectralTable(5, tuple(reversed(blocks)))
-    assert shuffled.complexities() == spectral_table(5).complexities()
-    assert list(shuffled.cells()) == list(spectral_table(5).cells())
+    for n in (5, 6):
+        table = spectral_table(n)
+        shuffled = SpectralTable(n, tuple(reversed(table.blocks)))
+        assert shuffled.complexities() == table.complexities()
+        assert list(shuffled.cells()) == list(table.cells())
+        # columns list their parts lexicographically decreasing, as documented
+        for p in table.complexities():
+            assert shuffled.column(p) == table.column(p)
+        for p, i, _ in table.cells():
+            assert list(shuffled.breakdown(p, i).items()) == list(table.breakdown(p, i).items())
+    # reversed, the n = 6 blocks of complexity 4 come as (3,3), (4,2), (5)
+    assert [A.parts for A, _ in shuffled.column(4)] == [(5,), (4, 2), (3, 3)]
+
+
+def test_free_part_is_one_gaussian_factor():
+    # a block with d = n - |A| > 0 is t^{d^2} [n; |A|]_{t^2} times the same
+    # block at its own size: this checks fiber_char's d^2 shift and
+    # gamma_trace's q_pochhammer(n, d) start against gauss_multinomial
+    checked = 0
+    for n in range(3, 14):
+        for A, poly in spectral_table(n).blocks:
+            d = n - A.size
+            if d > 0:
+                grassmannian = gauss_multinomial(n, (A.size,)).to_graded().times_power(d * d)
+                assert poly == grassmannian * spectral_table(A.size).block(A), (A, n)
+                checked += 1
+    assert checked == 259
 
 
 def test_a_wrong_total_raises_and_is_reported(monkeypatch, fresh_tables):
@@ -453,7 +476,7 @@ def test_block_ranks_count_permutations_of_their_cycle_type():
         assert sum(poly(1) for _, poly in spectral_table(n).blocks) == factorial(n) - 1
 
 
-def test_block_ranks_see_a_short_total_that_verify_misses(monkeypatch, fresh_tables):
+def test_block_ranks_and_table_total_see_a_short_total(monkeypatch, fresh_tables):
     real = resolution.total_discriminant_poincare
 
     def lowered(n):
@@ -462,7 +485,10 @@ def test_block_ranks_see_a_short_total_that_verify_misses(monkeypatch, fresh_tab
         return real(n) - GradedDims.term(13) if n == 4 else real(n)
 
     monkeypatch.setattr(resolution, "total_discriminant_poincare", lowered)
-    assert verify(4).ok
+    # the table's total rank is no longer n! - 1, and only that check sees it
+    assert verify(4).failures() == (
+        CheckResult("table-total", "n=4", False, "table rank 22 != n! - 1 = 23"),
+    )
     assert _block_rank_mismatches(4) == [(MultiIndex((4,)), 5)]
 
 
