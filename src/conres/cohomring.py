@@ -283,18 +283,15 @@ def h2_order(alpha: DegreeTwoClass | Sequence[int]) -> int:
     """Order of a degree-2 class: the least p such that the sequence agrees
     (modulo constants) with an integer-valued polynomial of degree <= p.
 
-    Computed as the order of the last nonvanishing finite difference; constant
-    sequences (the zero class) have order 0.  Always at most n - 1.
+    Computed as the number of :func:`shift_difference` steps that take the
+    class to zero; the zero class (a constant sequence) has order 0.  Always
+    at most n - 1.
     """
     seq = _as_sequence(alpha)
     order = 0
-    step = 0
-    current = seq
-    while len(current) >= 2:
-        current = tuple(b - a for a, b in zip(current, current[1:]))
-        step += 1
-        if any(current):
-            order = step
+    while any(seq):
+        seq = shift_difference(seq).alpha
+        order += 1
     return order
 
 

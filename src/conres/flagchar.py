@@ -24,14 +24,16 @@ blocks contributes the partition-averaged factor
 
 Over the common denominator prod_{j<=a}(1 - q^{c j}) every such factor sums
 to exactly 1 (the Molien series of the permutation action of S_a on a
-polynomial ring); this collapse is recomputed and checked once per (a, c).
-sigma fixes the free part, whose S_d averages to 1 / prod_{j<=d} (1 - q^j)
-by the collapse with c = 1 (checked for the trivial class of (d,)); so, as in
-``gauss_multinomial``, those factors are never built.  The trace is
-prod_{d<i<=n} (1 - q^i) with the factors 1 - q^{c j} of every block cycle
-divided out one by one, each a running sum with stride c j.  Isotypic parts
-and the blocks of ``resolution`` are class averages over S(A), all taken by
-``class_average``.
+polynomial ring).  Each c > 1 is the q -> q^c image of c = 1, so the collapse
+is checked once per block size a: the S_a class average of
+``coinvariant_trace(a, lambda)`` is 1.  sigma fixes the free part, whose S_d
+averages to 1 / prod_{j<=d} (1 - q^j) by the same collapse (checked as the
+block size a = d); so, as in ``gauss_multinomial``, those factors are never
+built.  The trace is prod_{d<i<=n} (1 - q^i) with the factors 1 - q^{c j},
+j <= a, of every block cycle divided out one by one, each a running sum with
+stride c j.  A class is read only if it is one of ``conjugacy_classes(A)``.
+Isotypic parts and the blocks of ``resolution`` are class averages over S(A),
+all taken by ``class_average``.
 
 ``gamma_trace_naive`` is the guard for all of this: it averages coinvariant
 traces over an explicit enumeration of W_A and must agree with ``gamma_trace``
@@ -51,22 +53,25 @@ import itertools
 from collections import Counter
 from functools import cache
 from math import factorial, prod
-from typing import Callable
+from typing import Callable, TypeVar
 
 from .qcombinat import (
     BlockClass,
     BudgetExceededError,
     ConsistencyError,
+    GradedDims,
     MultiIndex,
     QPoly,
+    block_cycles,
     centralizer_order,
     conjugacy_classes,
     divide_out,
     integer_combination,
     partitions,
     q_pochhammer,
-    _P,
 )
+
+_P = TypeVar("_P", QPoly, GradedDims)
 
 #: Largest parabolic group |W_A| the brute-force oracle accepts (8! covers
 #: every multi-index in ambient dimension up to 8).  It bounds the order of
@@ -89,32 +94,14 @@ def coinvariant_trace(n: int, mu: tuple[int, ...]) -> QPoly:
 
 
 @cache
-def _averaged_denominator(m: int, step: int) -> tuple[int, ...]:
-    """Exponents e of the common denominator prod (1 - q^e) of the
-    partition-averaged factor for m blocks moved in steps of ``step``; checks
-    that the averaged numerator collapses to 1."""
-    numerator = q_pochhammer(m).substitute_power(step)
-    pairs = [
-        (factorial(m) // centralizer_order(lam), divide_out(numerator, [step * k for k in lam]))
-        for lam in partitions(m, 1)
-    ]
-    if integer_combination(pairs, factorial(m)) != QPoly.one():
-        raise ConsistencyError(
-            f"partition average for m={m}, step={step} did not collapse to 1"
-        )
-    return tuple(range(step, (m + 1) * step, step))
-
-
-def _block_cycles(A: MultiIndex, n: int, cls: BlockClass) -> tuple[tuple[tuple[int, int], ...], int]:
-    """The block cycles of ``cls``, as (cycle length, block size) pairs, and
-    the free part's dimension d = n - |A|.  Raises ValueError unless ``A`` fits
-    in C^n and ``cls`` is a class of the group S(A) permuting its equal blocks."""
-    d = A.liberty(n)
-    cycles = cls.cycles
-    # the cycles must move A's blocks, each exactly once, sizes descending
-    if any(c < 1 for c, _ in cycles) or [a for c, a in cycles for _ in range(c)] != list(A.parts):
-        raise ValueError(f"class {cls} does not match the shape of {A}")
-    return cycles, d
+def _collapsed_denominator(a: int) -> range:
+    """Exponents 1..a of the common denominator prod (1 - q^j) of the
+    partition-averaged factor of size-a blocks; checks that the factor
+    collapses, i.e. that the S_a class average of the coinvariant traces is 1."""
+    pairs = [(factorial(a) // centralizer_order(lam), coinvariant_trace(a, lam)) for lam in partitions(a)]
+    if integer_combination(pairs, factorial(a)) != QPoly.one():
+        raise ConsistencyError(f"partition average for a={a} did not collapse to 1")
+    return range(1, a + 1)
 
 
 @cache
@@ -122,8 +109,8 @@ def gamma_trace(A: MultiIndex, n: int, cls: BlockClass) -> QPoly:
     """Graded trace (in q) of a block permutation in the class ``cls`` on the
     cohomology of the flag manifold of ordered orthogonal collections of
     shape ``A`` in C^n."""
-    cycles, d = _block_cycles(A, n, cls)
-    exponents = [e for c, a in cycles for e in _averaged_denominator(a, c)]
+    cycles, d = block_cycles(A, n, cls)
+    exponents = [c * j for c, a in cycles for j in _collapsed_denominator(a)]
     return divide_out(q_pochhammer(n, d), exponents)
 
 
@@ -173,7 +160,7 @@ def gamma_trace_naive(
     giving a cycle type is a convolution of the per-orbit counts.  Nothing
     else is assumed: neither the uniform composite around a block cycle nor
     the collapse of the partition average that :func:`gamma_trace` uses."""
-    cycles, d = _block_cycles(A, n, cls)
+    cycles, d = block_cycles(A, n, cls)
     group_order = prod(factorial(a) for a in A.parts) * factorial(d)
     if group_order > budget:
         raise BudgetExceededError(

@@ -38,7 +38,7 @@ import itertools
 import operator
 import struct
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from math import factorial, prod
 from typing import Iterable, Mapping, Sequence, TypeVar
 
@@ -545,12 +545,12 @@ class BlockClass:
 
     rho: tuple[tuple[int, tuple[int, ...]], ...]
 
-    @property
+    @cached_property
     def cycles(self) -> tuple[tuple[int, int], ...]:
         """All block cycles as (cycle length, part size) pairs."""
         return tuple((c, size) for size, cycle_type in self.rho for c in cycle_type)
 
-    @property
+    @cached_property
     def class_size(self) -> int:
         return prod(
             factorial(sum(cycle_type)) // centralizer_order(cycle_type)
@@ -572,26 +572,30 @@ class BlockClass:
         ) or "()"
 
 
-def conjugacy_classes(A: MultiIndex) -> list[BlockClass]:
-    """Conjugacy classes of the equal-part permutation group of ``A``.
+@cache
+def conjugacy_classes(A: MultiIndex) -> tuple[BlockClass, ...]:
+    """Conjugacy classes of the equal-part permutation group of ``A``, as a
+    memoized tuple: the one definition of a class of ``A``.
 
     Class sizes add up to the group order (prod of multiplicity factorials).
     The trivial class comes first.
     """
-    mults = A.multiplicities()
+    # the identity (1, ..., 1) is the last partition of m; it moves to the front
     choices = [
-        [(size, cycle_type) for cycle_type in _cycle_types_identity_first(m)]
-        for size, m in mults
+        [(size, cycle_type) for cycle_type in partitions(m)[-1:] + partitions(m)[:-1]]
+        for size, m in A.multiplicities()
     ]
-    return [BlockClass(tuple(combo)) for combo in itertools.product(*choices)]
+    return tuple(BlockClass(tuple(combo)) for combo in itertools.product(*choices))
 
 
-def _cycle_types_identity_first(m: int) -> list[tuple[int, ...]]:
-    # (1, 1, ..., 1) first, then the rest in the standard partition order
-    all_types = list(partitions(m, 1))
-    identity = (1,) * m
-    all_types.remove(identity)
-    return [identity] + all_types
+def block_cycles(A: MultiIndex, n: int, cls: BlockClass) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The block cycles of ``cls``, as (cycle length, part size) pairs, and
+    the free part's dimension d = n - |A|.  Raises ValueError unless ``A`` fits
+    in C^n and ``cls`` is one of :func:`conjugacy_classes` of ``A``."""
+    d = A.liberty(n)
+    if cls not in conjugacy_classes(A):
+        raise ValueError(f"class {cls} does not match the shape of {A}")
+    return cls.cycles, d
 
 
 def gauss_multinomial(n: int, parts: Sequence[int]) -> QPoly:

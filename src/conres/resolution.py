@@ -71,6 +71,7 @@ from .qcombinat import (
     ConsistencyError,
     GradedDims,
     MultiIndex,
+    block_cycles,
     conjugacy_classes,
     gauss_multinomial,
     integer_combination,
@@ -88,7 +89,7 @@ def fiber_char(A: MultiIndex, n: int, cls: BlockClass) -> GradedDims:
     Euclidean factor and the reordering of the tensor factors; both are the
     permutation sign, so they cancel and no sign appears.
     """
-    cycles, d = flagchar._block_cycles(A, n, cls)
+    cycles, d = block_cycles(A, n, cls)
     out = GradedDims.term(A.length + d * d - 1)
     for c, a in cycles:
         out = out * h_poly(a).substitute_power(c)

@@ -119,7 +119,7 @@ def test_gamma_trace_starts_past_the_free_part(monkeypatch):
     # 1 - q^j, j <= 10, are never built, so only the block's are divided out
     A = MultiIndex((2,))
     trivial = conjugacy_classes(A)[0]
-    flagchar._averaged_denominator(2, 1)  # run the block's collapse check before recording
+    flagchar._collapsed_denominator(2)  # run the block's collapse check before recording
     divided = []
     real = flagchar.divide_out
 
@@ -174,14 +174,46 @@ def test_an_index_that_does_not_fit_is_rejected(call):
         conjugacy_classes(MultiIndex((2,))),  # too few blocks
         conjugacy_classes(MultiIndex((3, 2, 2))),  # an extra size
         [BlockClass(((2, (3, -1)),))],  # a cycle type that is no partition
+        # the trivial class of (2,2) spelled as two size-2 entries: it has
+        # the right cycles, but it is not how conjugacy_classes lists it
+        [BlockClass(((2, (1,)), (2, (1,))))],
     ],
-    ids=["(3)", "(2,2,2)", "(2)", "(3,2,2)", "no-partition"],
+    ids=["(3)", "(2,2,2)", "(2)", "(3,2,2)", "no-partition", "split"],
 )
 def test_a_class_of_another_index_is_rejected(call, classes):
     A = MultiIndex((2, 2))
     for cls in classes:
         with pytest.raises(ValueError, match=r"does not match the shape of \(2,2\)"):
             call(A, 8, cls)
+
+
+@pytest.mark.parametrize(
+    "call", [gamma_trace, gamma_trace_naive, fiber_char], ids=lambda f: f.__name__
+)
+def test_a_split_spelling_of_a_class_is_rejected(call):
+    # a transposition of (2,2,2) written as a 2-cycle and a fixed block under
+    # two size-2 entries: its class_size is 1, the transpositions number 3
+    A = MultiIndex((2, 2, 2))
+    split = BlockClass(((2, (2,)), (2, (1,))))
+    assert split.cycles in [cls.cycles for cls in conjugacy_classes(A)]
+    with pytest.raises(ValueError, match=r"does not match the shape of \(2,2,2\)"):
+        call(A, 8, split)
+
+
+def test_the_collapse_check_is_live(monkeypatch):
+    # gamma_trace divides out 1 - q^{c j}, j <= a, only because the S_a class
+    # average of the coinvariant traces is 1; a wrong trace must stop it
+    A = MultiIndex((2, 2))
+    swap = _swap_class(A)
+    gamma_trace.cache_clear()
+    flagchar._collapsed_denominator.cache_clear()
+    real = flagchar.coinvariant_trace
+
+    # the transposition traced as the identity: the average is 1 + q
+    broken = lambda n, mu: real(n, (1, 1) if (n, mu) == (2, (2,)) else mu)
+    monkeypatch.setattr(flagchar, "coinvariant_trace", broken)
+    with pytest.raises(ConsistencyError, match="a=2 did not collapse to 1"):
+        gamma_trace(A, 4, swap)
 
 
 def test_naive_oracle_examples():
@@ -268,9 +300,9 @@ def test_naive_oracle_enumerates_each_orbit_shape_once(monkeypatch):
 def test_naive_oracle_checks_that_the_orbits_cover_w_a(monkeypatch):
     A = MultiIndex((2, 2))
     swap = _swap_class(A)
-    real = flagchar._block_cycles
+    real = flagchar.block_cycles
     # dropping the block cycle leaves the free part's 2 of the |W_A| = 8 elements
-    monkeypatch.setattr(flagchar, "_block_cycles", lambda A, n, cls: ((), real(A, n, cls)[1]))
+    monkeypatch.setattr(flagchar, "block_cycles", lambda A, n, cls: ((), real(A, n, cls)[1]))
     with pytest.raises(ConsistencyError, match="count 2 elements of W_A, not 8"):
         gamma_trace_naive(A, 6, swap)
 

@@ -518,6 +518,13 @@ def test_conjugacy_classes_small():
     assert sizes == {(1, 1, 1): 1, (2, 1): 3, (3,): 2}
 
 
+def test_conjugacy_classes_are_one_memoized_tuple():
+    A = MultiIndex((3, 2, 2))
+    classes = conjugacy_classes(A)
+    assert isinstance(classes, tuple)
+    assert conjugacy_classes(MultiIndex((3, 2, 2))) is classes
+
+
 def test_class_sizes_sum_to_group_order():
     for parts in [(2,), (2, 2), (3, 3, 2), (2, 2, 2, 2), (4, 4, 3, 3, 3)]:
         A = MultiIndex(parts)
