@@ -27,13 +27,13 @@ to exactly 1 (the Molien series of the permutation action of S_a on a
 polynomial ring).  Each c > 1 is the q -> q^c image of c = 1, so the collapse
 is checked once per block size a: the S_a class average of
 ``coinvariant_trace(a, lambda)`` is 1.  sigma fixes the free part, whose S_d
-averages to 1 / prod_{j<=d} (1 - q^j) by the same collapse (checked as the
-block size a = d); so, as in ``gauss_multinomial``, those factors are never
-built.  The trace is prod_{d<i<=n} (1 - q^i) with the factors 1 - q^{c j},
-j <= a, of every block cycle divided out one by one, each a running sum with
-stride c j.  A class is read only if it is one of ``conjugacy_classes(A)``.
-Isotypic parts and the blocks of ``resolution`` are class averages over S(A),
-all taken by ``class_average``.
+averages to 1 / prod_{j<=d} (1 - q^j) by the same collapse, checked where a
+block of size d is read and by the oracle's free orbit below; so, as in
+``gauss_multinomial``, those factors are never built.  The trace is
+prod_{d<i<=n} (1 - q^i) with the factors 1 - q^{c j}, j <= a, of every block
+cycle divided out one by one, each a running sum with stride c j.  A class is
+read only if it is one of ``conjugacy_classes(A)``.  ``class_average`` takes
+the S(A) averages: quotient homology and own-size blocks of ``resolution``.
 
 ``gamma_trace_naive`` is the guard for all of this: it averages coinvariant
 traces over an explicit enumeration of W_A and must agree with ``gamma_trace``

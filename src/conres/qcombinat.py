@@ -355,21 +355,15 @@ class GradedDims(_SparsePoly):
     _var = "t"
 
 
-def one_minus_q(exponent: int) -> QPoly:
-    """The factor ``1 - q^exponent``."""
-    if exponent < 1:
-        raise ValueError("exponent must be positive")
-    return QPoly({0: 1, exponent: -1})
-
-
 @cache
 def q_pochhammer(n: int, d: int = 0) -> QPoly:
-    """The product ``(1 - q^{d+1})(1 - q^{d+2}) ... (1 - q^n)``, 1 if n = d."""
+    """The product ``(1 - q^{d+1})(1 - q^{d+2}) ... (1 - q^n)``, 1 if n = d;
+    the package builds a factor ``1 - q^k`` nowhere else."""
     if not 0 <= d <= n:
         raise ValueError(f"need 0 <= d <= n (got n={n}, d={d})")
     if n == d:
         return QPoly.one()
-    return q_pochhammer(n - 1, d) * one_minus_q(n)
+    return q_pochhammer(n - 1, d) * QPoly({0: 1, n: -1})
 
 
 def divide_out(poly: _P, exponents: Iterable[int]) -> _P:

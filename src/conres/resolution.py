@@ -17,7 +17,7 @@ whole locus -- which are known independently via Alexander duality from the
 complement.  That identity drives everything here:
 
 * ``block_poincare`` averages flag-quotient characters against fiber
-  characters (an isotypic projection over the equal-block permutations);
+  characters over S(A) at n = |A| and lifts that block to a free part d > 0;
 * ``spectral_table`` builds the per-index table once per n: every block of
   complexity at most n - 2 by ``block_poincare``, and the top block (n), the
   open cone on the link of the whole collection, as the known total minus
@@ -26,14 +26,14 @@ complement.  That identity drives everything here:
   the top block of the ambient-dimension-a table, and ``verify`` re-checks
   every identity the construction is supposed to satisfy.
 
-Degree bookkeeping.  Each shift has one owner.  :func:`fiber_char` applies
-the block shift ``t^{#A + d^2 - 1}``, which accounts for the Euclidean factor
-(#A), the Hermitian factor (d^2) and the one-degree gap between open-cone
-homology and the h-grading.  :func:`total_discriminant_poincare` applies the
-Alexander-duality shift ``t^{n^2 - 1}``, :func:`link_poincare` the ``t^{-2}``
-from the open-cone series to the link's reduced homology, and
-:class:`SpectralTable` the relabelling (p, i) -> (-p, n^2 - (i - p) - 1) of
-the cohomological view.
+Degree bookkeeping.  Each shift has one owner.  :func:`fiber_char` applies the
+block shift ``t^{#A + d^2 - 1}`` to a class trace (the Euclidean factor #A,
+the Hermitian factor d^2 and the one-degree gap between open-cone homology and
+the h-grading), :func:`block_poincare` the ``t^{d^2}`` of a block lifted to a
+free part d, :func:`total_discriminant_poincare` the Alexander-duality shift
+``t^{n^2 - 1}``, :func:`link_poincare` the ``t^{-2}`` from the open-cone
+series to the link's reduced homology, and :class:`SpectralTable` the
+relabelling (p, i) -> (-p, n^2 - (i - p) - 1) of the cohomological view.
 
 Signs.  A permutation of equal-size blocks acts on the fiber twice: it
 permutes the coordinates of the Euclidean factor (orientation character =
@@ -99,7 +99,12 @@ def fiber_char(A: MultiIndex, n: int, cls: BlockClass) -> GradedDims:
 def block_poincare(A: MultiIndex, n: int) -> GradedDims:
     """Borel-Moore Poincare polynomial of the block of index ``A`` in ambient
     dimension n: the equal-block-invariant part of (flag cohomology) tensor
-    (fiber homology), computed as a character average."""
+    (fiber homology): a class average over S(A) at n = |A|, and for a free
+    part d > 0 ``t^{d^2} [n; |A|]_{t^2}`` times the block of the table for
+    |A|, so a cold call costs at most that table."""
+    if d := A.liberty(n):
+        return spectral_table(A.size).block(A) * gauss_multinomial(n, (A.size,)).to_graded().times_power(d * d)
+
     def trace(cls: BlockClass) -> GradedDims:
         return flagchar.gamma_trace(A, n, cls).to_graded() * fiber_char(A, n, cls)
 

@@ -1,3 +1,4 @@
+import itertools
 from math import factorial
 
 import pytest
@@ -9,10 +10,14 @@ from conres.qcombinat import (
     GradedDims,
     MultiIndex,
     QPoly,
+    centralizer_order,
     conjugacy_classes,
+    divide_out,
     gauss_multinomial,
+    integer_combination,
     multiindices,
-    one_minus_q,
+    partitions,
+    q_pochhammer,
 )
 from conres.resolution import (
     ALL_CHECKS,
@@ -69,6 +74,39 @@ def test_total_discriminant_examples():
 def test_total_discriminant_against_bruteforce():
     for n in range(2, 10):
         assert total_discriminant_poincare(n) == _total_bruteforce(n)
+
+
+def _arnold_e1(n):
+    # Arnold's E1 for the locus: t^k [n; m_1, ..., m_k]_{t^2} summed over the
+    # compositions (m_1, ..., m_k) of n into k = 1..n-1 parts
+    terms = []
+    for k in range(1, n):
+        for cuts in itertools.combinations(range(1, n), k - 1):
+            bounds = (0, *cuts, n)
+            parts = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+            terms.append((1, gauss_multinomial(n, parts[:-1]).to_graded().times_power(k)))
+    return integer_combination(terms, 1)
+
+
+def _e1_excess(n, total):
+    # E1 - total is (1 + t) times a nonnegative series, or None
+    excess = _arnold_e1(n) - total
+    if excess(-1) != 0:
+        return None
+    quotient = divide_out(excess * GradedDims({0: 1, 1: -1}), [2])
+    return quotient if quotient.nonnegative() else None
+
+
+def test_arnold_e1_sees_the_duality_shift():
+    # E1 dominates the total up to cancelling pairs in adjacent degrees, an
+    # independent check of the Alexander-duality shift t^{n^2 - 1}
+    assert _e1_excess(2, total_discriminant_poincare(2)) == GradedDims.zero()
+    assert _e1_excess(3, total_discriminant_poincare(3)) == GradedDims({1: 1})
+    for n in range(2, 11):
+        assert _e1_excess(n, total_discriminant_poincare(n)) is not None, n
+    for n in range(3, 11):
+        for shift in (-4, -2, 2, 4):
+            assert _e1_excess(n, total_discriminant_poincare(n).times_power(shift)) is None, (n, shift)
 
 
 # --------------------------------------------------------------------------
@@ -191,7 +229,7 @@ def test_link_is_palindromic_unless_n_is_2_mod_4():
 def test_the_swap_trace_at_n_6_is_anti_palindromic():
     A = MultiIndex((3, 3))
     trace = flagchar.gamma_trace(A, 6, _swap_class(A))
-    assert trace == one_minus_q(1) * one_minus_q(3) * one_minus_q(5)
+    assert trace == QPoly({0: 1, 1: -1}) * QPoly({0: 1, 3: -1}) * QPoly({0: 1, 5: -1})
     assert QPoly({trace.degree() - e: -c for e, c in trace.items()}) == trace
 
 
@@ -411,19 +449,84 @@ def test_table_groups_blocks_given_in_any_order():
     assert [A.parts for A, _ in shuffled.column(4)] == [(5,), (4, 2), (3, 3)]
 
 
+def _class_averaged_block(A, n):
+    # the block as the S(A) class average at any n, independent of the
+    # table's lift from size |A|
+    def trace(cls):
+        return flagchar.gamma_trace(A, n, cls).to_graded() * fiber_char(A, n, cls)
+
+    return flagchar.class_average(A, trace)
+
+
 def test_free_part_is_one_gaussian_factor():
     # a block with d = n - |A| > 0 is t^{d^2} [n; |A|]_{t^2} times the same
-    # block at its own size: this checks fiber_char's d^2 shift and
-    # gamma_trace's q_pochhammer(n, d) start against gauss_multinomial
+    # block at its own size; the class average at n checks that lift against
+    # fiber_char's d^2 shift and gamma_trace's q_pochhammer(n, d) start
     checked = 0
     for n in range(3, 14):
         for A, poly in spectral_table(n).blocks:
-            d = n - A.size
-            if d > 0:
-                grassmannian = gauss_multinomial(n, (A.size,)).to_graded().times_power(d * d)
-                assert poly == grassmannian * spectral_table(A.size).block(A), (A, n)
+            if A.liberty(n) > 0:
+                assert poly == _class_averaged_block(A, n), (A, n)
                 checked += 1
     assert checked == 259
+
+
+def test_a_block_with_a_free_part_is_read_off_its_own_table(monkeypatch, fresh_tables):
+    # a cold table traces each class of S(A) once per index, at n = |A|
+    flagchar.gamma_trace.cache_clear()
+    spectral_table(12)
+    own_size = [
+        cls
+        for m in range(2, 13)
+        for A in multiindices(m, m - 2)
+        if A.size == m
+        for cls in conjugacy_classes(A)
+    ]
+    assert flagchar.gamma_trace.cache_info().currsize == len(own_size)
+
+    def no_average(A, trace):
+        raise AssertionError(f"class average over S({A})")
+
+    monkeypatch.setattr(flagchar, "class_average", no_average)
+    lifted = 0
+    for n in range(3, 13):
+        for A, poly in spectral_table(n).blocks:
+            if A.liberty(n) > 0:
+                assert block_poincare(A, n) == poly
+                lifted += 1
+    assert lifted > 0
+
+
+def _n_independent_block(A, n):
+    # the block as t^{#A + d^2 - 1} prod_{d<i<=n} (1 - t^{2i}) R_A, with
+    # R_A = prod_{(a, m)} N_{a,m} / D_{a,m} over the part sizes a of A with
+    # multiplicity m, read off the partitions of m and h_a alone
+    d = A.liberty(n)
+    numerator = q_pochhammer(n, d).to_graded().times_power(A.length + d * d - 1)
+    exponents = []
+    for a, m in A.multiplicities():
+        denominator = GradedDims.one()
+        for k in range(1, m + 1):
+            denominator = denominator * q_pochhammer(a).substitute_power(k).to_graded()
+        pairs = []
+        for lam in partitions(m):
+            term = divide_out(denominator, [2 * c * j for c in lam for j in range(1, a + 1)])
+            for c in lam:
+                term = term * h_poly(a).substitute_power(c)
+            pairs.append((factorial(m) // centralizer_order(lam), term))
+        numerator = numerator * integer_combination(pairs, factorial(m))
+        exponents += [2 * k * j for k in range(1, m + 1) for j in range(1, a + 1)]
+    return divide_out(numerator, exponents)
+
+
+def test_blocks_factor_through_an_n_independent_series():
+    checked = 0
+    for n in range(2, 13):
+        for A, poly in spectral_table(n).blocks:
+            if A != MultiIndex((n,)):
+                assert poly == _n_independent_block(A, n), (A, n)
+                checked += 1
+    assert checked == 248
 
 
 def test_a_wrong_total_raises_and_is_reported(monkeypatch, fresh_tables):
