@@ -36,7 +36,7 @@ from .cohomring import h2_order
 from .flagchar import CHARACTERS, gamma_poincare
 from .qcombinat import ConsistencyError, GradedDims, MultiIndex, QPoly
 from .resolution import ALL_CHECKS, SpectralTable, link_poincare, spectral_table, verify
-from .stab import stab_index, stable_cell
+from .stab import check_degree, check_stable_cell, stab_index, stable_cell
 
 DEFAULT_MAX_N = 10
 
@@ -227,13 +227,14 @@ def _check_n(n: int, max_n: int, minimum: int = 2) -> None:
 
 
 def _table_cells(table: SpectralTable, view: str, total_degree: bool) -> list[dict[str, Any]]:
+    labels = {A: ",".join(map(str, A.parts)) for A, _ in table.blocks}
     cells: list[dict[str, Any]] = []
     for p, i, rank in table.cells():
         if view == "hom":
             column, row = p, (i if total_degree else i - p)
         else:
             column, row = table.cohomological_position(p, i)
-        blocks = {",".join(map(str, A.parts)): r for A, r in table.breakdown(p, i).items()}
+        blocks = {labels[A]: r for A, r in table.breakdown(p, i).items()}
         cells.append({"p": column, "q": row, "rank": rank, "blocks": blocks})
     cells.sort(key=lambda c: (c["p"], c["q"]))
     return cells
@@ -303,10 +304,12 @@ def _cmd_stab(args: argparse.Namespace) -> _Result:
     if cell_mode:
         if args.p is None or args.q is None:
             raise UsageError("--p and --q must be given together")
+        # validated up front: a ValueError out of the cell's evaluation is a bug
         try:
-            cell = stable_cell(args.p, args.q)
+            check_stable_cell(args.p, args.q)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
+        cell = stable_cell(args.p, args.q)
         payload = {
             "p": cell.p,
             "q": cell.q,
@@ -319,9 +322,10 @@ def _cmd_stab(args: argparse.Namespace) -> _Result:
         raise UsageError("--parts and --degree must be given together")
     A = _parse_parts(args.parts)
     try:
-        report = stab_index(A, args.degree)
+        check_degree(A, args.degree)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    report = stab_index(A, args.degree)
     payload = {
         "parts": list(A.parts),
         "degree": args.degree,

@@ -33,7 +33,8 @@ block of size d is read and by the oracle's free orbit below; so, as in
 prod_{d<i<=n} (1 - q^i) with the factors 1 - q^{c j}, j <= a, of every block
 cycle divided out one by one, each a running sum with stride c j.  A class is
 read only if it is one of ``conjugacy_classes(A)``.  ``class_average`` takes
-the S(A) averages: quotient homology and own-size blocks of ``resolution``.
+the S(A) averages, weighted by a character: the quotient homology, and the
+class-average oracle for the blocks of ``resolution``.
 
 ``gamma_trace_naive`` is the guard for all of this: it averages coinvariant
 traces over an explicit enumeration of W_A and must agree with ``gamma_trace``
@@ -183,11 +184,18 @@ def gamma_trace_naive(
     return integer_combination(pairs, group_order)
 
 
-def class_average(A: MultiIndex, trace: Callable[[BlockClass], _P]) -> _P:
-    """Average of a class function over the group S(A) permuting equal blocks:
-    the sum of class_size * trace(cls) / |S(A)| over its classes.  The result's
-    coefficients are ranks: a negative one raises :class:`ConsistencyError`."""
-    pairs = [(cls.class_size, trace(cls)) for cls in conjugacy_classes(A)]
+def class_average(A: MultiIndex, trace: Callable[[BlockClass], _P], chi: str = "trivial") -> _P:
+    """Average of a class function over the group S(A) permuting equal blocks,
+    weighted by the character ``chi``: the sum of chi(cls) * class_size *
+    trace(cls) / |S(A)| over its classes.  The character scales the integer
+    class size, never the trace.  The result's coefficients are ranks: a
+    negative one raises :class:`ConsistencyError`."""
+    if chi not in CHARACTERS:
+        raise ValueError(f"unknown character {chi!r}; expected one of {CHARACTERS}")
+    pairs = [
+        ((cls.sign if chi == "sign" else 1) * cls.class_size, trace(cls))
+        for cls in conjugacy_classes(A)
+    ]
     result = integer_combination(pairs, A.symmetry_order)
     if not result.nonnegative():
         raise ConsistencyError(f"negative rank in the class average over S({A})")
@@ -199,8 +207,6 @@ def gamma_poincare(A: MultiIndex, n: int, chi: str = "trivial") -> QPoly:
     *unordered* orthogonal collections of shape ``A`` in C^n, with constant
     coefficients (``chi="trivial"``) or with the rank-1 local system where a
     loop permuting equal blocks acts by the permutation sign (``chi="sign"``):
-    the class average of chi(class) * trace.
+    the class average of the flag trace weighted by chi.
     """
-    if chi not in CHARACTERS:
-        raise ValueError(f"unknown character {chi!r}; expected one of {CHARACTERS}")
-    return class_average(A, lambda cls: (cls.sign if chi == "sign" else 1) * gamma_trace(A, n, cls))
+    return class_average(A, lambda cls: gamma_trace(A, n, cls), chi)

@@ -16,32 +16,51 @@ Borel-Moore Poincare polynomials add up degree-by-degree to those of the
 whole locus -- which are known independently via Alexander duality from the
 complement.  That identity drives everything here:
 
-* ``block_poincare`` averages flag-quotient characters against fiber
-  characters over S(A) at n = |A| and lifts that block to a free part d > 0;
-* ``spectral_table`` builds the per-index table once per n: every block of
-  complexity at most n - 2 by ``block_poincare``, and the top block (n), the
-  open cone on the link of the whole collection, as the known total minus
-  the sum of those lower blocks;
-* ``h_poly`` reads the open-cone homology of a single a-dimensional part off
-  the top block of the ambient-dimension-a table, and ``verify`` re-checks
-  every identity the construction is supposed to satisfy.
+* a block factors through an n-independent series: the block of an index A
+  of two or more parts at its own size s = |A| is
 
-Degree bookkeeping.  Each shift has one owner.  :func:`fiber_char` applies the
-block shift ``t^{#A + d^2 - 1}`` to a class trace (the Euclidean factor #A,
-the Hermitian factor d^2 and the one-degree gap between open-cone homology and
-the h-grading), :func:`block_poincare` the ``t^{d^2}`` of a block lifted to a
-free part d, :func:`total_discriminant_poincare` the Alexander-duality shift
+      t^{#A - 1} prod_{i <= s} (1 - t^{2i}) prod_{(a, m)} N_{a,m} / D_{a,m},
+
+  one factor per part size a of multiplicity m: D_{a,m} =
+  prod_{k <= m, j <= a} (1 - t^{2kj}), and N_{a,m} / D_{a,m} is the average
+  over the cycle types lambda of S_m of prod_{c in lambda} h_a(t^c) /
+  prod_{j <= a} (1 - t^{2cj}).  Each N_{a,m} is built once; each own-size
+  block is one product and one exact ``divide_out``, checked for negative
+  ranks;
+* ``block_poincare`` lifts the block at its own size to a free part
+  d = n - |A| > 0 by ``t^{d^2} [n; |A|]_{t^2}``, one factor per (n, |A|);
+* ``h_poly`` owns the top block (a), the open cone on the link of the whole
+  collection: the known total for n = a minus the other blocks of size a and
+  the lifted sum of the blocks of each smaller size; it checks the parity
+  and sign of what is left;
+* ``spectral_table`` lists the lifted blocks of every index of size <= n
+  and appends the top block, so a cold table builds no smaller table;
+  ``verify`` re-checks every identity the construction is supposed to
+  satisfy.
+
+The class average over S(A) of flag trace (``flagchar.gamma_trace``) times
+fiber trace (:func:`fiber_char`) is the same block by another route; it is
+kept as an oracle, like ``flagchar.gamma_trace_naive``, and the tests compare
+the two routes on every block below the top one for n <= 12.
+
+Degree bookkeeping.  Each shift has one owner.  :func:`_own_size_block`
+applies ``t^{#A - 1}`` (the Euclidean factor #A and the one-degree gap
+between open-cone homology and the h-grading), :func:`_lift` the
+``t^{d^2}`` of the Hermitian operators on a free part d,
+:func:`total_discriminant_poincare` the Alexander-duality shift
 ``t^{n^2 - 1}``, :func:`link_poincare` the ``t^{-2}`` from the open-cone
 series to the link's reduced homology, and :class:`SpectralTable` the
 relabelling (p, i) -> (-p, n^2 - (i - p) - 1) of the cohomological view.
+The oracle's :func:`fiber_char` applies ``t^{#A + d^2 - 1}`` to a class
+trace, both shifts at once.
 
 Signs.  A permutation of equal-size blocks acts on the fiber twice: it
 permutes the coordinates of the Euclidean factor (orientation character =
 permutation sign) and it reorders the tensor factors of the open-cone
 homology, which is defined only up to the reordering sign (again the
 permutation sign).  Their product is the trivial character, so
-:func:`fiber_char` carries no sign and the block reduces to the plain
-trivial-isotypic projection.  Since the top block is the total minus the
+:func:`fiber_char` and N_{a,m} carry no sign and the block reduces to the
+plain trivial-isotypic projection.  Since the top block is the total minus the
 lower blocks, the tables add up to the total by construction; what a wrong
 sign rule breaks is the parity and nonnegativity of the top blocks and the
 independently known link homology, which the golden tests pin.
@@ -62,7 +81,7 @@ import copy
 from dataclasses import dataclass
 from functools import cache, cached_property, wraps
 from math import factorial
-from typing import Callable, Iterator
+from typing import Callable, Iterator, TypeVar
 
 from . import flagchar
 from .cohomring import ring_poincare
@@ -71,17 +90,25 @@ from .qcombinat import (
     ConsistencyError,
     GradedDims,
     MultiIndex,
+    QPoly,
     block_cycles,
+    centralizer_order,
     conjugacy_classes,
+    divide_out,
     gauss_multinomial,
     integer_combination,
     multiindices,
+    partitions,
+    q_pochhammer,
 )
+
+_T = TypeVar("_T")
 
 
 def fiber_char(A: MultiIndex, n: int, cls: BlockClass) -> GradedDims:
     """Graded trace (in t) of a block permutation on the Borel-Moore homology
-    of the fiber over a collection of shape ``A``.
+    of the fiber over a collection of shape ``A``: the fiber half of the
+    class-average oracle for a block.
 
     Equals ``t^{#A + d^2 - 1}`` times the product over block cycles (length
     c, part size a) of the c-fold degree dilation of the single-part series.
@@ -96,19 +123,70 @@ def fiber_char(A: MultiIndex, n: int, cls: BlockClass) -> GradedDims:
     return out
 
 
+@cache
+def _numerator(a: int, m: int) -> GradedDims:
+    """N_{a,m}: the S_m class average of prod_{c in lambda} h_a(t^c) /
+    prod_{c in lambda, j <= a} (1 - t^{2cj}) over the cycle types lambda of
+    m equal parts of size a, times the common denominator D_{a,m} =
+    prod_{k <= m, j <= a} (1 - t^{2kj}).  Each quotient is exact, and N_{a,m}
+    does not depend on the ambient dimension."""
+    denominator = QPoly.one()
+    for k in range(1, m + 1):
+        denominator = denominator * q_pochhammer(a).substitute_power(k)
+    pairs = []
+    for lam in partitions(m):
+        term = divide_out(denominator, [c * j for c in lam for j in range(1, a + 1)]).to_graded()
+        for c in lam:
+            term = term * h_poly(a).substitute_power(c)
+        pairs.append((factorial(m) // centralizer_order(lam), term))
+    return integer_combination(pairs, factorial(m))
+
+
+@cache
+def _own_size_block(A: MultiIndex) -> GradedDims:
+    """The block of an index ``A`` of two or more parts at its own size s = |A|:
+    ``t^{#A - 1} prod_{i <= s} (1 - t^{2i}) prod_{(a, m)} N_{a,m}`` with
+    every D_{a,m} divided out, one factor (a, m) per part size a of
+    multiplicity m.  A remainder or a negative rank raises
+    :class:`ConsistencyError`."""
+    numerator = q_pochhammer(A.size).to_graded().times_power(A.length - 1)
+    exponents = []
+    for a, m in A.multiplicities():
+        numerator = numerator * _numerator(a, m)
+        exponents += [2 * k * j for k in range(1, m + 1) for j in range(1, a + 1)]
+    block = divide_out(numerator, exponents)
+    if not block.nonnegative():
+        raise ConsistencyError(f"negative rank in the block of {A} at n={A.size}")
+    return block
+
+
+def _own_size_blocks(s: int) -> list[GradedDims]:
+    """The blocks at n = s of every index of size s but (s)."""
+    return [_own_size_block(MultiIndex(parts)) for parts in partitions(s, 2)[1:]]
+
+
+@cache
+def _size_sum(s: int) -> GradedDims:
+    """The sum of the blocks of every index of size s at n = s, (s) included."""
+    return integer_combination([(1, poly) for poly in (h_poly(s), *_own_size_blocks(s))], 1)
+
+
+@cache
+def _lift(n: int, s: int) -> GradedDims:
+    """``t^{(n - s)^2} [n; s]_{t^2}``, which lifts a block of size s from n = s
+    to ambient dimension n: the Grassmannian of the collection's span and the
+    Hermitian operators on the free part."""
+    return gauss_multinomial(n, (s,)).to_graded().times_power((n - s) ** 2)
+
+
 def block_poincare(A: MultiIndex, n: int) -> GradedDims:
     """Borel-Moore Poincare polynomial of the block of index ``A`` in ambient
-    dimension n: the equal-block-invariant part of (flag cohomology) tensor
-    (fiber homology): a class average over S(A) at n = |A|, and for a free
-    part d > 0 ``t^{d^2} [n; |A|]_{t^2}`` times the block of the table for
-    |A|, so a cold call costs at most that table."""
-    if d := A.liberty(n):
-        return spectral_table(A.size).block(A) * gauss_multinomial(n, (A.size,)).to_graded().times_power(d * d)
-
-    def trace(cls: BlockClass) -> GradedDims:
-        return flagchar.gamma_trace(A, n, cls).to_graded() * fiber_char(A, n, cls)
-
-    return flagchar.class_average(A, trace)
+    dimension n: the block at n = |A| (the top block :func:`h_poly` for a
+    single part), lifted to a free part d = n - |A| > 0 by
+    ``t^{d^2} [n; |A|]_{t^2}``."""
+    d = A.liberty(n)
+    own = h_poly(A.size) if A.length == 1 else _own_size_block(A)
+    return own * _lift(n, A.size) if d else own
 
 
 def total_discriminant_poincare(n: int) -> GradedDims:
@@ -127,15 +205,54 @@ def total_discriminant_poincare(n: int) -> GradedDims:
     return GradedDims({top - e: c for e, c in complement.items() if e > 0})
 
 
-@cache
+def _cache_failures(build: Callable[[int], _T]) -> Callable[[int], _T]:
+    """``functools.cache`` that also keeps a :class:`ConsistencyError`: a build
+    that failed raises again from the cache instead of being redone.  Each
+    raise is a fresh copy chained to the original, which keeps the traceback
+    of the failed build."""
+
+    @cache
+    def outcome(n: int) -> _T | ConsistencyError:
+        try:
+            return build(n)
+        except ConsistencyError as exc:
+            return exc
+
+    @wraps(build)
+    def cached(n: int) -> _T:
+        result = outcome(n)
+        if isinstance(result, ConsistencyError):
+            raise copy.copy(result) from result
+        return result
+
+    cached.cache_info = outcome.cache_info  # type: ignore[attr-defined]
+    cached.cache_clear = outcome.cache_clear  # type: ignore[attr-defined]
+    return cached
+
+
+@_cache_failures
 def h_poly(a: int) -> GradedDims:
     """Open-cone homology series for a single part of dimension ``a``: the top
-    block of the ambient-dimension-a table, whose parity and nonnegativity
-    :func:`spectral_table` checks.  The coefficient of ``t^i`` is the rank in
-    degree ``i - 1``; for a = 2 the cone is a point and the series is ``t``."""
+    block (a) of the table for n = a, the known total minus every other block,
+    which are the blocks of size a and the sum of the blocks of each size
+    s < a lifted to n = a.  The coefficient of ``t^i`` is the rank in degree
+    ``i - 1``; for a = 2 the cone is a point and the series is ``t``.
+
+    A negative rank or a parity violation falsifies the sign convention and
+    raises :class:`ConsistencyError` rather than being repaired; the failure
+    is memoized like a series, so every reader gets the error without a
+    rebuild.
+    """
     if a < 2:
         raise ValueError("parts have dimension at least 2")
-    return spectral_table(a).block(MultiIndex((a,)))
+    lower = [(-1, poly) for poly in _own_size_blocks(a)]
+    lower += [(-1, _lift(a, s) * _size_sum(s)) for s in range(2, a)]
+    top = integer_combination([(1, total_discriminant_poincare(a)), *lower], 1)
+    if any(e % 2 == a % 2 for e in top.support()):
+        raise ConsistencyError(f"parity violation in h-polynomial for a={a}")
+    if not top.nonnegative():
+        raise ConsistencyError(f"negative rank in h-polynomial for a={a}")
+    return top
 
 
 def link_poincare(n: int) -> GradedDims:
@@ -180,15 +297,26 @@ class SpectralTable:
         """Blocks of complexity p, parts lexicographically decreasing."""
         return tuple(self._columns.get(p, {}).items())
 
+    @cached_property
+    def _cells(self) -> dict[tuple[int, int], dict[MultiIndex, int]]:
+        """Nonzero ranks per cell, {(p, i): {A: rank}}, in one pass over the
+        columns: cells sorted, each listing its blocks in column order."""
+        cells: dict[tuple[int, int], dict[MultiIndex, int]] = {}
+        for p, column in self._columns.items():
+            by_degree: dict[int, dict[MultiIndex, int]] = {}
+            for A, poly in column.items():
+                for i, c in poly.items():
+                    by_degree.setdefault(i, {})[A] = c
+            for i in sorted(by_degree):
+                cells[p, i] = by_degree[i]
+        return cells
+
     def breakdown(self, p: int, i: int) -> dict[MultiIndex, int]:
-        out = {}
-        for A, poly in self._columns.get(p, {}).items():
-            c = poly.coefficient(i)
-            if c:
-                out[A] = c
-        return out
+        return dict(self._cells.get((p, i), {}))
 
     def rank(self, p: int, i: int) -> int:
+        # a point query scans its column: callers such as the stable cells read
+        # a few cells per table, and the cell index would outweigh the table
         return sum(poly.coefficient(i) for poly in self._columns.get(p, {}).values())
 
     def total(self) -> GradedDims:
@@ -196,11 +324,10 @@ class SpectralTable:
 
     def cells(self) -> Iterator[tuple[int, int, int]]:
         """Nonzero (p, i, rank) triples, sorted."""
-        for p, column in self._columns.items():
-            for i in sorted({e for poly in column.values() for e in poly.support()}):
-                r = self.rank(p, i)
-                if r:
-                    yield p, i, r
+        for (p, i), ranks in self._cells.items():
+            r = sum(ranks.values())
+            if r:
+                yield p, i, r
 
     @staticmethod
     def check_cell(p: int, q: int) -> None:
@@ -222,52 +349,17 @@ class SpectralTable:
         return self.rank(-p, self.n * self.n - q - 1 - p)
 
 
-def _cache_failures(build: Callable[[int], SpectralTable]) -> Callable[[int], SpectralTable]:
-    """``functools.cache`` that also keeps a :class:`ConsistencyError`: a build
-    that failed raises again from the cache instead of being redone.  Each
-    raise is a fresh copy chained to the original, which keeps the traceback
-    of the failed build."""
-
-    @cache
-    def outcome(n: int) -> SpectralTable | ConsistencyError:
-        try:
-            return build(n)
-        except ConsistencyError as exc:
-            return exc
-
-    @wraps(build)
-    def cached(n: int) -> SpectralTable:
-        result = outcome(n)
-        if isinstance(result, ConsistencyError):
-            raise copy.copy(result) from result
-        return result
-
-    cached.cache_info = outcome.cache_info  # type: ignore[attr-defined]
-    cached.cache_clear = outcome.cache_clear  # type: ignore[attr-defined]
-    return cached
-
-
 @_cache_failures
 def spectral_table(n: int) -> SpectralTable:
-    """The full first-page table: one block per index of size <= n.
-
-    The blocks of complexity at most n - 2 come from :func:`block_poincare`.
-    The top block (n), the open cone on the link of the whole collection, is
-    the known total minus their sum.  A negative rank or a parity violation
-    there falsifies the sign convention and raises :class:`ConsistencyError`
-    rather than being repaired; the failure is memoized like a table, so every
-    reader of a failed table gets the error without a rebuild.
+    """The full first-page table: one block per index of size <= n, each
+    lifted from its own size by :func:`block_poincare`, and the top block
+    :func:`h_poly` (n).  A table whose top block failed its checks raises
+    that :class:`ConsistencyError`, memoized like a table.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     blocks = [(A, block_poincare(A, n)) for A in multiindices(n, n - 2)]
-    lower = [(-1, poly) for _, poly in blocks]
-    top = integer_combination([(1, total_discriminant_poincare(n)), *lower], 1)
-    if any(e % 2 == n % 2 for e in top.support()):
-        raise ConsistencyError(f"parity violation in h-polynomial for a={n}")
-    if not top.nonnegative():
-        raise ConsistencyError(f"negative rank in h-polynomial for a={n}")
-    blocks.append((MultiIndex((n,)), top))
+    blocks.append((MultiIndex((n,)), h_poly(n)))
     return SpectralTable(n, tuple(blocks))
 
 

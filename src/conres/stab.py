@@ -13,7 +13,9 @@ turns it into a sufficient bound for one cohomological cell,
 
 ``stable_cell`` evaluates one cell at n*, n* + 1, n* + 2 and insists the ranks
 agree, which is how the bound is kept honest; ``stable_table`` and
-``conres stab --p --q`` both get their cells from it.
+``conres stab --p --q`` both get their cells from it.  ``check_stable_cell``
+and ``check_degree`` reject a cell or a (shape, degree) request that cannot
+be read, so that ``conres stab`` can tell a bad request from a bug.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .qcombinat import ConsistencyError, MultiIndex, QPoly, gauss_multinomial, multiindices
+from .qcombinat import MAX_SPAN, ConsistencyError, MultiIndex, QPoly, gauss_multinomial, multiindices
 from .resolution import SpectralTable, spectral_table
 
 
@@ -44,6 +46,20 @@ def _low_coefficients(A: MultiIndex, m: int, q_cut: int) -> tuple[int, ...]:
     return tuple(poly.coefficient(j) for j in range(q_cut + 1))
 
 
+def check_degree(A: MultiIndex, degree: int) -> None:
+    """Raise ``ValueError`` unless :func:`stab_index` can read shape ``A`` in
+    ``degree``: its largest polynomial, prod (1 - q^i) over the |A| factors
+    m + 2 - |A| < i <= m + 2 of the Gaussian multinomial at m + 2, must span
+    at most ``MAX_SPAN`` exponents."""
+    s, top = A.size, A.size + max(degree, 0) // 2 + 2
+    span = s * top - s * (s - 1) // 2 + 1
+    if span > MAX_SPAN:
+        raise ValueError(
+            f"degree {degree} of shape {A} needs polynomials spanning {span} exponents,"
+            f" more than {MAX_SPAN}"
+        )
+
+
 @cache
 def stab_index(A: MultiIndex, degree: int) -> StabReport:
     """Smallest ambient dimension past which the flag cohomology of shape A
@@ -57,6 +73,7 @@ def stab_index(A: MultiIndex, degree: int) -> StabReport:
     keeps that change visible.  The coefficients must agree at m, m + 1 and
     m + 2 and, if q_cut > 0, differ at m - 1.
     """
+    check_degree(A, degree)
     q_cut = max(degree, 0) // 2
     m = A.size + q_cut
     low = _low_coefficients(A, m, q_cut)
@@ -87,9 +104,22 @@ def e1_stable_bound(p: int, q: int) -> int:
     SpectralTable.check_cell(p, q)
     if p == 0:
         return 2
-    return max(
-        stab_index(A, p + q - 2 * A.length).stab_n for A in complexity_indices(-p)
-    )
+    return max(stab_index(A, degree).stab_n for A, degree in _cell_shapes(p, q))
+
+
+def _cell_shapes(p: int, q: int) -> list[tuple[MultiIndex, int]]:
+    """The (shape, degree) pairs whose :func:`stab_index` bounds the cell
+    (p, q), p < 0: every A of complexity -p, in degree p + q - 2 #A."""
+    return [(A, p + q - 2 * A.length) for A in complexity_indices(-p)]
+
+
+def check_stable_cell(p: int, q: int) -> None:
+    """Raise ``ValueError`` unless :func:`stable_cell` can read the cell
+    (p, q): it lies in the cohomological wedge and :func:`check_degree`
+    accepts every (shape, degree) pair of its bound."""
+    SpectralTable.check_cell(p, q)
+    for A, degree in _cell_shapes(p, q) if p else ():
+        check_degree(A, degree)
 
 
 def cohomological_rank(n: int, p: int, q: int) -> int:

@@ -86,6 +86,21 @@ def test_a_value_error_inside_a_check_is_not_a_usage_error(monkeypatch, capsys):
     assert "usage error" not in err
 
 
+def test_a_value_error_inside_stab_is_not_a_usage_error(monkeypatch, capsys):
+    def broken(n, p, q):
+        raise ValueError("boom inside a rank")
+
+    monkeypatch.setattr("conres.stab.cohomological_rank", broken)
+    code, out, err = _run(capsys, "stab", "--p", "-1", "--q", "3")
+    assert (code, out) == (3, "")
+    assert "Traceback" in err and "ValueError: boom inside a rank" in err
+    assert "usage error" not in err
+    # the arguments are still checked before the cell is read
+    for argv in (("--p", "1", "--q", "3"), ("--p", "-1", "--q", "100000000")):
+        code, out, err = _run(capsys, "stab", *argv)
+        assert (code, out) == (1, "") and err.startswith("usage error: "), argv
+
+
 def test_unstable_cell_exits_two(monkeypatch, capsys):
     monkeypatch.setattr("conres.stab.cohomological_rank", lambda n, p, q: n)
     code, out, err = _run(capsys, "stab", "--p", "-1", "--q", "3", "--format", "json")

@@ -2,11 +2,13 @@
 
 Every performance change must leave the CLI's output unchanged to the byte.
 This file holds the digests of the json documents of ``table`` (both views)
-for n = 2..13 (past 10 with ``--max-n``, where the free part of an index
-reaches dimension 11), ``link`` for n = 3..10, ``verify`` for n = 2..12
+for n = 2..16 (past 10 with ``--max-n``, where the free part of an index
+reaches dimension 11; n = 14..16 are the largest tables of the ``table``
+benchmark), ``link`` for n = 3..10, ``verify`` for n = 2..12
 (past 10 with ``--max-n``, up to the largest n of the ``verify`` benchmark)
 and one sample each of ``gamma``, ``order`` and ``stab``, and of the md and
-csv renderings of ``table --n 5`` (both views, and by total degree),
+csv renderings of ``table --n 5`` (both views, and by total degree) and
+``table --n 9`` (both views),
 ``link --n 5``, ``verify --n 4`` and the ``gamma``, ``order`` and ``stab``
 samples.  The package version is the one field that changes without any
 computation changing, so in json its value is replaced by ``null`` before
@@ -42,6 +44,12 @@ DIGESTS = {
     "table --n 12 --max-n 13 --view hom --format json": "4e83ea6cfa7c3e9f517815b3f533391b41436174468bf886f70445e4c3e92899",
     "table --n 13 --max-n 13 --view cohom --format json": "0d07de872f821ea685102afa504acf6472af54f7b05f7006417af16baabfccbc",
     "table --n 13 --max-n 13 --view hom --format json": "6ebd6da7cd5a583916eb537d152174360a7487cfaa358b9f94d4c5444e59f6c5",
+    "table --n 14 --max-n 16 --view cohom --format json": "a739da4000fccd98d95b6a94dcc617b34f14034f32e6734160c3a1e3c98ec0f5",
+    "table --n 14 --max-n 16 --view hom --format json": "8ea7df31815ae3a2261d3561a91856b3cb422a4b600857171b9b3811a80422e0",
+    "table --n 15 --max-n 16 --view cohom --format json": "b9111d2a1407be4e250d54d8a39a5ce28984e369f382cb537e63d10d93d9c5af",
+    "table --n 15 --max-n 16 --view hom --format json": "f071f0769e1e97079419798b41eafdd5893312351c7464cbce88fbc2cf8b7de0",
+    "table --n 16 --max-n 16 --view cohom --format json": "760d464457b5ca70b26d235f98bff5d9de765545d0584e85cfa751ac58a29b7e",
+    "table --n 16 --max-n 16 --view hom --format json": "53d4ef7c95bd99f53838e2af129635f4fda3c51e43dec4d9d2a93cd1d846ce2c",
     "table --n 2 --view cohom --format json": "04467773f6f60490c51e9c437060d98807b44ac4f90eec78f2de55be0a216df5",
     "table --n 2 --view hom --format json": "213c0118e399b141758d991cd3a5b46687febf59fa353de78f2e625b6473d0c2",
     "table --n 3 --view cohom --format json": "f11ebcfbc20730ad1da24cd305e36acac623906b6fc07a7de3cd2ad5f638f077",
@@ -75,6 +83,10 @@ DIGESTS = {
     "table --n 5 --view cohom --format csv": "0deab3a96fea2d581cc39e0f55f0fb51c01a88444c51376179a5bddf2a4a7e72",
     "table --n 5 --total-degree --format md": "4a8f6b33c180e9dc78535578219d2ef64f9bdad3e8a5332d09b23fb0d75e1057",
     "table --n 5 --total-degree --format csv": "3110a3aa4a68d52e82d944c0fd7684ff5f809be8cc7cd3feca0e0c7b0f896e45",
+    "table --n 9 --view hom --format md": "2896ce189fa57a7ae41ae3e001e580ae5506f2472c060cb4cc77c0d02250d60e",
+    "table --n 9 --view hom --format csv": "1b9095e8579f63564926d0c1bb61c0037ac053523d8da77bd1542217c7ad5c5b",
+    "table --n 9 --view cohom --format md": "52b5377b8efcd56cfeeb0234b0ffbd30d408d630fc38bbb1d32b6d7a1930b597",
+    "table --n 9 --view cohom --format csv": "0b2c2bb9cd0f7fcd32b07ef931233b4daa8d43a120fcb2b7a4b7b28dc607a753",
     "link --n 5 --format md": "7cba1dc11234be8985db9d38c7110ad0ae4875808ada185b9caec5ab4d8bd182",
     "link --n 5 --format csv": "52aa0928995835a76f0a534e58dcccbd20693f7ac1cfd6fe23836d49c289aecb",
     "verify --n 4 --format md": "7d82133399e05b3ee281e850ab395a7e825db35cd8b68fcc34b630d1cd85dd8c",

@@ -335,6 +335,22 @@ def test_isotypic_parts_reconstruct_full_trace_for_two_blocks():
     assert total == gauss_multinomial(4, (2, 2))
 
 
+def test_the_character_weights_the_class_size_not_the_trace(monkeypatch):
+    # the sign scales the integer class size: no trace is multiplied by +-1
+    real = QPoly.__mul__
+    scalars = []
+
+    def mul(self, other):
+        if isinstance(other, int):
+            scalars.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(QPoly, "__mul__", mul)
+    A = MultiIndex((2, 2, 2))
+    assert gamma_poincare(A, 7, "sign") != gamma_poincare(A, 7, "trivial")
+    assert scalars == []
+
+
 def test_gamma_poincare_counts_unordered_collections():
     from math import factorial, prod
 

@@ -396,26 +396,35 @@ def test_verify_collects_a_check_that_raises(monkeypatch):
 # --------------------------------------------------------------------------
 
 
+#: Every memo of the block engine: the tables, the open-cone series, the
+#: own-size blocks, the numerators N_{a,m}, the size sums and the lifts.
+_ENGINE_MEMOS = (
+    spectral_table,
+    h_poly,
+    resolution._own_size_block,
+    resolution._numerator,
+    resolution._size_sum,
+    resolution._lift,
+)
+
+
 @pytest.fixture
 def fresh_tables():
-    # the tables and open-cone series are memoized per process; tests that
-    # count builds or swap an ingredient start and end with empty caches
-    h_poly.cache_clear()
-    spectral_table.cache_clear()
+    # the engine is memoized per process; tests that count builds or swap an
+    # ingredient start and end with empty caches
+    for memo in _ENGINE_MEMOS:
+        memo.cache_clear()
     yield
-    h_poly.cache_clear()
-    spectral_table.cache_clear()
+    for memo in _ENGINE_MEMOS:
+        memo.cache_clear()
 
 
 def test_each_table_is_built_once(fresh_tables):
     cells = stable_table(-3, 6)
     read = {m for c in cells if c.p < 0 for m in (c.bound_n, c.bound_n + 1, c.bound_n + 2)}
-    # the table for n reads the open-cone series, hence the tables, of every
-    # smaller dimension
-    distinct = set(range(2, max(read) + 1))
-    assert read <= distinct
+    # a table builds no smaller table: only the tables read are built
     info = spectral_table.cache_info()
-    assert info.misses == info.currsize == len(distinct)
+    assert info.misses == info.currsize == len(read)
     assert info.hits > 0
 
 
@@ -449,11 +458,11 @@ def test_table_groups_blocks_given_in_any_order():
     assert [A.parts for A, _ in shuffled.column(4)] == [(5,), (4, 2), (3, 3)]
 
 
-def _class_averaged_block(A, n):
-    # the block as the S(A) class average at any n, independent of the
-    # table's lift from size |A|
+def _class_averaged_block(A, n, fiber=fiber_char):
+    # the oracle: the block as the S(A) class average of flag trace times
+    # fiber trace at any n, independent of the factored route and its lift
     def trace(cls):
-        return flagchar.gamma_trace(A, n, cls).to_graded() * fiber_char(A, n, cls)
+        return flagchar.gamma_trace(A, n, cls).to_graded() * fiber(A, n, cls)
 
     return flagchar.class_average(A, trace)
 
@@ -471,30 +480,41 @@ def test_free_part_is_one_gaussian_factor():
     assert checked == 259
 
 
-def test_a_block_with_a_free_part_is_read_off_its_own_table(monkeypatch, fresh_tables):
-    # a cold table traces each class of S(A) once per index, at n = |A|
-    flagchar.gamma_trace.cache_clear()
-    spectral_table(12)
-    own_size = [
-        cls
-        for m in range(2, 13)
-        for A in multiindices(m, m - 2)
-        if A.size == m
-        for cls in conjugacy_classes(A)
-    ]
-    assert flagchar.gamma_trace.cache_info().currsize == len(own_size)
+def test_own_size_blocks_match_the_class_average():
+    # the factored route against the class-average oracle at d = 0; with the
+    # free-part test above, every block but the top one is cross-checked
+    checked = 0
+    for n in range(2, 13):
+        for parts in partitions(n, 2)[1:]:
+            A = MultiIndex(parts)
+            assert block_poincare(A, n) == _class_averaged_block(A, n), (A, n)
+            checked += 1
+    assert checked == 65
+
+
+def test_a_cold_table_builds_no_smaller_table(monkeypatch, fresh_tables):
+    # one block per index at its own size, one lift per (n, |A|): no class
+    # average, no flag trace and no table but the one asked for
+    def no_trace(A, n, cls):
+        raise AssertionError(f"gamma_trace({A}, {n}, {cls})")
 
     def no_average(A, trace):
         raise AssertionError(f"class average over S({A})")
 
+    lifts = []
+    real_gauss = resolution.gauss_multinomial
+
+    def counted_gauss(n, parts):
+        lifts.append((n, tuple(parts)))
+        return real_gauss(n, parts)
+
+    monkeypatch.setattr(flagchar, "gamma_trace", no_trace)
     monkeypatch.setattr(flagchar, "class_average", no_average)
-    lifted = 0
-    for n in range(3, 13):
-        for A, poly in spectral_table(n).blocks:
-            if A.liberty(n) > 0:
-                assert block_poincare(A, n) == poly
-                lifted += 1
-    assert lifted > 0
+    monkeypatch.setattr(resolution, "gauss_multinomial", counted_gauss)
+    spectral_table(12)
+    assert spectral_table.cache_info().currsize == 1
+    assert len(lifts) == len(set(lifts)) == resolution._lift.cache_info().currsize
+    assert resolution._numerator.cache_info().hits > 0
 
 
 def _n_independent_block(A, n):
@@ -596,16 +616,18 @@ def test_block_ranks_and_table_total_see_a_short_total(monkeypatch, fresh_tables
 
 
 def test_a_negative_class_average_raises(monkeypatch, fresh_tables):
-    # block_poincare and gamma_poincare share one class average over S(A);
-    # flag traces of the wrong sign must make both raise, not return
+    # a negated numerator N_{a,m} (an S_m class average) makes the own-size
+    # block raise, and negated flag traces make the quotient homology raise:
+    # neither route may return a negative rank
+    real_numerator = resolution._numerator
+    monkeypatch.setattr(resolution, "_numerator", lambda a, m: -real_numerator(a, m))
+    with pytest.raises(ConsistencyError, match="negative rank in the block of"):
+        block_poincare(MultiIndex((2, 2)), 4)
     real = flagchar.gamma_trace
     monkeypatch.setattr(flagchar, "gamma_trace", lambda A, n, cls: -real(A, n, cls))
-    A = MultiIndex((2, 2))
-    with pytest.raises(ConsistencyError, match="negative rank"):
-        block_poincare(A, 4)
     for chi in ("trivial", "sign"):
         with pytest.raises(ConsistencyError, match="negative rank"):
-            gamma_poincare(A, 4, chi)
+            gamma_poincare(MultiIndex((2, 2)), 4, chi)
 
 
 # --------------------------------------------------------------------------
@@ -620,21 +642,21 @@ def _koszul_fiber_char(A, n, cls):
     delta = A.liberty(n)
     out = GradedDims.term(A.length + delta * delta - 1)
     for c, a in cls.cycles:
-        series = resolution.h_poly(a)
+        series = h_poly(a)
         out = out * GradedDims(
             {e * c: (coeff if e * (c - 1) % 2 == 0 else -coeff) for e, coeff in series.items()}
         )
     return out
 
 
-def test_koszul_rule_changes_the_answers(monkeypatch, fresh_tables):
-    default = block_poincare(MultiIndex((2, 2)), 4)
-    default_h4 = h_poly(4)
-    monkeypatch.setattr(resolution, "fiber_char", _koszul_fiber_char)
-    h_poly.cache_clear()
-    spectral_table.cache_clear()
-    alternative = block_poincare(MultiIndex((2, 2)), 4)
+def test_koszul_rule_changes_the_answers():
+    # with the Koszul sign the class-average oracle gives another block (2,2)
+    # in C^4, hence another top block, whose link is not the known one
+    A = MultiIndex((2, 2))
+    alternative = _class_averaged_block(A, 4, _koszul_fiber_char)
     assert alternative == GradedDims({5: 1, 7: 1, 9: 1})
-    assert alternative != default
-    assert h_poly(4) != default_h4
-    assert link_poincare(4) != GradedDims(LINK_POLYNOMIALS[4])
+    assert alternative != block_poincare(A, 4)
+    lower = [(-1, _class_averaged_block(B, 4, _koszul_fiber_char)) for B in multiindices(4, 2)]
+    top = integer_combination([(1, total_discriminant_poincare(4)), *lower], 1)
+    assert top != h_poly(4)
+    assert top.times_power(-2) != GradedDims(LINK_POLYNOMIALS[4])
