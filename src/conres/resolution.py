@@ -16,6 +16,9 @@ Borel-Moore Poincare polynomials add up degree-by-degree to those of the
 whole locus -- which are known independently via Alexander duality from the
 complement.  That identity drives everything here:
 
+* every block of the table for n is ``t^{(n + 1) mod 2}`` times a
+  polynomial in q = t^2, so the engine builds each block in q, at half the
+  length of its t-graded form, and moves it to t once, at the table edge;
 * a block factors through an n-independent series: the block of an index A
   of two or more parts at its own size s = |A| is
 
@@ -24,15 +27,18 @@ complement.  That identity drives everything here:
   one factor per part size a of multiplicity m: D_{a,m} =
   prod_{k <= m, j <= a} (1 - t^{2kj}), and N_{a,m} / D_{a,m} is the average
   over the cycle types lambda of S_m of prod_{c in lambda} h_a(t^c) /
-  prod_{j <= a} (1 - t^{2cj}).  Each N_{a,m} is built once; each own-size
-  block is one product and one exact ``divide_out``, checked for negative
-  ranks;
+  prod_{j <= a} (1 - t^{2cj}).  Each N_{a,m} is built once, in q.  The
+  exponents of the D_{a,m} never exceed s, so each distinct one cancels a
+  factor of prod_{i <= s} (1 - t^{2i}) before the product; each own-size
+  block is then one product and one exact ``divide_out`` by the rest,
+  checked for negative ranks;
 * ``block_poincare`` lifts the block at its own size to a free part
   d = n - |A| > 0 by ``t^{d^2} [n; |A|]_{t^2}``, one factor per (n, |A|);
-* ``h_poly`` owns the top block (a), the open cone on the link of the whole
-  collection: the known total for n = a minus the other blocks of size a and
-  the lifted sum of the blocks of each smaller size; it checks the parity
-  and sign of what is left;
+* ``_top_block`` owns the top block (a), the open cone on the link of the
+  whole collection, in q: the known total for n = a halved to q, minus the
+  other blocks of size a and the lifted sum of the blocks of each smaller
+  size; it checks the parity and sign of what is left, and ``h_poly`` is
+  the same series in t;
 * ``spectral_table`` lists the lifted blocks of every index of size <= n
   and appends the top block, so a cold table builds no smaller table;
   ``verify`` re-checks every identity the construction is supposed to
@@ -43,16 +49,22 @@ fiber trace (:func:`fiber_char`) is the same block by another route; it is
 kept as an oracle, like ``flagchar.gamma_trace_naive``, and the tests compare
 the two routes on every block below the top one for n <= 12.
 
-Degree bookkeeping.  Each shift has one owner.  :func:`_own_size_block`
-applies ``t^{#A - 1}`` (the Euclidean factor #A and the one-degree gap
-between open-cone homology and the h-grading), :func:`_lift` the
-``t^{d^2}`` of the Hermitian operators on a free part d,
-:func:`total_discriminant_poincare` the Alexander-duality shift
-``t^{n^2 - 1}``, :func:`link_poincare` the ``t^{-2}`` from the open-cone
-series to the link's reduced homology, and :class:`SpectralTable` the
-relabelling (p, i) -> (-p, n^2 - (i - p) - 1) of the cohomological view.
-The oracle's :func:`fiber_char` applies ``t^{#A + d^2 - 1}`` to a class
-trace, both shifts at once.
+Degree bookkeeping.  Each shift has one owner.  :func:`_parity` is the
+t-parity ``(n + 1) mod 2`` of every block of the table for n, which
+:func:`block_poincare` and :func:`h_poly` apply at the table edge, where a
+block leaves q for t.  :func:`_own_size_block` owns sigma_A = #A - 1 +
+sum_a ((a + 1) mod 2) m_a: ``t^{#A - 1}`` (the Euclidean factor #A and the
+one-degree gap between open-cone homology and the h-grading) plus the
+t-shift ``t^{((a + 1) mod 2) m}`` of each N_{a,m}; it checks that sigma_A
+has the parity of its table before halving it to q.  :func:`_lift` owns the
+``t^{d^2}`` of the Hermitian operators on a free part d (with both edge
+parities folded in), :func:`total_discriminant_poincare` the
+Alexander-duality shift ``t^{n^2 - 1}``, which :func:`_top_block` halves to
+q with a parity check, :func:`link_poincare` the ``t^{-2}`` from the
+open-cone series to the link's reduced homology, and :class:`SpectralTable`
+the relabelling (p, i) -> (-p, n^2 - (i - p) - 1) of the cohomological
+view.  The oracle's :func:`fiber_char` applies ``t^{#A + d^2 - 1}`` to a
+class trace, both shifts at once, in t.
 
 Signs.  A permutation of equal-size blocks acts on the fiber twice: it
 permutes the coordinates of the Euclidean factor (orientation character =
@@ -78,6 +90,7 @@ symmetric.  Among n = 3..14 the link is palindromic exactly when n is not
 from __future__ import annotations
 
 import copy
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property, wraps
 from math import factorial
@@ -123,70 +136,99 @@ def fiber_char(A: MultiIndex, n: int, cls: BlockClass) -> GradedDims:
     return out
 
 
+def _parity(n: int) -> int:
+    """The t-parity (n + 1) mod 2 of every block of the table for n: each
+    block is ``t^{_parity(n)}`` times a polynomial in q = t^2, because the
+    homology of every link vanishes in degrees of one parity."""
+    return (n + 1) % 2
+
+
 @cache
-def _numerator(a: int, m: int) -> GradedDims:
-    """N_{a,m}: the S_m class average of prod_{c in lambda} h_a(t^c) /
-    prod_{c in lambda, j <= a} (1 - t^{2cj}) over the cycle types lambda of
+def _numerator(a: int, m: int) -> QPoly:
+    """N_{a,m} in q = t^2: the S_m class average of prod_{c in lambda} H_a(q^c)
+    / prod_{c in lambda, j <= a} (1 - q^{cj}) over the cycle types lambda of
     m equal parts of size a, times the common denominator D_{a,m} =
-    prod_{k <= m, j <= a} (1 - t^{2kj}).  Each quotient is exact, and N_{a,m}
-    does not depend on the ambient dimension."""
+    prod_{k <= m, j <= a} (1 - q^{kj}).  Each quotient is exact, and N_{a,m}
+    does not depend on the ambient dimension.  In t it is shifted by
+    ``t^{_parity(a) m}``, the same for every lambda since sum(lambda) = m."""
     denominator = QPoly.one()
     for k in range(1, m + 1):
         denominator = denominator * q_pochhammer(a).substitute_power(k)
+    top = _top_block(a)
     pairs = []
     for lam in partitions(m):
-        term = divide_out(denominator, [c * j for c in lam for j in range(1, a + 1)]).to_graded()
+        term = divide_out(denominator, [c * j for c in lam for j in range(1, a + 1)])
         for c in lam:
-            term = term * h_poly(a).substitute_power(c)
+            term = term * top.substitute_power(c)
         pairs.append((factorial(m) // centralizer_order(lam), term))
     return integer_combination(pairs, factorial(m))
 
 
 @cache
-def _own_size_block(A: MultiIndex) -> GradedDims:
-    """The block of an index ``A`` of two or more parts at its own size s = |A|:
-    ``t^{#A - 1} prod_{i <= s} (1 - t^{2i}) prod_{(a, m)} N_{a,m}`` with
-    every D_{a,m} divided out, one factor (a, m) per part size a of
-    multiplicity m.  A remainder or a negative rank raises
+def _own_size_block(A: MultiIndex) -> QPoly:
+    """The block of an index ``A`` of two or more parts at its own size s = |A|,
+    as B in q with block = ``t^{_parity(s)} B(t^2)``: ``t^{sigma_A}
+    prod_{i <= s} (1 - q^i) prod_{(a, m)} N_{a,m} / D_{a,m}``, one factor
+    (a, m) per part size a of multiplicity m, where sigma_A = #A - 1 +
+    sum_a _parity(a) m_a is the t-shift of the Euclidean factor and the
+    numerators.  Every exponent kj of E_A = {kj : k <= m, j <= a} is at most
+    s, so each distinct one cancels a factor of prod_{i <= s} (1 - q^i)
+    before the product, and the rest of E_A is divided out after it.  A
+    shift sigma_A of the wrong parity, a remainder or a negative rank raises
     :class:`ConsistencyError`."""
-    numerator = q_pochhammer(A.size).to_graded().times_power(A.length - 1)
+    s = A.size
+    shift = A.length - 1
     exponents = []
     for a, m in A.multiplicities():
+        shift += _parity(a) * m
+        exponents += [k * j for k in range(1, m + 1) for j in range(1, a + 1)]
+    if (shift - _parity(s)) % 2:
+        raise ConsistencyError(f"parity violation in the block of {A} at n={s}")
+    distinct = set(exponents)
+    run = 0  # 1..run lie in E_A: q_pochhammer(s, run) has cancelled them unbuilt
+    while run + 1 in distinct:
+        run += 1
+    numerator = divide_out(q_pochhammer(s, run), sorted(e for e in distinct if e > run))
+    for a, m in A.multiplicities():
         numerator = numerator * _numerator(a, m)
-        exponents += [2 * k * j for k in range(1, m + 1) for j in range(1, a + 1)]
-    block = divide_out(numerator, exponents)
+    rest = (Counter(exponents) - Counter(distinct)).elements()
+    block = divide_out(numerator, rest).times_power((shift - _parity(s)) // 2)
     if not block.nonnegative():
-        raise ConsistencyError(f"negative rank in the block of {A} at n={A.size}")
+        raise ConsistencyError(f"negative rank in the block of {A} at n={s}")
     return block
 
 
-def _own_size_blocks(s: int) -> list[GradedDims]:
-    """The blocks at n = s of every index of size s but (s)."""
+def _own_size_blocks(s: int) -> list[QPoly]:
+    """The blocks at n = s of every index of size s but (s), in q."""
     return [_own_size_block(MultiIndex(parts)) for parts in partitions(s, 2)[1:]]
 
 
 @cache
-def _size_sum(s: int) -> GradedDims:
-    """The sum of the blocks of every index of size s at n = s, (s) included."""
-    return integer_combination([(1, poly) for poly in (h_poly(s), *_own_size_blocks(s))], 1)
+def _size_sum(s: int) -> QPoly:
+    """The sum of the blocks of every index of size s at n = s, (s) included,
+    in q."""
+    return integer_combination([(1, poly) for poly in (_top_block(s), *_own_size_blocks(s))], 1)
 
 
 @cache
-def _lift(n: int, s: int) -> GradedDims:
-    """``t^{(n - s)^2} [n; s]_{t^2}``, which lifts a block of size s from n = s
-    to ambient dimension n: the Grassmannian of the collection's span and the
-    Hermitian operators on the free part."""
-    return gauss_multinomial(n, (s,)).to_graded().times_power((n - s) ** 2)
+def _lift(n: int, s: int) -> QPoly:
+    """``t^{(n - s)^2} [n; s]_{t^2}`` in q, which lifts a block of size s from
+    n = s to ambient dimension n: the Grassmannian of the collection's span
+    and the Hermitian operators on the free part.  Both table-edge parities
+    are folded in, so the lift takes the q-part of the block for s to the
+    q-part of the block for n."""
+    return gauss_multinomial(n, (s,)).times_power((_parity(s) + (n - s) ** 2 - _parity(n)) // 2)
 
 
 def block_poincare(A: MultiIndex, n: int) -> GradedDims:
     """Borel-Moore Poincare polynomial of the block of index ``A`` in ambient
-    dimension n: the block at n = |A| (the top block :func:`h_poly` for a
-    single part), lifted to a free part d = n - |A| > 0 by
-    ``t^{d^2} [n; |A|]_{t^2}``."""
+    dimension n: the block at n = |A| (the top block :func:`_top_block` for
+    a single part), lifted to a free part d = n - |A| > 0 by
+    ``t^{d^2} [n; |A|]_{t^2}``.  It is built in q and gets its t-parity
+    ``t^{(n + 1) mod 2}`` here, once."""
     d = A.liberty(n)
-    own = h_poly(A.size) if A.length == 1 else _own_size_block(A)
-    return own * _lift(n, A.size) if d else own
+    own = _top_block(A.size) if A.length == 1 else _own_size_block(A)
+    return (own * _lift(n, A.size) if d else own).to_graded().times_power(_parity(n))
 
 
 def total_discriminant_poincare(n: int) -> GradedDims:
@@ -231,28 +273,44 @@ def _cache_failures(build: Callable[[int], _T]) -> Callable[[int], _T]:
 
 
 @_cache_failures
-def h_poly(a: int) -> GradedDims:
-    """Open-cone homology series for a single part of dimension ``a``: the top
-    block (a) of the table for n = a, the known total minus every other block,
-    which are the blocks of size a and the sum of the blocks of each size
-    s < a lifted to n = a.  The coefficient of ``t^i`` is the rank in degree
-    ``i - 1``; for a = 2 the cone is a point and the series is ``t``.
+def _top_block(a: int) -> QPoly:
+    """H_a, the top block (a) of the table for n = a in q: ``h_a(t) =
+    t^{(a + 1) mod 2} H_a(t^2)``.  It is the known total, halved to q, minus
+    every other block, which are the blocks of size a and the sum of the
+    blocks of each size s < a lifted to n = a.
 
-    A negative rank or a parity violation falsifies the sign convention and
-    raises :class:`ConsistencyError` rather than being repaired; the failure
-    is memoized like a series, so every reader gets the error without a
-    rebuild.
+    The total is halved here, its one crossing from t to q: a degree of the
+    wrong parity raises the parity violation, and a negative rank in what is
+    left raises too.  Both are :class:`ConsistencyError`, memoized like a
+    series, so every reader gets the error without a rebuild.
     """
     if a < 2:
         raise ValueError("parts have dimension at least 2")
+    parity = _parity(a)
+    total = total_discriminant_poincare(a)
+    if any((e - parity) % 2 for e in total.support()):
+        raise ConsistencyError(f"parity violation in h-polynomial for a={a}")
+    halved = QPoly({(e - parity) // 2: c for e, c in total.items()})
     lower = [(-1, poly) for poly in _own_size_blocks(a)]
     lower += [(-1, _lift(a, s) * _size_sum(s)) for s in range(2, a)]
-    top = integer_combination([(1, total_discriminant_poincare(a)), *lower], 1)
-    if any(e % 2 == a % 2 for e in top.support()):
-        raise ConsistencyError(f"parity violation in h-polynomial for a={a}")
+    top = integer_combination([(1, halved), *lower], 1)
     if not top.nonnegative():
         raise ConsistencyError(f"negative rank in h-polynomial for a={a}")
     return top
+
+
+@_cache_failures
+def h_poly(a: int) -> GradedDims:
+    """Open-cone homology series for a single part of dimension ``a``: the top
+    block (a) of the table for n = a, :func:`_top_block` moved to t.  The
+    coefficient of ``t^i`` is the rank in degree ``i - 1``; for a = 2 the
+    cone is a point and the series is ``t``.
+
+    A negative rank or a parity violation falsifies the sign convention and
+    raises :class:`ConsistencyError` rather than being repaired; the failure
+    is memoized like a series.
+    """
+    return _top_block(a).to_graded().times_power(_parity(a))
 
 
 def link_poincare(n: int) -> GradedDims:
@@ -430,7 +488,11 @@ _Outcome = tuple[str, bool, str]
 
 
 def _check_block_parity(n: int, budget: int) -> Iterator[_Outcome]:
-    """Every block lives in degrees of the parity opposite to n."""
+    """Every block lives in degrees of the parity opposite to n.  The engine
+    builds the blocks in q and fixes this parity at the table edge, so here
+    it holds by construction; the live parity checks are where a t-shift is
+    halved to q: the total in :func:`_top_block` and each sigma_A in
+    :func:`_own_size_block`."""
     for A, poly in spectral_table(n).blocks:
         bad = [e for e in poly.support() if e % 2 == n % 2]
         yield f"A={A}, n={n}", not bad, f"offending degrees {bad}" if bad else ""

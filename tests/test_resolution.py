@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from math import factorial
 
@@ -203,8 +204,8 @@ def test_top_block_rejects_parity_violation_or_negative_rank(monkeypatch, fresh_
             "total_discriminant_poincare",
             lambda n: real_total(n) + error if n == 3 else real_total(n),
         )
-        h_poly.cache_clear()
-        spectral_table.cache_clear()
+        for memo in _ENGINE_MEMOS:
+            memo.cache_clear()
         with pytest.raises(ConsistencyError, match=message):
             spectral_table(3)
         with pytest.raises(ConsistencyError, match=message):
@@ -248,6 +249,21 @@ def test_tables_match_golden_data():
         table = spectral_table(n)
         got = {A.parts: dict(poly.items()) for A, poly in table.blocks}
         assert got == expected
+
+
+#: SHA-256 of ``repr([(A.parts, poly.items()) for A, poly in blocks])`` of
+#: the tables beyond the goldens and the CLI digests, computed with the
+#: t-graded engine before the blocks were built in q = t^2.
+TABLE_DIGESTS = {
+    17: "8c9d29602f37772edb9e0c553d7339932f7c0119054e93d2ca4065472cd6b0e4",
+    18: "06f9c1a6fc927b4964c2c42e7a18582bf194a985f2e64d56a19cc998b71fd66d",
+}
+
+
+@pytest.mark.parametrize("n", sorted(TABLE_DIGESTS))
+def test_large_tables_are_byte_identical(n):
+    blocks = [(A.parts, poly.items()) for A, poly in spectral_table(n).blocks]
+    assert hashlib.sha256(repr(blocks).encode()).hexdigest() == TABLE_DIGESTS[n]
 
 
 def test_table_smallest_case():
@@ -396,11 +412,13 @@ def test_verify_collects_a_check_that_raises(monkeypatch):
 # --------------------------------------------------------------------------
 
 
-#: Every memo of the block engine: the tables, the open-cone series, the
-#: own-size blocks, the numerators N_{a,m}, the size sums and the lifts.
+#: Every memo of the block engine: the tables, the open-cone series in t and
+#: in q, the own-size blocks, the numerators N_{a,m}, the size sums and the
+#: lifts.
 _ENGINE_MEMOS = (
     spectral_table,
     h_poly,
+    resolution._top_block,
     resolution._own_size_block,
     resolution._numerator,
     resolution._size_sum,
@@ -494,7 +512,8 @@ def test_own_size_blocks_match_the_class_average():
 
 def test_a_cold_table_builds_no_smaller_table(monkeypatch, fresh_tables):
     # one block per index at its own size, one lift per (n, |A|): no class
-    # average, no flag trace and no table but the one asked for
+    # average, no flag trace and no table but the one asked for; every
+    # product is in q, and a block moves to t once, at the table edge
     def no_trace(A, n, cls):
         raise AssertionError(f"gamma_trace({A}, {n}, {cls})")
 
@@ -510,8 +529,17 @@ def test_a_cold_table_builds_no_smaller_table(monkeypatch, fresh_tables):
 
     monkeypatch.setattr(flagchar, "gamma_trace", no_trace)
     monkeypatch.setattr(flagchar, "class_average", no_average)
+    graded_products = []
+    real_mul = GradedDims.__mul__
+
+    def counted_mul(self, other):
+        graded_products.append((self, other))
+        return real_mul(self, other)
+
     monkeypatch.setattr(resolution, "gauss_multinomial", counted_gauss)
+    monkeypatch.setattr(GradedDims, "__mul__", counted_mul)
     spectral_table(12)
+    assert graded_products == []
     assert spectral_table.cache_info().currsize == 1
     assert len(lifts) == len(set(lifts)) == resolution._lift.cache_info().currsize
     assert resolution._numerator.cache_info().hits > 0
@@ -613,6 +641,15 @@ def test_block_ranks_and_table_total_see_a_short_total(monkeypatch, fresh_tables
         CheckResult("table-total", "n=4", False, "table rank 22 != n! - 1 = 23"),
     )
     assert _block_rank_mismatches(4) == [(MultiIndex((4,)), 5)]
+
+
+def test_an_own_size_shift_of_the_wrong_parity_raises(monkeypatch, fresh_tables):
+    # the own-size block's t-shift #A - 1 + sum_a ((a + 1) mod 2) m_a must
+    # have the t-parity of the table for |A| before it is halved to q; a
+    # Euclidean factor off by one degree breaks it
+    monkeypatch.setattr(MultiIndex, "length", property(lambda self: len(self.parts) + 1))
+    with pytest.raises(ConsistencyError, match=r"parity violation in the block of \(2,2\) at n=4"):
+        block_poincare(MultiIndex((2, 2)), 4)
 
 
 def test_a_negative_class_average_raises(monkeypatch, fresh_tables):
