@@ -34,13 +34,13 @@ complement.  That identity drives everything here:
   checked for negative ranks;
 * ``block_poincare`` lifts the block at its own size to a free part
   d = n - |A| > 0 by ``t^{d^2} [n; |A|]_{t^2}``, one factor per (n, |A|);
-* ``_top_block`` owns the top block (a), the open cone on the link of the
-  whole collection, in q: the known total for n = a halved to q, minus the
-  other blocks of size a and the lifted sum of the blocks of each smaller
-  size; it checks the parity and sign of what is left, and ``h_poly`` is
-  the same series in t;
-* ``spectral_table`` lists the lifted blocks of every index of size <= n
-  and appends the top block, so a cold table builds no smaller table;
+* ``_top_block`` builds the top block (a), the open cone on the link of
+  the whole collection, in q: the known total for n = a halved to q, minus
+  the other blocks of size a and the lifted sum of the blocks of each
+  smaller size, with the parity and sign of what is left checked; it is one
+  more index to ``_own_size_block``, and ``h_poly`` is its series in t;
+* ``spectral_table`` lists the lifted blocks of every index of size <= n,
+  the top one included, so a cold table builds no smaller table;
   ``verify`` re-checks every identity the construction is supposed to
   satisfy.
 
@@ -51,12 +51,12 @@ the two routes on every block below the top one for n <= 12.
 
 Degree bookkeeping.  Each shift has one owner.  :func:`_parity` is the
 t-parity ``(n + 1) mod 2`` of every block of the table for n, which
-:func:`block_poincare` and :func:`h_poly` apply at the table edge, where a
-block leaves q for t.  :func:`_own_size_block` owns sigma_A = #A - 1 +
-sum_a ((a + 1) mod 2) m_a: ``t^{#A - 1}`` (the Euclidean factor #A and the
-one-degree gap between open-cone homology and the h-grading) plus the
-t-shift ``t^{((a + 1) mod 2) m}`` of each N_{a,m}; it checks that sigma_A
-has the parity of its table before halving it to q.  :func:`_lift` owns the
+:func:`block_poincare` applies at the table edge, where a block leaves q for
+t.  :func:`_own_size_block` owns sigma_A = #A - 1 + sum_a ((a + 1) mod 2)
+m_a: ``t^{#A - 1}`` (the Euclidean factor #A and the one-degree gap between
+open-cone homology and the h-grading) plus the t-shift ``t^{((a + 1) mod 2)
+m}`` of each N_{a,m}; it checks that sigma_A has the parity of its table
+before halving it to q.  :func:`_lift` owns the
 ``t^{d^2}`` of the Hermitian operators on a free part d (with both edge
 parities folded in), :func:`total_discriminant_poincare` the
 Alexander-duality shift ``t^{n^2 - 1}``, which :func:`_top_block` halves to
@@ -89,12 +89,11 @@ symmetric.  Among n = 3..14 the link is palindromic exactly when n is not
 
 from __future__ import annotations
 
-import copy
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property, wraps
+from functools import cache, cached_property
 from math import factorial
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator
 
 from . import flagchar
 from .cohomring import ring_poincare
@@ -114,8 +113,6 @@ from .qcombinat import (
     partitions,
     q_pochhammer,
 )
-
-_T = TypeVar("_T")
 
 
 def fiber_char(A: MultiIndex, n: int, cls: BlockClass) -> GradedDims:
@@ -166,17 +163,21 @@ def _numerator(a: int, m: int) -> QPoly:
 
 @cache
 def _own_size_block(A: MultiIndex) -> QPoly:
-    """The block of an index ``A`` of two or more parts at its own size s = |A|,
-    as B in q with block = ``t^{_parity(s)} B(t^2)``: ``t^{sigma_A}
-    prod_{i <= s} (1 - q^i) prod_{(a, m)} N_{a,m} / D_{a,m}``, one factor
-    (a, m) per part size a of multiplicity m, where sigma_A = #A - 1 +
-    sum_a _parity(a) m_a is the t-shift of the Euclidean factor and the
+    """The block of index ``A`` at its own size s = |A|, as B in q with block
+    = ``t^{_parity(s)} B(t^2)``: :func:`_top_block` for a single part, else
+    ``t^{sigma_A} prod_{i <= s} (1 - q^i) prod_{(a, m)} N_{a,m} / D_{a,m}``,
+    one factor (a, m) per part size a of multiplicity m, where sigma_A = #A
+    - 1 + sum_a _parity(a) m_a is the t-shift of the Euclidean factor and the
     numerators.  Every exponent kj of E_A = {kj : k <= m, j <= a} is at most
     s, so each distinct one cancels a factor of prod_{i <= s} (1 - q^i)
     before the product, and the rest of E_A is divided out after it.  A
-    shift sigma_A of the wrong parity, a remainder or a negative rank raises
-    :class:`ConsistencyError`."""
+    remainder or a negative rank raises :class:`ConsistencyError`, and so
+    does a sigma_A of the wrong parity: for valid input sigma_A = (number of
+    odd parts) - 1 = s + 1 (mod 2) by construction, so that check guards
+    the shift formula against edits."""
     s = A.size
+    if A.length == 1:
+        return _top_block(s)
     shift = A.length - 1
     exponents = []
     for a, m in A.multiplicities():
@@ -198,16 +199,11 @@ def _own_size_block(A: MultiIndex) -> QPoly:
     return block
 
 
-def _own_size_blocks(s: int) -> list[QPoly]:
-    """The blocks at n = s of every index of size s but (s), in q."""
-    return [_own_size_block(MultiIndex(parts)) for parts in partitions(s, 2)[1:]]
-
-
 @cache
 def _size_sum(s: int) -> QPoly:
     """The sum of the blocks of every index of size s at n = s, (s) included,
     in q."""
-    return integer_combination([(1, poly) for poly in (_top_block(s), *_own_size_blocks(s))], 1)
+    return integer_combination([(1, _own_size_block(MultiIndex(p))) for p in partitions(s, 2)], 1)
 
 
 @cache
@@ -222,12 +218,11 @@ def _lift(n: int, s: int) -> QPoly:
 
 def block_poincare(A: MultiIndex, n: int) -> GradedDims:
     """Borel-Moore Poincare polynomial of the block of index ``A`` in ambient
-    dimension n: the block at n = |A| (the top block :func:`_top_block` for
-    a single part), lifted to a free part d = n - |A| > 0 by
-    ``t^{d^2} [n; |A|]_{t^2}``.  It is built in q and gets its t-parity
+    dimension n: the block at n = |A|, lifted to a free part d = n - |A| > 0
+    by ``t^{d^2} [n; |A|]_{t^2}``.  It is built in q and gets its t-parity
     ``t^{(n + 1) mod 2}`` here, once."""
     d = A.liberty(n)
-    own = _top_block(A.size) if A.length == 1 else _own_size_block(A)
+    own = _own_size_block(A)
     return (own * _lift(n, A.size) if d else own).to_graded().times_power(_parity(n))
 
 
@@ -247,32 +242,7 @@ def total_discriminant_poincare(n: int) -> GradedDims:
     return GradedDims({top - e: c for e, c in complement.items() if e > 0})
 
 
-def _cache_failures(build: Callable[[int], _T]) -> Callable[[int], _T]:
-    """``functools.cache`` that also keeps a :class:`ConsistencyError`: a build
-    that failed raises again from the cache instead of being redone.  Each
-    raise is a fresh copy chained to the original, which keeps the traceback
-    of the failed build."""
-
-    @cache
-    def outcome(n: int) -> _T | ConsistencyError:
-        try:
-            return build(n)
-        except ConsistencyError as exc:
-            return exc
-
-    @wraps(build)
-    def cached(n: int) -> _T:
-        result = outcome(n)
-        if isinstance(result, ConsistencyError):
-            raise copy.copy(result) from result
-        return result
-
-    cached.cache_info = outcome.cache_info  # type: ignore[attr-defined]
-    cached.cache_clear = outcome.cache_clear  # type: ignore[attr-defined]
-    return cached
-
-
-@_cache_failures
+@cache
 def _top_block(a: int) -> QPoly:
     """H_a, the top block (a) of the table for n = a in q: ``h_a(t) =
     t^{(a + 1) mod 2} H_a(t^2)``.  It is the known total, halved to q, minus
@@ -280,18 +250,18 @@ def _top_block(a: int) -> QPoly:
     blocks of each size s < a lifted to n = a.
 
     The total is halved here, its one crossing from t to q: a degree of the
-    wrong parity raises the parity violation, and a negative rank in what is
-    left raises too.  Both are :class:`ConsistencyError`, memoized like a
-    series, so every reader gets the error without a rebuild.
+    wrong parity raises the parity violation (the exponents n^2 - 1 - 2e of
+    the total have the right one by construction, so the check guards the
+    duality shift against edits), and a negative rank in what is left
+    raises too.  Both are :class:`ConsistencyError`; a failure is not
+    memoized, so the next call rebuilds the top block from memoized parts.
     """
-    if a < 2:
-        raise ValueError("parts have dimension at least 2")
     parity = _parity(a)
     total = total_discriminant_poincare(a)
     if any((e - parity) % 2 for e in total.support()):
         raise ConsistencyError(f"parity violation in h-polynomial for a={a}")
     halved = QPoly({(e - parity) // 2: c for e, c in total.items()})
-    lower = [(-1, poly) for poly in _own_size_blocks(a)]
+    lower = [(-1, _own_size_block(MultiIndex(parts))) for parts in partitions(a, 2)[1:]]
     lower += [(-1, _lift(a, s) * _size_sum(s)) for s in range(2, a)]
     top = integer_combination([(1, halved), *lower], 1)
     if not top.nonnegative():
@@ -299,18 +269,17 @@ def _top_block(a: int) -> QPoly:
     return top
 
 
-@_cache_failures
+@cache
 def h_poly(a: int) -> GradedDims:
     """Open-cone homology series for a single part of dimension ``a``: the top
-    block (a) of the table for n = a, :func:`_top_block` moved to t.  The
-    coefficient of ``t^i`` is the rank in degree ``i - 1``; for a = 2 the
+    block (a) of the table for n = a, read through :func:`block_poincare`.
+    The coefficient of ``t^i`` is the rank in degree ``i - 1``; for a = 2 the
     cone is a point and the series is ``t``.
 
     A negative rank or a parity violation falsifies the sign convention and
-    raises :class:`ConsistencyError` rather than being repaired; the failure
-    is memoized like a series.
+    raises :class:`ConsistencyError` rather than being repaired.
     """
-    return _top_block(a).to_graded().times_power(_parity(a))
+    return block_poincare(MultiIndex((a,)), a)
 
 
 def link_poincare(n: int) -> GradedDims:
@@ -407,18 +376,14 @@ class SpectralTable:
         return self.rank(-p, self.n * self.n - q - 1 - p)
 
 
-@_cache_failures
+@cache
 def spectral_table(n: int) -> SpectralTable:
-    """The full first-page table: one block per index of size <= n, each
-    lifted from its own size by :func:`block_poincare`, and the top block
-    :func:`h_poly` (n).  A table whose top block failed its checks raises
-    that :class:`ConsistencyError`, memoized like a table.
+    """The full first-page table: one block per index of size <= n, the top
+    block (n) included, each lifted from its own size by
+    :func:`block_poincare`.  A table whose top block fails its checks raises
+    that :class:`ConsistencyError`.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    blocks = [(A, block_poincare(A, n)) for A in multiindices(n, n - 2)]
-    blocks.append((MultiIndex((n,)), h_poly(n)))
-    return SpectralTable(n, tuple(blocks))
+    return SpectralTable(n, tuple((A, block_poincare(A, n)) for A in multiindices(n, n - 1)))
 
 
 def symbols(n: int, i: int) -> dict[MultiIndex, int]:
@@ -490,9 +455,10 @@ _Outcome = tuple[str, bool, str]
 def _check_block_parity(n: int, budget: int) -> Iterator[_Outcome]:
     """Every block lives in degrees of the parity opposite to n.  The engine
     builds the blocks in q and fixes this parity at the table edge, so here
-    it holds by construction; the live parity checks are where a t-shift is
-    halved to q: the total in :func:`_top_block` and each sigma_A in
-    :func:`_own_size_block`."""
+    it holds by construction.  So, for valid input, do the parity checks
+    where a t-shift is halved to q (the total in :func:`_top_block`, each
+    sigma_A in :func:`_own_size_block`): they guard the shift formulas
+    against edits."""
     for A, poly in spectral_table(n).blocks:
         bad = [e for e in poly.support() if e % 2 == n % 2]
         yield f"A={A}, n={n}", not bad, f"offending degrees {bad}" if bad else ""
@@ -574,12 +540,15 @@ def verify(
 ) -> VerificationReport:
     """Run the selected checks for ambient dimension n, in the order of
     :data:`ALL_CHECKS`, and report every outcome; failures are collected, not
-    raised.  A check that raises :class:`ConsistencyError` keeps the outcomes
-    it already reported and gets one failed outcome at ``n={n}``.
+    raised; an empty selection, which would pass, raises ``ValueError``.  A
+    check that raises :class:`ConsistencyError` keeps the outcomes it
+    already reported and gets one failed outcome at ``n={n}``.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     selected = ALL_CHECKS if checks is None else tuple(checks)
+    if not selected:
+        raise ValueError(f"no checks selected; known: {ALL_CHECKS}")
     unknown = set(selected) - set(ALL_CHECKS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}; known: {ALL_CHECKS}")
