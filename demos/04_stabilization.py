@@ -27,7 +27,8 @@ for degree in (0, 2, 4, 6):
     report = stab_index(A, degree)
     print(f"stab((2), degree {degree}) = {report.stab_n}, witness {report.witness}")
 
-# A cell bound is the worst case over all shapes of the right complexity.
+# A cell bound is the worst case of these over all shapes of complexity -p,
+# in degree p + q - 2 #A; in closed form it is max(-2p, (q - p) // 2).
 for p, q in ((-1, 3), (-1, 5), (-2, 6), (-3, 9)):
     bound = e1_stable_bound(p, q)
     ranks = [cohomological_rank(m, p, q) for m in (bound, bound + 1, bound + 2)]

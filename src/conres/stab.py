@@ -6,16 +6,18 @@ construction, and the induced maps between cohomological tables are onto and
 eventually bijective cell by cell.  The engine behind the estimate is that the
 low-degree cohomology of the flag manifold of a fixed shape A stops changing
 once the ambient dimension reaches |A| + degree // 2, the closed form that
-``stab_index`` checks on Gaussian-multinomial coefficients; ``e1_stable_bound``
-turns it into a sufficient bound for one cohomological cell,
+``stab_index`` checks on Gaussian-multinomial coefficients.  Its maximum over
+the shapes A of complexity -p, in degree p + q - 2 #A, is a sufficient bound
+for one cohomological cell, which ``e1_stable_bound`` returns in closed form,
 
-    n*(p, q) = max over A of complexity -p of stab(A, p + q - 2 #A).
+    n*(p, q) = max(-2p, (q - p) // 2)   (p < 0).
 
 ``stable_cell`` evaluates one cell at n*, n* + 1, n* + 2 and insists the ranks
 agree, which is how the bound is kept honest; ``stable_table`` and
 ``conres stab --p --q`` both get their cells from it.  ``check_stable_cell``
 and ``check_degree`` reject a cell or a (shape, degree) request that cannot
-be read, so that ``conres stab`` can tell a bad request from a bug.
+be read, or would cost more than ``MAX_CELL_BOUND`` or ``MAX_WITNESS_SPAN``
+allow, so that ``conres stab`` can tell a bad request from a bug.
 """
 
 from __future__ import annotations
@@ -23,8 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .qcombinat import MAX_SPAN, ConsistencyError, MultiIndex, QPoly, gauss_multinomial, multiindices
+from .qcombinat import ConsistencyError, MultiIndex, QPoly, gauss_multinomial
 from .resolution import SpectralTable, spectral_table
+
+#: Largest bound ``stable_cell`` reads, so tables up to n = 24 (``stable_cell(-11, 24)``: 2.4 s, 69 MB).
+MAX_CELL_BOUND = 22
+
+#: Widest polynomial ``stab_index`` builds; ten parts 2 in degree 6400 take 7.4 s, 55 MB.
+MAX_WITNESS_SPAN = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -48,15 +56,15 @@ def _low_coefficients(A: MultiIndex, m: int, q_cut: int) -> tuple[int, ...]:
 
 def check_degree(A: MultiIndex, degree: int) -> None:
     """Raise ``ValueError`` unless :func:`stab_index` can read shape ``A`` in
-    ``degree``: its largest polynomial, prod (1 - q^i) over the |A| factors
-    m + 2 - |A| < i <= m + 2 of the Gaussian multinomial at m + 2, must span
-    at most ``MAX_SPAN`` exponents."""
+    ``degree`` at a bounded cost: its largest polynomial, prod (1 - q^i) over
+    the |A| factors m + 2 - |A| < i <= m + 2 of the Gaussian multinomial at
+    m + 2, must span at most ``MAX_WITNESS_SPAN`` exponents."""
     s, top = A.size, A.size + max(degree, 0) // 2 + 2
     span = s * top - s * (s - 1) // 2 + 1
-    if span > MAX_SPAN:
+    if span > MAX_WITNESS_SPAN:
         raise ValueError(
             f"degree {degree} of shape {A} needs polynomials spanning {span} exponents,"
-            f" more than {MAX_SPAN}"
+            f" more than {MAX_WITNESS_SPAN}"
         )
 
 
@@ -84,42 +92,30 @@ def stab_index(A: MultiIndex, degree: int) -> StabReport:
     return StabReport(A, degree, m, QPoly({j: c for j, c in enumerate(low)}))
 
 
-def complexity_indices(p: int) -> list[MultiIndex]:
-    """All multi-indices of complexity exactly p >= 1 (their size is at most
-    2p, so the list is finite)."""
-    if p < 1:
-        raise ValueError("complexity is at least 1 for a nonempty index")
-    return [A for A in multiindices(2 * p, p) if A.complexity == p]
-
-
 def e1_stable_bound(p: int, q: int) -> int:
     """Ambient dimension by which the cohomological cell (p, q) has reached
     its stable rank: max over shapes A of complexity -p of
-    ``stab_index(A, p + q - 2 #A)``.
+    ``stab_index(A, p + q - 2 #A)``, which is max(-2p, (q - p) // 2).
+
+    Proof: |A| = #A - p, so the closed form of :func:`stab_index` reads
+    #A - p + max(p + q - 2 #A, 0) // 2 = max(#A - p, (q - p) // 2), and #A
+    runs over 1..-p, reaching -p at the shape (2, ..., 2).
 
     The column p = 0 holds only the unit class, which never moves; by
     convention the bound returned for it is 2 (the smallest ambient
     dimension the tables are built for).
     """
     SpectralTable.check_cell(p, q)
-    if p == 0:
-        return 2
-    return max(stab_index(A, degree).stab_n for A, degree in _cell_shapes(p, q))
-
-
-def _cell_shapes(p: int, q: int) -> list[tuple[MultiIndex, int]]:
-    """The (shape, degree) pairs whose :func:`stab_index` bounds the cell
-    (p, q), p < 0: every A of complexity -p, in degree p + q - 2 #A."""
-    return [(A, p + q - 2 * A.length) for A in complexity_indices(-p)]
+    return max(-2 * p, (q - p) // 2) if p else 2
 
 
 def check_stable_cell(p: int, q: int) -> None:
     """Raise ``ValueError`` unless :func:`stable_cell` can read the cell
-    (p, q): it lies in the cohomological wedge and :func:`check_degree`
-    accepts every (shape, degree) pair of its bound."""
-    SpectralTable.check_cell(p, q)
-    for A, degree in _cell_shapes(p, q) if p else ():
-        check_degree(A, degree)
+    (p, q): it lies in the cohomological wedge and its bound is at most
+    ``MAX_CELL_BOUND``, so no table beyond n = ``MAX_CELL_BOUND + 2`` is built."""
+    bound = e1_stable_bound(p, q)
+    if bound > MAX_CELL_BOUND:
+        raise ValueError(f"cell ({p}, {q}) is stable from n = {bound}, more than {MAX_CELL_BOUND}")
 
 
 def cohomological_rank(n: int, p: int, q: int) -> int:
@@ -138,7 +134,9 @@ class StableCell:
 def stable_cell(p: int, q: int) -> StableCell:
     """Stable rank of the cohomological cell (p, q), evaluated at its bound
     ``e1_stable_bound(p, q)`` and re-evaluated twice beyond it; any
-    disagreement raises :class:`ConsistencyError` naming the cell."""
+    disagreement raises :class:`ConsistencyError` naming the cell.  A cell
+    that :func:`check_stable_cell` refuses raises ``ValueError`` first."""
+    check_stable_cell(p, q)
     bound = e1_stable_bound(p, q)
     ranks = [cohomological_rank(m, p, q) for m in (bound, bound + 1, bound + 2)]
     if len(set(ranks)) != 1:

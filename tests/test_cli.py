@@ -34,11 +34,18 @@ def test_usage_errors_exit_one(capsys):
     code, out, err = _run(capsys, "table", "--n", "4", "--view", "cohom", "--total-degree")
     assert (code, out) == (1, "")
     assert "--total-degree" in err
-    # the witness would span more exponents than a polynomial may hold
-    code, out, err = _run(capsys, "stab", "--parts", "2", "--degree", "100000000")
-    assert (code, out) == (1, "")
-    assert err.startswith("usage error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    # the witness would span more exponents than stab_index builds, or the
+    # cell would need tables past its ceiling; both are refused at once
+    for argv in (
+        ("--parts", "2", "--degree", "100000000"),
+        ("--parts", "2", "--degree", "1000000"),
+        ("--p", "-30", "--q", "60"),
+        ("--p", "-1", "--q", "1000"),
+    ):
+        code, out, err = _run(capsys, "stab", *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
     # an unknown check name is a bad request, not a failed check
     code, out, err = _run(capsys, "verify", "--n", "3", "--checks", "nonsense")
     assert (code, out) == (1, "")

@@ -9,9 +9,12 @@ from conres.cli import main
 from conres.qcombinat import ConsistencyError, MultiIndex, QPoly, gauss_multinomial, multiindices
 from conres.resolution import spectral_table
 from conres.stab import (
+    MAX_CELL_BOUND,
+    MAX_WITNESS_SPAN,
     StableCell,
+    check_degree,
+    check_stable_cell,
     cohomological_rank,
-    complexity_indices,
     e1_stable_bound,
     stab_index,
     stable_cell,
@@ -85,12 +88,48 @@ def test_stab_index_monotone_in_degree():
         assert values == sorted(values)
 
 
-def test_complexity_indices():
-    assert [A.parts for A in complexity_indices(1)] == [(2,)]
-    assert [A.parts for A in complexity_indices(2)] == [(3,), (2, 2)]
-    assert [A.parts for A in complexity_indices(3)] == [(4,), (3, 2), (2, 2, 2)]
-    with pytest.raises(ValueError):
-        complexity_indices(0)
+def test_e1_stable_bound_is_the_max_over_shapes():
+    # the closed form against the shape route: every index of complexity -p,
+    # read by stab_index in degree p + q - 2 #A
+    cells = 0
+    for k in range(1, 9):
+        shapes = [A for A in multiindices(2 * k, k) if A.complexity == k]
+        for q in range(k, 31):
+            route = max(stab_index(A, q - k - 2 * A.length).stab_n for A in shapes)
+            assert e1_stable_bound(-k, q) == route, (-k, q)
+            cells += 1
+    assert cells == 212
+
+
+def test_stable_table_reads_no_stab_index(fresh_stab_index):
+    stable_table(-6, 14)
+    info = stab_index.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
+
+
+def test_check_degree_caps_the_witness_span():
+    # (2) in degree d needs 2 (d // 2) + 8 exponents
+    check_degree(MultiIndex((2,)), 65529)
+    with pytest.raises(ValueError, match=f"spanning 65538 exponents, more than {MAX_WITNESS_SPAN}"):
+        check_degree(MultiIndex((2,)), 65530)
+
+
+@pytest.mark.parametrize("p, q", [(-30, 60), (-1, 1000), (-12, 24), (-1, 45)])
+def test_a_cell_past_the_ceiling_builds_no_table(monkeypatch, p, q):
+    def no_table(n, p, q):
+        raise AssertionError(f"built a table for n = {n}")
+
+    monkeypatch.setattr(stab, "cohomological_rank", no_table)
+    assert e1_stable_bound(p, q) > MAX_CELL_BOUND
+    for read in (lambda: check_stable_cell(p, q), lambda: stable_cell(p, q)):
+        with pytest.raises(ValueError, match=rf"cell \({p}, {q}\) is stable from n = \d+, more than {MAX_CELL_BOUND}"):
+            read()
+
+
+def test_the_ceiling_admits_the_largest_bound():
+    assert e1_stable_bound(-11, 33) == e1_stable_bound(-1, 44) == MAX_CELL_BOUND
+    check_stable_cell(-11, 33)
+    check_stable_cell(-1, 44)
 
 
 def test_e1_stable_bound_values():
