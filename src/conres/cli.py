@@ -15,6 +15,9 @@ evaluates the cell at its bound n* and at n* + 1, n* + 2 and requires the
 ranks to agree.  Each subcommand returns its arguments, payload and exit
 code; ``main`` wraps them in the one ``OutputDocument`` it renders.
 
+``--max-n`` (default 10) bounds ``--n``, and may itself be at most
+``stab.MAX_TABLE_N``, so that no request builds a table past n = 24.
+
 Output goes to stdout as json, csv or markdown; diagnostics go to stderr.
 Exit codes: 0 success, 1 usage error, 2 a consistency check failed, 3 any
 other error (a bug), whose traceback goes to stderr.
@@ -28,7 +31,7 @@ import io
 import json
 import sys
 import traceback
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 from . import __version__
@@ -36,7 +39,7 @@ from .cohomring import h2_order
 from .flagchar import CHARACTERS, gamma_poincare
 from .qcombinat import ConsistencyError, GradedDims, MultiIndex, QPoly
 from .resolution import ALL_CHECKS, SpectralTable, link_poincare, spectral_table, verify
-from .stab import check_degree, check_stable_cell, stab_index, stable_cell
+from .stab import MAX_TABLE_N, check_degree, check_stable_cell, stab_index, stable_cell
 
 DEFAULT_MAX_N = 10
 
@@ -222,6 +225,8 @@ def _parse_seq(text: str) -> tuple[int, ...]:
 
 
 def _check_n(n: int, max_n: int, minimum: int = 2) -> None:
+    if max_n > MAX_TABLE_N:
+        raise UsageError(f"--max-n must be at most {MAX_TABLE_N} (got {max_n})")
     if not minimum <= n <= max_n:
         raise UsageError(f"--n must be between {minimum} and {max_n} (got {n})")
 
@@ -286,7 +291,7 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
     payload = {
         "n": args.n,
         "passed": report.ok,
-        "checks": [asdict(c) for c in report.checks],
+        "checks": [vars(c) for c in report.checks],
     }
     return {"n": args.n, "checks": args.checks or "all"}, payload, 0 if report.ok else 2
 

@@ -42,10 +42,16 @@ everywhere within its budget.  The orbits of sigma on the blocks are read
 off the class: a block cycle of length c over size-a blocks is an orbit of c
 groups of a points, each mapped identically onto the next.  The free part,
 which the class does not list, is one more orbit: a fixed group of d points.
-W_A is enumerated one orbit at a time and the per-orbit counts of cycle types
-are convolved, which rests on one fact only: sigma * u maps the points of
-each orbit onto themselves, so its cycle type is the union of those of its
-restrictions.  It uses neither the uniform composite nor the collapse above.
+The per-orbit counts of cycle types are convolved, which rests on orbit
+restriction: sigma * u maps the points of each orbit onto themselves, so its
+cycle type is the union of those of its restrictions.  On an orbit of one
+group (the free part, or a fixed block) sigma is the identity and the counts
+are the classical a! / z_lambda; every orbit of two or more groups is
+enumerated in full.  It uses neither the uniform composite nor the collapse
+above.  z_lambda (``centralizer_order``) is the one input the oracle shares
+with ``_collapsed_denominator``; ``tests/test_flagchar.py::
+test_one_group_orbits_count_each_cycle_type_by_its_class_size`` guards it by
+enumerating S_a for a <= 8.
 """
 
 from __future__ import annotations
@@ -76,8 +82,9 @@ _P = TypeVar("_P", QPoly, GradedDims)
 
 #: Largest parabolic group |W_A| the brute-force oracle accepts (8! covers
 #: every multi-index in ambient dimension up to 8).  It bounds the order of
-#: W_A, not the number of permutations enumerated: W_A is enumerated one
-#: sigma-orbit of groups at a time, which visits at most |W_A| of them.
+#: W_A, not the number of permutations enumerated: only the orbits of two or
+#: more groups are enumerated, each shape once, and a one-group orbit is
+#: counted in closed form, so far fewer than |W_A| are visited.
 NAIVE_BUDGET = factorial(8)
 
 CHARACTERS = ("trivial", "sign")
@@ -117,7 +124,7 @@ def gamma_trace(A: MultiIndex, n: int, cls: BlockClass) -> QPoly:
 
 def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
     """Cycle type of a permutation given as a tuple of images, parts descending."""
-    seen = [False] * len(perm)
+    seen = bytearray(len(perm))
     lengths = []
     for start in range(len(perm)):
         if seen[start]:
@@ -125,11 +132,12 @@ def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
         length = 0
         j = start
         while not seen[j]:
-            seen[j] = True
+            seen[j] = 1
             j = perm[j]
             length += 1
         lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
+    lengths.sort(reverse=True)
+    return tuple(lengths)
 
 
 @cache
@@ -138,14 +146,23 @@ def _orbit_cycle_types(c: int, a: int) -> tuple[tuple[tuple[int, ...], int], ...
     points, numbered group after group, which sigma maps each identically
     onto the next, over every u in the product of the groups' symmetric
     groups.  Orbits recur across classes and multi-indices, so each is
-    enumerated once."""
-    sigma = [(p + a) % (c * a) for p in range(c * a)]
-    groups = [range(start, start + a) for start in range(0, c * a, a)]
-    counts: Counter[tuple[int, ...]] = Counter()
-    for images in itertools.product(*(itertools.permutations(g) for g in groups)):
-        # the points are numbered group after group, so the images in order are u
-        u = [i for image in images for i in image]
-        counts[cycle_type(tuple(sigma[i] for i in u))] += 1
+    counted once.
+
+    On one group (c = 1: the free part or a fixed block) sigma is the
+    identity, so sigma * u runs over S_a and each cycle type lambda occurs
+    a! / z_lambda times (z_lambda is ``centralizer_order``, shared with
+    ``_collapsed_denominator``).  An orbit of c >= 2 groups is enumerated in
+    full: u maps each group onto itself and sigma shifts it onto the next,
+    so the restriction of sigma * u to a group is one of its a! shifted
+    images, built once, and sigma * u is their concatenation."""
+    if c == 1:
+        return tuple((lam, factorial(a) // centralizer_order(lam)) for lam in partitions(a))
+    size = c * a
+    shifted = [
+        [tuple((i + a) % size for i in image) for image in itertools.permutations(range(start, start + a))]
+        for start in range(0, size, a)
+    ]
+    counts = Counter(cycle_type(sum(blocks, ())) for blocks in itertools.product(*shifted))
     return tuple(counts.items())
 
 
@@ -155,12 +172,15 @@ def gamma_trace_naive(
     """Brute-force value of :func:`gamma_trace`: average the coinvariant trace
     of sigma * u over every u in the parabolic group W_A.
 
-    W_A is enumerated one sigma-orbit of groups (blocks and free part) at a
-    time.  sigma * u maps the points of each orbit onto themselves, so its
-    cycle type is the union of those of its restrictions, and the number of u
-    giving a cycle type is a convolution of the per-orbit counts.  Nothing
-    else is assumed: neither the uniform composite around a block cycle nor
-    the collapse of the partition average that :func:`gamma_trace` uses."""
+    W_A is taken one sigma-orbit of groups (blocks and free part) at a time.
+    sigma * u maps the points of each orbit onto themselves, so its cycle
+    type is the union of those of its restrictions, and the number of u
+    giving a cycle type is a convolution of the per-orbit counts.  An orbit
+    of one group is counted as a! / z_lambda per cycle type lambda (sigma is
+    the identity there); an orbit of two or more groups is enumerated.
+    Nothing else is assumed: neither the uniform composite around a block
+    cycle nor the collapse of the partition average that :func:`gamma_trace`
+    uses.  The counts must sum to |W_A|, or it raises."""
     cycles, d = block_cycles(A, n, cls)
     group_order = prod(factorial(a) for a in A.parts) * factorial(d)
     if group_order > budget:

@@ -28,8 +28,13 @@ from functools import cache
 from .qcombinat import ConsistencyError, MultiIndex, QPoly, gauss_multinomial
 from .resolution import SpectralTable, spectral_table
 
-#: Largest bound ``stable_cell`` reads, so tables up to n = 24 (``stable_cell(-11, 24)``: 2.4 s, 69 MB).
-MAX_CELL_BOUND = 22
+#: Largest ambient dimension ``conres`` accepts for ``--n`` and ``--max-n``
+#: (on a shared 2-core Xeon VM: ``table --n 24`` 4.1 s, ``verify --n 24``
+#: 8.9 s; at n = 26, 10.9 s and 19.6 s).
+MAX_TABLE_N = 24
+
+#: Largest bound ``stable_cell`` reads, so tables up to n = ``MAX_TABLE_N`` (``stable_cell(-11, 24)``: 2.4 s, 69 MB).
+MAX_CELL_BOUND = MAX_TABLE_N - 2
 
 #: Widest polynomial ``stab_index`` builds; ten parts 2 in degree 6400 take 7.4 s, 55 MB.
 MAX_WITNESS_SPAN = 1 << 16

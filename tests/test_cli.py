@@ -2,7 +2,9 @@ import csv
 import io
 import json
 
+from conres import cli
 from conres.cli import OutputDocument, main
+from conres.stab import MAX_TABLE_N
 
 
 def _run(capsys, *argv):
@@ -50,6 +52,30 @@ def test_usage_errors_exit_one(capsys):
     code, out, err = _run(capsys, "verify", "--n", "3", "--checks", "nonsense")
     assert (code, out) == (1, "")
     assert err.startswith("usage error: unknown checks: ['nonsense']") and err.count("\n") == 1
+
+
+def test_a_table_past_the_ceiling_is_refused_at_once(capsys, monkeypatch):
+    # every subcommand with --max-n is refused before it computes anything
+    def refuse(*args):
+        raise AssertionError("computed a refused request")
+
+    for name in ("spectral_table", "link_poincare", "gamma_poincare", "verify"):
+        monkeypatch.setattr(cli, name, refuse)
+    past = str(MAX_TABLE_N + 1)
+    for argv in (
+        ("table", "--n", "40", "--max-n", "40"),
+        ("table", "--n", "4", "--max-n", past),
+        ("table", "--n", past, "--max-n", str(MAX_TABLE_N)),
+        ("link", "--n", past, "--max-n", past),
+        ("gamma", "--parts", "2", "--n", past, "--max-n", past),
+        ("verify", "--n", past, "--max-n", past),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("usage error: --") and err.count("\n") == 1, argv
+    assert "--max-n must be at most 24 (got 40)" in _run(capsys, "table", "--n", "40", "--max-n", "40")[2]
+    monkeypatch.undo()
+    assert _run(capsys, "table", "--n", "4", "--max-n", str(MAX_TABLE_N))[0] == 0
 
 
 def test_successful_commands_exit_zero(capsys):

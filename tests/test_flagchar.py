@@ -270,10 +270,20 @@ def test_naive_oracle_equals_the_whole_product_enumeration():
     assert checked == 48
 
 
+def test_one_group_orbits_count_each_cycle_type_by_its_class_size():
+    # the oracle of the closed form a! / z_lambda: sigma is the identity on
+    # one group, so sigma * u runs over S_a, enumerated here in full
+    for a in range(1, 9):
+        counts = Counter(cycle_type(perm) for perm in itertools.permutations(range(a)))
+        assert dict(flagchar._orbit_cycle_types(1, a)) == counts, a
+
+
 def test_naive_oracle_enumerates_each_orbit_shape_once(monkeypatch):
     # the oracle runs over verify(12) visit 424 orbits of only 18 shapes
     # (c groups of a points): 76,869 permutations orbit by orbit, 36,385 when
-    # each shape is enumerated once; an empty free part is no orbit
+    # each shape is enumerated once, and 30,472 when only the shapes of
+    # c >= 2 groups are: one group (a = 1..7) is counted in closed form; an
+    # empty free part is no orbit
     memo = flagchar._orbit_cycle_types
     memo.cache_clear()
     enumerated = Counter()
@@ -291,7 +301,7 @@ def test_naive_oracle_enumerates_each_orbit_shape_once(monkeypatch):
     monkeypatch.setattr(flagchar, "cycle_type", counted)
     monkeypatch.setattr(flagchar, "_orbit_cycle_types", recorded)
     assert verify(12, checks=("gamma-oracle",)).ok
-    assert enumerated["perms"] == 36385
+    assert enumerated["perms"] == 30472
     assert len(shapes) == memo.cache_info().currsize == 18
     assert all(a > 0 for _, a in shapes)
 
