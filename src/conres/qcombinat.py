@@ -19,12 +19,12 @@ and keeping the gradings in separate types makes them impossible to
 confuse silently.
 
 Both are stored densely: a low exponent plus the tuple of coefficients up to
-the degree, trimmed at both ends.  Products go through one big-integer product
-(Kronecker substitution) when the coefficients fit 64-bit slots.  Quotients
-by prod (1 - x^e), as in every flag manifold, go through ``divide_out``: one
-running sum with stride e per factor, no denominator built.  ``exact_div``
-stays as the general division, one synthetic-division pass that stops at the
-first remainder.  Every linear combination goes through
+the degree, trimmed at both ends.  Every product is a Kronecker substitution
+in 64-bit slots (``_product``); wider coefficients are split into halves that
+fit.  Quotients by prod (1 - x^e), as in every flag manifold, go through
+``divide_out``: one running sum with stride e per factor, no denominator
+built.  ``exact_div`` stays as the general division, one synthetic-division
+pass that stops at the first remainder.  Every linear combination goes through
 ``integer_combination``: sums, differences, negation and scalar multiples
 (divisor 1), and the orbit averages over finite groups, whose integer weights
 (class sizes, or counts of cycle types) times polynomials are summed in
@@ -99,8 +99,7 @@ def _zeros(span: int) -> list[int]:
     return [0] * span
 
 
-#: Coefficients (and products of coefficients) below this magnitude fit one
-#: signed 64-bit slot, so products can go through a single integer product.
+#: Coefficients, and sums of their products, below this fit one 64-bit slot.
 _SLOT_BOUND = 1 << 63
 
 
@@ -121,6 +120,23 @@ def _unpack_slots(value: int, length: int) -> tuple[int, ...]:
     """Inverse of :func:`_pack_slots` for ``length`` slots."""
     offsets = _slot_offsets(length)
     return struct.unpack(f"<{length}q", ((value + offsets) ^ offsets).to_bytes(8 * length, "little"))
+
+
+def _product(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
+    """Coefficients of the product of two nonempty coefficient sequences, by
+    Kronecker substitution: one integer product of signed 64-bit slots.  While
+    a slot could overflow, the operand with the larger coefficients is split
+    at half their bit length, c = high * 2^k + low with 0 <= low < 2^k."""
+    # an all-zero half counts as 1, so that the other operand must fit a slot
+    top_a, top_b = max(map(abs, a)) or 1, max(map(abs, b)) or 1
+    if min(len(a), len(b)) * top_a * top_b < _SLOT_BOUND:
+        return _unpack_slots(_pack_slots(a) * _pack_slots(b), len(a) + len(b) - 1)
+    if top_a < top_b:
+        return _product(b, a)
+    k = top_a.bit_length() // 2
+    high = _product([c >> k for c in a], b)
+    low = _product([c & ((1 << k) - 1) for c in a], b)
+    return [(h << k) + c for h, c in zip(high, low)]
 
 
 class _SparsePoly:
@@ -245,25 +261,9 @@ class _SparsePoly:
         if isinstance(other, int):
             return integer_combination([(other, self)], 1)
         self._check_same_type(other)
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
+        if not self or not other:
             return type(self)()
-        if min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b)) < _SLOT_BOUND:
-            # Kronecker substitution: evaluate both at x = 2^64 (one signed
-            # 64-bit slot per coefficient), multiply the integers, read the
-            # slots of the product back; no coefficient can carry over.
-            length = len(a) + len(b) - 1
-            product = _unpack_slots(_pack_slots(a) * _pack_slots(b), length)
-        else:
-            # struct packs no wider slot, and packing wider slots one
-            # coefficient at a time loses most of the gain; no product of
-            # the spectral tables up to n = 18 needs more, so rows suffice
-            product = [0] * (len(a) + len(b) - 1)
-            for i, c in enumerate(a):
-                if c:
-                    window = product[i : i + len(b)]
-                    product[i : i + len(b)] = map(operator.add, window, map(c.__mul__, b))
-        return self._dense(self._low + other._low, product)
+        return self._dense(self._low + other._low, _product(self._coeffs, other._coeffs))
 
     def __rmul__(self: _P, other: int) -> _P:
         return self.__mul__(other)

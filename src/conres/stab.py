@@ -16,8 +16,11 @@ for one cohomological cell, which ``e1_stable_bound`` returns in closed form,
 agree, which is how the bound is kept honest; ``stable_table`` and
 ``conres stab --p --q`` both get their cells from it.  ``check_stable_cell``
 and ``check_degree`` reject a cell or a (shape, degree) request that cannot
-be read, or would cost more than ``MAX_CELL_BOUND`` or ``MAX_WITNESS_SPAN``
-allow, so that ``conres stab`` can tell a bad request from a bug.
+be read, or would cost more than ``MAX_CELL_BOUND``, ``MAX_WITNESS_SPAN`` or
+``MAX_WITNESS_COST`` allow, so that ``conres stab`` can tell a bad request
+from a bug.  ``stab_index`` builds the Gaussian multinomials whole, up to
+four chains of |A| products, so its cost grows with |A|^2 times their span,
+not with the degree alone.
 """
 
 from __future__ import annotations
@@ -29,15 +32,25 @@ from .qcombinat import ConsistencyError, MultiIndex, QPoly, gauss_multinomial
 from .resolution import SpectralTable, spectral_table
 
 #: Largest ambient dimension ``conres`` accepts for ``--n`` and ``--max-n``
-#: (on a shared 2-core Xeon VM: ``table --n 24`` 4.1 s, ``verify --n 24``
-#: 8.9 s; at n = 26, 10.9 s and 19.6 s).
+#: (Python 3.11 on a shared 2-core Xeon VM: ``table --n 24`` 2.7-3.0 s and
+#: ``verify --n 24`` 5.9-6.6 s, 164 MB each; at n = 26, 4.8 s and 8.9 s,
+#: 285 and 317 MB).
 MAX_TABLE_N = 24
 
 #: Largest bound ``stable_cell`` reads, so tables up to n = ``MAX_TABLE_N`` (``stable_cell(-11, 24)``: 2.4 s, 69 MB).
 MAX_CELL_BOUND = MAX_TABLE_N - 2
 
-#: Widest polynomial ``stab_index`` builds; ten parts 2 in degree 6400 take 7.4 s, 55 MB.
+#: Widest polynomial ``stab_index`` builds.  Of the requests on the edge of
+#: this cap and ``MAX_WITNESS_COST`` (parts 2 or one part, |A| = 2..80), ten
+#: parts 2 in degree 6400 cost most: ``conres stab`` takes 6.0-7.7 s and 51 MB
+#: (eight parts 2 in degree 8170: 6.0 s, 48 MB; fifteen in degree 1906: 3.0 s).
 MAX_WITNESS_SPAN = 1 << 16
+
+#: Most |A|^2 x span for ``stab_index``, which memoizes |A| products per
+#: q-Pochhammer chain, each up to the span, with coefficients of up to |A|
+#: bits; shapes of size up to 20 meet ``MAX_WITNESS_SPAN`` first.  A cap on
+#: |A| x span alone would admit 50 parts 2 in degree 150, which took 110 MB.
+MAX_WITNESS_COST = 20 * 20 * MAX_WITNESS_SPAN
 
 
 @dataclass(frozen=True)
@@ -61,15 +74,23 @@ def _low_coefficients(A: MultiIndex, m: int, q_cut: int) -> tuple[int, ...]:
 
 def check_degree(A: MultiIndex, degree: int) -> None:
     """Raise ``ValueError`` unless :func:`stab_index` can read shape ``A`` in
-    ``degree`` at a bounded cost: its largest polynomial, prod (1 - q^i) over
+    ``degree`` at a bounded cost.  Its largest polynomial, prod (1 - q^i) over
     the |A| factors m + 2 - |A| < i <= m + 2 of the Gaussian multinomial at
-    m + 2, must span at most ``MAX_WITNESS_SPAN`` exponents."""
+    m + 2, must span at most ``MAX_WITNESS_SPAN`` exponents.  It builds and
+    memoizes up to four chains of |A| products (at m - 1, ..., m + 2),
+    whose coefficients sum in absolute value to at most 2^|A|, so |A|^2 times
+    the span must be at most ``MAX_WITNESS_COST``."""
     s, top = A.size, A.size + max(degree, 0) // 2 + 2
     span = s * top - s * (s - 1) // 2 + 1
     if span > MAX_WITNESS_SPAN:
         raise ValueError(
             f"degree {degree} of shape {A} needs polynomials spanning {span} exponents,"
             f" more than {MAX_WITNESS_SPAN}"
+        )
+    if s * s * span > MAX_WITNESS_COST:
+        raise ValueError(
+            f"degree {degree} of shape {A} memoizes products of up to {s} factors spanning"
+            f" {span} exponents: {s}^2 x {span} is more than {MAX_WITNESS_COST}"
         )
 
 

@@ -36,11 +36,15 @@ def test_usage_errors_exit_one(capsys):
     code, out, err = _run(capsys, "table", "--n", "4", "--view", "cohom", "--total-degree")
     assert (code, out) == (1, "")
     assert "--total-degree" in err
-    # the witness would span more exponents than stab_index builds, or the
-    # cell would need tables past its ceiling; both are refused at once
+    # the witness would span more exponents than stab_index builds, or it
+    # would memoize too many products of too many factors, or the cell would
+    # need tables past its ceiling; each is refused at once
     for argv in (
         ("--parts", "2", "--degree", "100000000"),
         ("--parts", "2", "--degree", "1000000"),
+        ("--parts", "200", "--degree", "0"),
+        ("--parts", "100,100,100", "--degree", "0"),
+        ("--parts", "358", "--degree", "0"),
         ("--p", "-30", "--q", "60"),
         ("--p", "-1", "--q", "1000"),
     ):

@@ -139,14 +139,18 @@ def _ref_div(a, b):
     return quotient
 
 
-# small coefficients take the packed-integer product, huge ones the row one
-_coeff = st.one_of(st.integers(-5, 5), st.integers(-(2**80), 2**80))
+# small coefficients fit one 64-bit slot of the packed-integer product; wide
+# ones are split into halves, several times over for 2^300
+_coeff = st.one_of(
+    st.integers(-5, 5), st.integers(-(2**80), 2**80), st.integers(-(2**300), 2**300)
+)
 _laurent = st.dictionaries(st.integers(-6, 6), _coeff, max_size=6)
+_wide_laurent = st.dictionaries(st.integers(-20, 20), _coeff, max_size=40)
 _nonzero_laurent = st.dictionaries(st.integers(-6, 6), _coeff.filter(bool), min_size=1, max_size=5)
 
 
 @settings(max_examples=200)
-@given(_laurent, _laurent)
+@given(_wide_laurent, _wide_laurent)
 def test_ring_operations_match_reference(a, b):
     p, q = GradedDims(a), GradedDims(b)
     ref_a, ref_b = dict(p.items()), dict(q.items())
@@ -164,6 +168,33 @@ def test_products_near_the_64_bit_slot_bound(a, b):
     p, q = GradedDims({-1: a, 0: a, 4: -a}), GradedDims({0: b, 1: b})
     assert dict((p * q).items()) == _ref_mul(dict(p.items()), dict(q.items()))
     assert (p * q).exact_div(q) == p
+
+
+_SMALL = {0: 3, 1: -1, 2: 0, 5: 2}
+_WIDE = {-2: 2**100 + 7, 0: -(2**99), 3: 1 - 2**120}
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # the left operand is the narrower one, so the kernel swaps them
+        (_SMALL, _WIDE),
+        (_WIDE, _SMALL),
+        # both operands wide: each is split in turn
+        (_WIDE, {0: 2**200 - 1, 1: -(2**199), 4: 2**64}),
+        # every coefficient a multiple of 2^(bits // 2): the low half is all zero
+        ({0: 2**80, 1: -(2**80), 2: 3 * 2**80}, {0: 2**70, 3: -1}),
+        # one wide coefficient among zeros and ones, over 40 exponents
+        ({i: (2**90 if i == 17 else i % 2) for i in range(40)}, {i: -(2**60) + i for i in range(40)}),
+    ],
+)
+def test_wide_products_match_reference(a, b, monkeypatch):
+    packed, unpack = [], qcombinat._unpack_slots
+    monkeypatch.setattr(qcombinat, "_unpack_slots", lambda v, n: packed.append(n) or unpack(v, n))
+    p, q = GradedDims(a), GradedDims(b)
+    assert dict((p * q).items()) == _ref_mul(a, b)
+    # every part goes through the 64-bit slots; a wide product takes several
+    assert len(packed) > 1
 
 
 @settings(max_examples=200)
@@ -320,8 +351,9 @@ def test_span_is_bounded():
 
 @pytest.mark.parametrize("lead", [1, 2**40])
 def test_span_bound_holds_for_products(lead, monkeypatch):
-    # small coefficients take the packed-integer product, 2^40 the row one;
-    # both accept a product spanning MAX_SPAN exponents and refuse a wider one
+    # small coefficients fit the 64-bit slots, 2^40 times 2^40 is split into
+    # halves; both accept a product spanning MAX_SPAN exponents and refuse a
+    # wider one
     monkeypatch.setattr(qcombinat, "MAX_SPAN", 64)
     wide = GradedDims({-3: lead, 28: 1})
     square = wide * wide

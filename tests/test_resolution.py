@@ -257,6 +257,11 @@ def test_tables_match_golden_data():
 TABLE_DIGESTS = {
     17: "8c9d29602f37772edb9e0c553d7339932f7c0119054e93d2ca4065472cd6b0e4",
     18: "06f9c1a6fc927b4964c2c42e7a18582bf194a985f2e64d56a19cc998b71fd66d",
+    # the first tables past 64-bit coefficients; n = 22 and 24 make wide
+    # products (2 and 253), split by the product kernel
+    20: "825341eda6ba4438719a93885f518be3409e8b13ba22b02ff4d0afc931635d6f",
+    22: "5e81391ce86ca0d61f6a792c57f880102620efe9abcb119931c7fe2bcfae1d0f",
+    24: "5a67a70998d4119679fc3a41065e5836280c40e07671925339004bccc7a5d3ab",
 }
 
 

@@ -10,6 +10,7 @@ from conres.qcombinat import ConsistencyError, MultiIndex, QPoly, gauss_multinom
 from conres.resolution import spectral_table
 from conres.stab import (
     MAX_CELL_BOUND,
+    MAX_WITNESS_COST,
     MAX_WITNESS_SPAN,
     StableCell,
     check_degree,
@@ -112,6 +113,33 @@ def test_check_degree_caps_the_witness_span():
     check_degree(MultiIndex((2,)), 65529)
     with pytest.raises(ValueError, match=f"spanning 65538 exponents, more than {MAX_WITNESS_SPAN}"):
         check_degree(MultiIndex((2,)), 65530)
+
+
+def test_check_degree_caps_what_stab_index_memoizes():
+    # fifteen parts 2 (|A| = 30) in degree d span 30 (d // 2) + 526 exponents,
+    # and 30^2 times that passes MAX_WITNESS_COST between degrees 1907 and 1908
+    fifteen = MultiIndex((2,) * 15)
+    check_degree(fifteen, 1907)
+    with pytest.raises(ValueError, match=rf"30\^2 x 29146 is more than {MAX_WITNESS_COST}"):
+        check_degree(fifteen, 1908)
+    # the costliest request the two caps accept
+    check_degree(MultiIndex((2,) * 10), 6400)
+
+
+@pytest.mark.parametrize("parts", [(200,), (100, 100, 100), (358,), (2,) * 45])
+def test_many_factors_are_refused_before_anything_is_built(monkeypatch, parts):
+    # within MAX_WITNESS_SPAN, but |A| products of up to |A|-bit coefficients
+    # per chain; without the cap, (200) took 4.3 s and 167 MB, three times the
+    # memory of the costliest request that the caps accept
+    def no_build(*args):
+        raise AssertionError("built a Gaussian multinomial")
+
+    monkeypatch.setattr(stab, "gauss_multinomial", no_build)
+    A = MultiIndex(parts)
+    with pytest.raises(ValueError, match=rf"\^2 x \d+ is more than {MAX_WITNESS_COST}"):
+        check_degree(A, 0)
+    with pytest.raises(ValueError, match="more than"):
+        stab_index.__wrapped__(A, 0)
 
 
 @pytest.mark.parametrize("p, q", [(-30, 60), (-1, 1000), (-12, 24), (-1, 45)])
