@@ -19,6 +19,8 @@ code; ``main`` wraps them in the one ``OutputDocument`` it renders.
 ``stab.MAX_TABLE_N``, so that no request builds a table past n = 24.
 
 Output goes to stdout as json, csv or markdown; diagnostics go to stderr.
+json is ``json.dumps(doc, sort_keys=True, indent=2)`` to the byte; ``indent``
+selects CPython's pure-Python encoder, so ``_dumps`` indents C-encoded output.
 Exit codes: 0 success, 1 usage error, 2 a consistency check failed, 3 any
 other error (a bug), whose traceback goes to stderr.
 """
@@ -32,6 +34,8 @@ import json
 import sys
 import traceback
 from dataclasses import dataclass
+from functools import cache
+from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
 from . import __version__
@@ -63,6 +67,31 @@ def _poly_pairs(p: QPoly | GradedDims) -> list[list[int]]:
     return [[e, c] for e, c in p.items()]
 
 
+@cache
+def _flat_encoder(depth: int) -> json.JSONEncoder:
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": "))
+
+
+def _dumps(value: Any, depth: int = 0) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for plain str-keyed dicts,
+    lists and scalars at ``depth``; the C encoder writes each container that
+    holds none."""
+    if type(value) is int:
+        return int.__repr__(value)
+    if type(value) not in (dict, list, tuple) or not value:
+        return _flat_encoder(depth).encode(value)
+    pad = "\n" + "  " * depth
+    inner = pad + "  "
+    items = value.values() if type(value) is dict else value
+    if {*map(type, items)}.isdisjoint((dict, list, tuple)):
+        text = _flat_encoder(depth).encode(value)
+        return text[0] + inner + text[1:-1] + pad + text[-1]
+    if type(value) is dict:
+        body = [f"{encode_basestring_ascii(k)}: {_dumps(value[k], depth + 1)}" for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(body) + pad + "}"
+    return "[" + inner + ("," + inner).join([_dumps(v, depth + 1) for v in value]) + pad + "]"
+
+
 @dataclass(frozen=True)
 class OutputDocument:
     """One command's result: metadata plus a json-ready payload.
@@ -87,7 +116,7 @@ class OutputDocument:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return _dumps(self.to_dict()) + "\n"
 
     @staticmethod
     def from_json(text: str) -> "OutputDocument":
@@ -232,15 +261,16 @@ def _check_n(n: int, max_n: int, minimum: int = 2) -> None:
 
 
 def _table_cells(table: SpectralTable, view: str, total_degree: bool) -> list[dict[str, Any]]:
-    labels = {A: ",".join(map(str, A.parts)) for A, _ in table.blocks}
+    # keyed by parts: a tuple hashes in C, a MultiIndex through its Python __hash__
+    labels = {A.parts: ",".join(map(str, A.parts)) for A, _ in table.blocks}
     cells: list[dict[str, Any]] = []
-    for p, i, rank in table.cells():
+    for p, i, blocks in table.cell_blocks():
         if view == "hom":
             column, row = p, (i if total_degree else i - p)
         else:
             column, row = table.cohomological_position(p, i)
-        blocks = {labels[A]: r for A, r in table.breakdown(p, i).items()}
-        cells.append({"p": column, "q": row, "rank": rank, "blocks": blocks})
+        ranks = {labels[A.parts]: r for A, r in blocks}
+        cells.append({"p": column, "q": row, "rank": sum(ranks.values()), "blocks": ranks})
     cells.sort(key=lambda c: (c["p"], c["q"]))
     return cells
 

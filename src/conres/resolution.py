@@ -324,35 +324,34 @@ class SpectralTable:
         """Blocks of complexity p, parts lexicographically decreasing."""
         return tuple(self._columns.get(p, {}).items())
 
-    @cached_property
-    def _cells(self) -> dict[tuple[int, int], dict[MultiIndex, int]]:
-        """Nonzero ranks per cell, {(p, i): {A: rank}}, in one pass over the
-        columns: cells sorted, each listing its blocks in column order."""
-        cells: dict[tuple[int, int], dict[MultiIndex, int]] = {}
+    def cell_blocks(self) -> Iterator[tuple[int, int, list[tuple[MultiIndex, int]]]]:
+        """The nonzero per-index ranks cell by cell, (p, i, [(A, rank), ...]),
+        in one pass over the columns: cells sorted, each listing its blocks in
+        column order."""
         for p, column in self._columns.items():
-            by_degree: dict[int, dict[MultiIndex, int]] = {}
+            by_degree: dict[int, list[tuple[MultiIndex, int]]] = {}
             for A, poly in column.items():
                 for i, c in poly.items():
-                    by_degree.setdefault(i, {})[A] = c
+                    by_degree.setdefault(i, []).append((A, c))
             for i in sorted(by_degree):
-                cells[p, i] = by_degree[i]
-        return cells
-
-    def breakdown(self, p: int, i: int) -> dict[MultiIndex, int]:
-        return dict(self._cells.get((p, i), {}))
+                yield p, i, by_degree[i]
 
     def rank(self, p: int, i: int) -> int:
-        # a point query scans its column: callers such as the stable cells read
-        # a few cells per table, and the cell index would outweigh the table
+        # point queries scan their column: callers such as the stable cells read
+        # a few cells per table, and a cell index would outweigh the table
         return sum(poly.coefficient(i) for poly in self._columns.get(p, {}).values())
+
+    def breakdown(self, p: int, i: int) -> dict[MultiIndex, int]:
+        ranks = ((A, poly.coefficient(i)) for A, poly in self._columns.get(p, {}).items())
+        return {A: r for A, r in ranks if r}
 
     def total(self) -> GradedDims:
         return integer_combination([(1, poly) for _, poly in self.blocks], 1)
 
     def cells(self) -> Iterator[tuple[int, int, int]]:
         """Nonzero (p, i, rank) triples, sorted."""
-        for (p, i), ranks in self._cells.items():
-            r = sum(ranks.values())
+        for p, i, blocks in self.cell_blocks():
+            r = sum(c for _, c in blocks)
             if r:
                 yield p, i, r
 

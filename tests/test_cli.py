@@ -2,6 +2,10 @@ import csv
 import io
 import json
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from conres import cli
 from conres.cli import OutputDocument, main
 from conres.stab import MAX_TABLE_N
@@ -159,6 +163,53 @@ def test_json_round_trip(capsys):
     assert doc.payload["n"] == 4
     cell_keys = {tuple(sorted(c)) for c in doc.payload["cells"]}
     assert cell_keys == {("blocks", "p", "q", "rank")}
+
+
+# keys with every character json escapes, beside ordinary and non-ASCII ones
+_keys = st.text(st.sampled_from(',"\\/\n\t\x00\x1f\x7f aZé☃\U0001f600') | st.characters(), max_size=4)
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**200), 2**200)
+    | st.floats()
+    | st.sampled_from([-0.0, 1e300, -1e-300])
+    | _keys
+)
+_documents = st.recursive(
+    _scalars, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_keys, inner, max_size=4), max_leaves=40
+)
+
+
+@settings(max_examples=200)
+@given(_documents)
+def test_json_writer_matches_the_stdlib_indenter(value):
+    assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {},
+        [],
+        {"a": {}},
+        [[]],
+        {"a": [{"b": {}}]},
+        [[[[]]]],
+        {"a": {"b": {"c": []}, "d": 1}},
+        {"only": []},
+        {"only": {}},
+        [{}, {}, {}],
+        [[1, 2], {"x": [3, {"y": None}]}, [], 4],
+        7,
+        -(2**100),
+        "x",
+        None,
+        1.5,
+    ],
+)
+def test_json_writer_fixed_cases(value):
+    assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
 def test_polynomials_serialize_ascending(capsys):

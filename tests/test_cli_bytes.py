@@ -2,10 +2,12 @@
 
 Every performance change must leave the CLI's output unchanged to the byte.
 This file holds the digests of the json documents of ``table`` (both views)
-for n = 2..16 (past 10 with ``--max-n``, where the free part of an index
-reaches dimension 11; n = 14..16 are the largest tables of the ``table``
-benchmark), ``link`` for n = 3..10, ``verify`` for n = 2..12
-(past 10 with ``--max-n``, up to the largest n of the ``verify`` benchmark)
+for n = 2..16, 18 and 20 (past 10 with ``--max-n``, where the free part of an
+index reaches dimension 11; n = 14..16 are the largest tables of the
+``table`` benchmark, and the documents of n = 18 and 20, 1.9 and 4 MB, are
+the largest the json writer is pinned on), ``link`` for n = 3..10,
+``verify`` for n = 2..12 (past 10 with ``--max-n``, up to the largest n of
+the ``verify`` benchmark)
 and one sample each of ``gamma``, ``order`` and ``stab``, and of the md and
 csv renderings of ``table --n 5`` (both views, and by total degree) and
 ``table --n 9`` (both views),
@@ -50,6 +52,10 @@ DIGESTS = {
     "table --n 15 --max-n 16 --view hom --format json": "f071f0769e1e97079419798b41eafdd5893312351c7464cbce88fbc2cf8b7de0",
     "table --n 16 --max-n 16 --view cohom --format json": "760d464457b5ca70b26d235f98bff5d9de765545d0584e85cfa751ac58a29b7e",
     "table --n 16 --max-n 16 --view hom --format json": "53d4ef7c95bd99f53838e2af129635f4fda3c51e43dec4d9d2a93cd1d846ce2c",
+    "table --n 18 --max-n 20 --view cohom --format json": "efd2ec47a0cb1b2c6cdfbd6e5989ef7d9f5fe90183e70d183eddcc9f3aafaa82",
+    "table --n 18 --max-n 20 --view hom --format json": "516256dee9e91feed37809e401885cd810208097f285960ac3b65f3ad16d6bbd",
+    "table --n 20 --max-n 20 --view cohom --format json": "1560f8325b842b23a4545c883cb2343211a1886c20e9b025d0deb9945cb3b1f3",
+    "table --n 20 --max-n 20 --view hom --format json": "f6eeb44b2dfb023b5af5b534f661881980ef7e7c43853f8d6fb1a35d8c7f6284",
     "table --n 2 --view cohom --format json": "04467773f6f60490c51e9c437060d98807b44ac4f90eec78f2de55be0a216df5",
     "table --n 2 --view hom --format json": "213c0118e399b141758d991cd3a5b46687febf59fa353de78f2e625b6473d0c2",
     "table --n 3 --view cohom --format json": "f11ebcfbc20730ad1da24cd305e36acac623906b6fc07a7de3cd2ad5f638f077",

@@ -469,6 +469,19 @@ def test_columns_agree_with_a_rescan_of_the_blocks():
             assert table.block(A) == poly
 
 
+def test_the_cell_walk_agrees_with_the_column_scans():
+    for n in range(2, 13):
+        table = spectral_table(n)
+        walk = list(table.cell_blocks())
+        occupied = {(A.complexity, i) for A, poly in table.blocks for i, _ in poly.items()}
+        assert [(p, i) for p, i, _ in walk] == sorted(occupied)
+        for p, i, blocks in walk:
+            # breakdown scans the column, so it lists the blocks in column order
+            assert list(table.breakdown(p, i).items()) == blocks
+        sums = [(p, i, sum(r for _, r in blocks)) for p, i, blocks in walk]
+        assert list(table.cells()) == [cell for cell in sums if cell[2]]
+
+
 def test_table_groups_blocks_given_in_any_order():
     for n in (5, 6):
         table = spectral_table(n)
