@@ -18,7 +18,15 @@ The pending monomials sit in a heap that pops the largest one first: every
 monomial a rewrite produces is smaller than the one it came from, so a popped
 monomial never comes back and is rewritten at most once.  The relations are
 homogeneous and the quotient is zero above degree ``n(n-1)/2``, so monomials of
-higher degree are dropped at once.
+higher degree are dropped at once; ``cup`` sorts one factor by degree and never
+forms them.  While rewriting, a monomial is one integer key: the exponent of
+``c^i`` in bits ``[b(i-1), b*i)``, with ``b = (n(n-1)).bit_length()``.  Each
+exponent of a monomial of degree at most ``n(n-1)/2`` is below ``2^(b-1)``, so
+no field carries into the next: a product or a rewrite is one integer addition,
+and integer order is the lex order above (the heap holds negated keys).  The
+spare top bit of a field tests the staircase: adding ``2^(b-1) - 1 - (n - i)``
+to the field of ``c^i`` sets it iff the exponent exceeds ``n - i``.  Keys are
+decoded only when a result is returned.
 
 Degree-2 classes are integer sequences ``(a_1, ..., a_n)`` (meaning
 ``sum a_i c^i``) modulo constant sequences.  Their *order* is the degree of the
@@ -30,9 +38,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
-from operator import add
 from typing import Iterator, Mapping, Sequence
 
 from .qcombinat import QPoly, divide_out, q_pochhammer, signed_sum_str
@@ -55,59 +63,69 @@ def _within_staircase(mono: Monomial, n: int) -> bool:
 
 
 @cache
-def _rewrite_products(n: int, k: int) -> tuple[Monomial, ...]:
-    """Monomials of h_{n-k+1}(c^1, ..., c^k) other than (c^k)^{n-k+1}.
+def _layout(n: int) -> tuple[int, int, int]:
+    # key width b, the staircase offsets and the mask of each field's top bit
+    b = max(1, (n * (n - 1)).bit_length())
+    offsets = sum(((1 << (b - 1)) - 1 - (n - i)) << (b * (i - 1)) for i in range(1, n + 1))
+    return b, offsets, sum(1 << (b * i - 1) for i in range(1, n + 1))
+
+
+def _encode(mono: Monomial, b: int) -> int:
+    return sum(e << (b * i) for i, e in enumerate(mono))
+
+
+def _decode(key: int, n: int, b: int) -> Monomial:
+    return tuple((key >> (b * i)) & ((1 << b) - 1) for i in range(n))
+
+
+@cache
+def _rewrite_products(n: int, k: int) -> tuple[int, ...]:
+    """Keys of the monomials of h_{n-k+1}(c^1, ..., c^k) other than
+    (c^k)^{n-k+1}.
 
     Each appears with coefficient 1 in the relation, so the rewrite replaces
     (c^k)^{n-k+1} by minus their sum.
     """
-    d = n - k + 1
-    out = []
-    for combo in itertools.combinations_with_replacement(range(k), d):
-        mono = [0] * n
-        for var in combo:
-            mono[var] += 1
-        mono_t = tuple(mono)
-        if mono_t != tuple(0 if i != k - 1 else d for i in range(n)):
-            out.append(mono_t)
-    return tuple(out)
+    b = _layout(n)[0]
+    combos = itertools.combinations_with_replacement(range(k), n - k + 1)
+    # the last combination is (c^k)^{n-k+1} itself
+    return tuple(sum(1 << (b * var) for var in combo) for combo in combos)[:-1]
 
 
-def _heap_key(mono: Monomial) -> Monomial:
-    # heapq pops the least key first; this key pops the largest monomial in
-    # lex order with c^n most significant
-    return tuple(-e for e in reversed(mono))
-
-
-def _reduce(terms: Mapping[Monomial, int], n: int) -> dict[Monomial, int]:
-    top = n * (n - 1) // 2
+def _reduce(terms: Mapping[int, int], n: int) -> dict[Monomial, int]:
+    # keys of degree at most n(n-1)/2 in, exponent tuples of the staircase out
+    b, offsets, overflow = _layout(n)
     # pending coefficients; an entry that cancels to 0 stays until popped, so
-    # each monomial enters the heap at most once
-    work = {m: c for m, c in terms.items() if c and sum(m) <= top}
-    heap = [(_heap_key(m), m) for m in work]
+    # each key enters the heap at most once
+    work = {key: c for key, c in terms.items() if c}
+    # heapq pops the least item first: negated keys pop the largest monomial
+    heap = [-key for key in work]
     heapq.heapify(heap)
-    result: dict[Monomial, int] = {}
+    pop, push = heapq.heappop, heapq.heappush
+    # indexed by k: (c^k)^{n-k+1} and the keys that replace it
+    extremals = [0] + [(n - k + 1) << (b * (k - 1)) for k in range(1, n + 1)]
+    rewrites = [()] + [_rewrite_products(n, k) for k in range(1, n + 1)]
+    result: dict[int, int] = {}
     while heap:
-        mono = heapq.heappop(heap)[1]
-        coeff = work.pop(mono)
+        key = -pop(heap)
+        coeff = work.pop(key)
         if not coeff:
             continue
-        for k in range(n, 0, -1):
-            if mono[k - 1] > n - k:
-                break
-        else:
-            result[mono] = coeff
+        over = (key + offsets) & overflow
+        if not over:
+            result[key] = coeff
             continue
-        base = list(mono)
-        base[k - 1] -= n - k + 1
-        for product in _rewrite_products(n, k):
-            new_mono = tuple(map(add, base, product))
-            if new_mono in work:
-                work[new_mono] -= coeff
+        # the top bit of the c^k field is bit b*k - 1: rewrite the largest k
+        k = over.bit_length() // b
+        base = key - extremals[k]
+        for product in rewrites[k]:
+            new_key = base + product
+            if new_key in work:
+                work[new_key] -= coeff
             else:
-                work[new_mono] = -coeff
-                heapq.heappush(heap, (_heap_key(new_mono), new_mono))
-    return result
+                work[new_key] = -coeff
+                push(heap, -new_key)
+    return {_decode(key, n, b): c for key, c in result.items()}
 
 
 @dataclass(frozen=True)
@@ -129,6 +147,9 @@ class RingElement:
                 raise ValueError(f"monomial {mono} is not in normal form for n={self.n}")
             if coeff == 0:
                 raise ValueError("zero coefficients must not be stored")
+        for (before, _), (after, _) in zip(self.terms, self.terms[1:]):
+            if not before < after:
+                raise ValueError(f"monomials must increase strictly: {after} follows {before}")
 
     @classmethod
     def _from_dict(cls, n: int, terms: Mapping[Monomial, int]) -> "RingElement":
@@ -184,12 +205,14 @@ def normal_form(expr: Mapping[Monomial, int] | RingElement, n: int) -> RingEleme
     if isinstance(expr, RingElement):
         if expr.n != n:
             raise ValueError("ambient dimensions differ")
-        terms: Mapping[Monomial, int] = expr.as_dict()
-    else:
-        terms = {tuple(m): c for m, c in expr.items()}
-        for mono, coeff in terms.items():
-            _validate_term(mono, coeff, n)
-    return RingElement._from_dict(n, _reduce(terms, n))
+        # the constructor admits only sorted staircase terms
+        return expr
+    terms = {tuple(m): c for m, c in expr.items()}
+    for mono, coeff in terms.items():
+        _validate_term(mono, coeff, n)
+    b, top = _layout(n)[0], n * (n - 1) // 2
+    keys = {_encode(m, b): c for m, c in terms.items() if sum(m) <= top}
+    return RingElement._from_dict(n, _reduce(keys, n))
 
 
 def generator(n: int, i: int) -> RingElement:
@@ -217,12 +240,19 @@ def cup(x: RingElement, y: RingElement) -> RingElement:
     degree, so the product is commutative on the nose."""
     if x.n != y.n:
         raise ValueError("ambient dimensions differ")
-    acc: dict[Monomial, int] = {}
+    n = x.n
+    b, top = _layout(n)[0], n * (n - 1) // 2
+    # y's terms by degree: the products of one term of x that stay within the
+    # top degree come from a prefix
+    by_degree = sorted((sum(m), _encode(m, b), c) for m, c in y.terms)
+    degrees = [d for d, _, _ in by_degree]
+    acc: dict[int, int] = {}
     for m1, c1 in x.terms:
-        for m2, c2 in y.terms:
-            m = tuple(map(add, m1, m2))
-            acc[m] = acc.get(m, 0) + c1 * c2
-    return RingElement._from_dict(x.n, _reduce(acc, x.n))
+        key1 = _encode(m1, b)
+        for _, key2, c2 in by_degree[: bisect_right(degrees, top - sum(m1))]:
+            key = key1 + key2
+            acc[key] = acc.get(key, 0) + c1 * c2
+    return RingElement._from_dict(n, _reduce(acc, n))
 
 
 def staircase_monomials(n: int) -> Iterator[Monomial]:

@@ -2,10 +2,12 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 import pytest
 
+from conres import cohomring
 from conres.cohomring import (
     DegreeTwoClass,
     RingElement,
@@ -74,10 +76,15 @@ def _rref(rows):
     return pivots
 
 
+@cache
+def _relation_pivots(n, d):
+    columns, rows = _relation_rows(n, d)
+    return columns, _rref(rows)
+
+
 def _oracle_reduce(n, d, vector):
     """Reduce a degree-d coefficient vector modulo the symmetric ideal."""
-    columns, rows = _relation_rows(n, d)
-    pivots = _rref(rows)
+    columns, pivots = _relation_pivots(n, d)
     vec = [Fraction(0)] * len(columns)
     for mono, coeff in vector.items():
         vec[columns[mono]] += coeff
@@ -119,10 +126,14 @@ def test_oracle_quotient_dimensions(n):
     assert _oracle_quotient_dims(n) == dict(ring_poincare(n).items())
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_normal_form_agrees_with_oracle_on_random_pairs(n):
     rng = random.Random(7 * n)
-    monos = list(staircase_monomials(n)) + _monomials_of_degree(n, 2) + _monomials_of_degree(n, 3)
+    # the oracle's row reduction at n = 5 takes about 1 s in degree 5 and 4 s
+    # in degree 6, so there the staircase is cut at degree 5
+    top = 5 if n == 5 else n * (n - 1) // 2
+    staircase = [m for m in staircase_monomials(n) if sum(m) <= top]
+    monos = staircase + _monomials_of_degree(n, 2) + _monomials_of_degree(n, 3)
     for _ in range(25):
         x = {rng.choice(monos): rng.randint(-3, 3) for _ in range(3)}
         y = {rng.choice(monos): rng.randint(-3, 3) for _ in range(3)}
@@ -173,6 +184,17 @@ def test_normal_form_idempotent_and_linear():
         for m, c in y.items():
             sum_xy[m] += c
         assert normal_form(dict(sum_xy), n) == nx + ny
+
+
+def test_ring_element_requires_strictly_increasing_monomials():
+    # a repeated monomial once made an element that printed as "c1 - c1", was
+    # not zero, had normal form -c1 and cupped with 1 to 0
+    with pytest.raises(ValueError, match="increase strictly"):
+        RingElement(2, (((1, 0), 1), ((1, 0), -1)))
+    with pytest.raises(ValueError, match="increase strictly"):
+        RingElement(3, (((1, 0, 0), 1), ((0, 1, 0), 2)))
+    element = RingElement(3, (((0, 1, 0), 2), ((1, 0, 0), 1)))
+    assert element == normal_form({(1, 0, 0): 1, (0, 1, 0): 2}, 3)
 
 
 def test_normal_form_rejects_non_integer_coefficients():
@@ -247,6 +269,73 @@ def test_cup_commutative_associative(n, size, rounds):
         x, y, z = (_random_element(n, rng, size) for _ in range(3))
         assert cup(x, y) == cup(y, x)
         assert cup(cup(x, y), z) == cup(x, cup(y, z))
+
+
+def _sample_element(n, rng, monos, size):
+    monos = sorted(rng.sample(monos, min(size, len(monos))))
+    return RingElement(n, tuple((m, rng.choice((-3, -2, -1, 1, 2, 3))) for m in monos))
+
+
+def _formal_product(x, y):
+    # exponent tuples added term by term, nothing cut
+    out = {}
+    for m1, c1 in x.terms:
+        for m2, c2 in y.terms:
+            mono = tuple(a + b for a, b in zip(m1, m2))
+            out[mono] = out.get(mono, 0) + c1 * c2
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_cup_is_the_normal_form_of_the_formal_product(n):
+    rng = random.Random(300 + n)
+    top = n * (n - 1) // 2
+    staircase = list(staircase_monomials(n))
+    # two terms from the upper half have a product past the top degree
+    upper = [m for m in staircase if 2 * sum(m) > top]
+    past_top = 0
+    for size in (1, 4, 25):
+        for pool in (staircase, upper):
+            x, y = (_sample_element(n, rng, pool, size) for _ in range(2))
+            product = _formal_product(x, y)
+            past_top += any(sum(m) > top for m in product)
+            assert cup(x, y) == normal_form(product, n)
+    assert past_top >= 3
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_exponents_at_the_top_degree_match_the_oracle(n):
+    # the largest exponent a key holds is n(n-1)/2: monomials with one
+    # exponent there, normal forms and cups of every staircase pair
+    top = n * (n - 1) // 2
+    for i in range(n):
+        for exponent in (top, top + 1):
+            raw = {tuple(exponent if j == i else 0 for j in range(n)): 1}
+            assert _oracle_is_zero(n, _difference(raw, normal_form(raw, n).as_dict()))
+    for m1, m2 in itertools.product(staircase_monomials(n), repeat=2):
+        x, y = RingElement(n, ((m1, 2),)), RingElement(n, ((m2, -1),))
+        assert _oracle_is_zero(n, _difference(_formal_product(x, y), cup(x, y).as_dict()))
+
+
+def test_cup_hands_reduce_only_products_up_to_the_top_degree(monkeypatch):
+    n, top = 6, 15
+    rng = random.Random(61)
+    staircase = list(staircase_monomials(n))
+    x, y = _sample_element(n, rng, staircase, 300), _sample_element(n, rng, staircase, 60)
+    received = []
+    reduce = cohomring._reduce
+
+    def recording_reduce(terms, n):
+        received.extend(terms)
+        return reduce(terms, n)
+
+    monkeypatch.setattr(cohomring, "_reduce", recording_reduce)
+    cup(x, y)
+    width = cohomring._layout(n)[0]
+    monos = [cohomring._decode(key, n, width) for key in received]
+    assert max(sum(m) for m in monos) <= top
+    assert len(received) < len(x.terms) * len(y.terms)
+    assert set(monos) == {m for m in _formal_product(x, y) if sum(m) <= top}
 
 
 # --------------------------------------------------------------------------
