@@ -32,9 +32,7 @@ block of size d is read and by the oracle's free orbit below; so, as in
 ``gauss_multinomial``, those factors are never built.  The trace is
 prod_{d<i<=n} (1 - q^i) with the factors 1 - q^{c j}, j <= a, of every block
 cycle divided out one by one, each a running sum with stride c j.  A class is
-read only if it is one of ``conjugacy_classes(A)``.  ``class_average`` takes
-the S(A) averages, weighted by a character: the quotient homology, and the
-class-average oracle for the blocks of ``resolution``.
+read only if it is one of ``conjugacy_classes(A)``.
 
 ``gamma_trace_naive`` is the guard for all of this: it averages coinvariant
 traces over an explicit enumeration of W_A and must agree with ``gamma_trace``
@@ -49,9 +47,16 @@ group (the free part, or a fixed block) sigma is the identity and the counts
 are the classical a! / z_lambda; every orbit of two or more groups is
 enumerated in full.  It uses neither the uniform composite nor the collapse
 above.  z_lambda (``centralizer_order``) is the one input the oracle shares
-with ``_collapsed_denominator``; ``tests/test_flagchar.py::
-test_one_group_orbits_count_each_cycle_type_by_its_class_size`` guards it by
-enumerating S_a for a <= 8.
+with ``_collapsed_denominator`` and ``_cycle_average``;
+``tests/test_flagchar.py::test_one_group_orbits_count_each_cycle_type_by_its_class_size``
+guards it by enumerating S_a for a <= 8.
+
+A class of S(A) is one cycle type lambda |- m per part size a of multiplicity
+m, and its trace, size and sign factor over the part sizes.  So the weighted
+S(A) average of the traces at n = |A| is prod_{i<=|A|} (1 - q^i) times one
+S_m average per (a, m), ``_cycle_average``: ``_own_size_average`` builds the
+quotient homology so, and, with h_a(q^c) per block cycle, ``resolution``'s
+blocks.  ``class_average`` over ``gamma_trace`` is the class-by-class oracle.
 """
 
 from __future__ import annotations
@@ -73,6 +78,7 @@ from .qcombinat import (
     centralizer_order,
     conjugacy_classes,
     divide_out,
+    gauss_multinomial,
     integer_combination,
     partitions,
     q_pochhammer,
@@ -204,22 +210,58 @@ def gamma_trace_naive(
     return integer_combination(pairs, group_order)
 
 
+def _weight(chi: str, sign: int) -> int:
+    """``chi`` at a class of permutation sign ``sign``: the one check of a character name."""
+    if chi not in CHARACTERS:
+        raise ValueError(f"unknown character {chi!r}; expected one of {CHARACTERS}")
+    return sign if chi == "sign" else 1
+
+
 def class_average(A: MultiIndex, trace: Callable[[BlockClass], _P], chi: str = "trivial") -> _P:
     """Average of a class function over the group S(A) permuting equal blocks,
     weighted by the character ``chi``: the sum of chi(cls) * class_size *
-    trace(cls) / |S(A)| over its classes.  The character scales the integer
-    class size, never the trace.  The result's coefficients are ranks: a
-    negative one raises :class:`ConsistencyError`."""
-    if chi not in CHARACTERS:
-        raise ValueError(f"unknown character {chi!r}; expected one of {CHARACTERS}")
-    pairs = [
-        ((cls.sign if chi == "sign" else 1) * cls.class_size, trace(cls))
-        for cls in conjugacy_classes(A)
-    ]
+    trace(cls) / |S(A)| over its classes, where chi scales the integer class
+    size, never the trace.  A negative rank raises :class:`ConsistencyError`."""
+    pairs = [(_weight(chi, cls.sign) * cls.class_size, trace(cls)) for cls in conjugacy_classes(A)]
     result = integer_combination(pairs, A.symmetry_order)
     if not result.nonnegative():
         raise ConsistencyError(f"negative rank in the class average over S({A})")
     return result
+
+
+@cache
+def _cycle_average(a: int, m: int, factor: Callable[[int], QPoly] | None, chi: str) -> QPoly:
+    """D_{a,m} = prod_{k <= m, j <= a} (1 - q^{kj}) times the chi-weighted S_m
+    average, over the cycle types lambda of m, of prod_{c in lambda} F(q^c) /
+    prod_{j <= a} (1 - q^{cj}), with F = ``factor(a)``, or 1 if ``factor``
+    is None.  Each quotient is exact, and the character scales the integer
+    class size m! / z_lambda."""
+    denominator = prod((q_pochhammer(a).substitute_power(k) for k in range(1, m + 1)), start=QPoly.one())
+    pairs = []
+    for lam in partitions(m):
+        term = divide_out(denominator, [c * j for c in lam for j in range(1, a + 1)])
+        if factor:
+            term = prod((factor(a).substitute_power(c) for c in lam), start=term)
+        weight = _weight(chi, (-1) ** (m - len(lam))) * (factorial(m) // centralizer_order(lam))
+        pairs.append((weight, term))
+    return integer_combination(pairs, factorial(m))
+
+
+def _own_size_average(A: MultiIndex, factor: Callable[[int], QPoly] | None, chi: str) -> QPoly:
+    """``prod_{i <= s} (1 - q^i) prod_{(a, m)} M_{a,m} / D_{a,m}``, s = |A|,
+    with M_{a,m} = ``_cycle_average(a, m, factor, chi)``.  Every exponent kj
+    of E_A = {kj : k <= m, j <= a} is at most s, so each distinct one
+    cancels a factor of prod_{i <= s} (1 - q^i) before the product, and the
+    rest of E_A is divided out after it; a remainder raises."""
+    exponents = [k * j for a, m in A.multiplicities() for k in range(1, m + 1) for j in range(1, a + 1)]
+    distinct = set(exponents)
+    run = 0  # 1..run lie in E_A: q_pochhammer(s, run) has cancelled them unbuilt
+    while run + 1 in distinct:
+        run += 1
+    numerator = divide_out(q_pochhammer(A.size, run), sorted(e for e in distinct if e > run))
+    for a, m in A.multiplicities():
+        numerator = numerator * _cycle_average(a, m, factor, chi)
+    return divide_out(numerator, (Counter(exponents) - Counter(distinct)).elements())
 
 
 def gamma_poincare(A: MultiIndex, n: int, chi: str = "trivial") -> QPoly:
@@ -227,6 +269,11 @@ def gamma_poincare(A: MultiIndex, n: int, chi: str = "trivial") -> QPoly:
     *unordered* orthogonal collections of shape ``A`` in C^n, with constant
     coefficients (``chi="trivial"``) or with the rank-1 local system where a
     loop permuting equal blocks acts by the permutation sign (``chi="sign"``):
-    the class average of the flag trace weighted by chi.
-    """
-    return class_average(A, lambda cls: gamma_trace(A, n, cls), chi)
+    the factored S(A) average at n = |A|, lifted to a free part d = n - |A|
+    > 0 by ``[n; |A|]_q``.  A negative rank raises :class:`ConsistencyError`."""
+    result = _own_size_average(A, None, chi)
+    if A.liberty(n):
+        result = result * gauss_multinomial(n, (A.size,))
+    if not result.nonnegative():
+        raise ConsistencyError(f"negative rank in the {chi} homology of unordered {A} in C^{n}")
+    return result

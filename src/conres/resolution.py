@@ -20,18 +20,11 @@ complement.  That identity drives everything here:
   polynomial in q = t^2, so the engine builds each block in q, at half the
   length of its t-graded form, and moves it to t once, at the table edge;
 * a block factors through an n-independent series: the block of an index A
-  of two or more parts at its own size s = |A| is
-
-      t^{#A - 1} prod_{i <= s} (1 - t^{2i}) prod_{(a, m)} N_{a,m} / D_{a,m},
-
-  one factor per part size a of multiplicity m: D_{a,m} =
-  prod_{k <= m, j <= a} (1 - t^{2kj}), and N_{a,m} / D_{a,m} is the average
-  over the cycle types lambda of S_m of prod_{c in lambda} h_a(t^c) /
-  prod_{j <= a} (1 - t^{2cj}).  Each N_{a,m} is built once, in q.  The
-  exponents of the D_{a,m} never exceed s, so each distinct one cancels a
-  factor of prod_{i <= s} (1 - t^{2i}) before the product; each own-size
-  block is then one product and one exact ``divide_out`` by the rest,
-  checked for negative ranks;
+  of two or more parts at its own size s = |A| is t^{sigma_A} times the
+  S(A) average of the flag trace times H_a(q^c) per block cycle (c, a), in
+  the factored form ``flagchar._own_size_average`` builds for the quotient
+  homology too: prod_{i <= s} (1 - q^i) prod_{(a, m)} N_{a,m} / D_{a,m},
+  one product and one exact ``divide_out``, checked here for negative ranks;
 * ``block_poincare`` lifts the block at its own size to a free part
   d = n - |A| > 0 by ``t^{d^2} [n; |A|]_{t^2}``, one factor per (n, |A|);
 * ``_top_block`` builds the top block (a), the open cone on the link of
@@ -44,10 +37,10 @@ complement.  That identity drives everything here:
   ``verify`` re-checks every identity the construction is supposed to
   satisfy.
 
-The class average over S(A) of flag trace (``flagchar.gamma_trace``) times
-fiber trace (:func:`fiber_char`) is the same block by another route; it is
-kept as an oracle, like ``flagchar.gamma_trace_naive``, and the tests compare
-the two routes on every block below the top one for n <= 12.
+The class-by-class average over S(A) of flag trace (``flagchar.gamma_trace``)
+times fiber trace (:func:`fiber_char`) is the same block by another route; it
+is kept as an oracle, like ``flagchar.gamma_trace_naive``, and the tests
+compare the two routes on every block below the top one for n <= 12.
 
 Degree bookkeeping.  Each shift has one owner.  :func:`_parity` is the
 t-parity ``(n + 1) mod 2`` of every block of the table for n, which
@@ -89,7 +82,6 @@ symmetric.  Among n = 3..14 the link is palindromic exactly when n is not
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import factorial
@@ -104,14 +96,11 @@ from .qcombinat import (
     MultiIndex,
     QPoly,
     block_cycles,
-    centralizer_order,
     conjugacy_classes,
-    divide_out,
     gauss_multinomial,
     integer_combination,
     multiindices,
     partitions,
-    q_pochhammer,
 )
 
 
@@ -141,59 +130,23 @@ def _parity(n: int) -> int:
 
 
 @cache
-def _numerator(a: int, m: int) -> QPoly:
-    """N_{a,m} in q = t^2: the S_m class average of prod_{c in lambda} H_a(q^c)
-    / prod_{c in lambda, j <= a} (1 - q^{cj}) over the cycle types lambda of
-    m equal parts of size a, times the common denominator D_{a,m} =
-    prod_{k <= m, j <= a} (1 - q^{kj}).  Each quotient is exact, and N_{a,m}
-    does not depend on the ambient dimension.  In t it is shifted by
-    ``t^{_parity(a) m}``, the same for every lambda since sum(lambda) = m."""
-    denominator = QPoly.one()
-    for k in range(1, m + 1):
-        denominator = denominator * q_pochhammer(a).substitute_power(k)
-    top = _top_block(a)
-    pairs = []
-    for lam in partitions(m):
-        term = divide_out(denominator, [c * j for c in lam for j in range(1, a + 1)])
-        for c in lam:
-            term = term * top.substitute_power(c)
-        pairs.append((factorial(m) // centralizer_order(lam), term))
-    return integer_combination(pairs, factorial(m))
-
-
-@cache
 def _own_size_block(A: MultiIndex) -> QPoly:
     """The block of index ``A`` at its own size s = |A|, as B in q with block
     = ``t^{_parity(s)} B(t^2)``: :func:`_top_block` for a single part, else
-    ``t^{sigma_A} prod_{i <= s} (1 - q^i) prod_{(a, m)} N_{a,m} / D_{a,m}``,
-    one factor (a, m) per part size a of multiplicity m, where sigma_A = #A
-    - 1 + sum_a _parity(a) m_a is the t-shift of the Euclidean factor and the
-    numerators.  Every exponent kj of E_A = {kj : k <= m, j <= a} is at most
-    s, so each distinct one cancels a factor of prod_{i <= s} (1 - q^i)
-    before the product, and the rest of E_A is divided out after it.  A
-    remainder or a negative rank raises :class:`ConsistencyError`, and so
-    does a sigma_A of the wrong parity: for valid input sigma_A = (number of
-    odd parts) - 1 = s + 1 (mod 2) by construction, so that check guards
-    the shift formula against edits."""
+    ``t^{sigma_A}`` times ``flagchar._own_size_average`` with the factor
+    :func:`_top_block`, where sigma_A = #A - 1 + sum_a _parity(a) m_a is the
+    t-shift of the Euclidean factor and the numerators N_{a,m}.  A remainder
+    or a negative rank raises :class:`ConsistencyError`, and so does a
+    sigma_A of the wrong parity: for valid input sigma_A = (number of odd
+    parts) - 1 = s + 1 (mod 2) by construction, so that check guards the
+    shift formula against edits."""
     s = A.size
     if A.length == 1:
         return _top_block(s)
-    shift = A.length - 1
-    exponents = []
-    for a, m in A.multiplicities():
-        shift += _parity(a) * m
-        exponents += [k * j for k in range(1, m + 1) for j in range(1, a + 1)]
+    shift = A.length - 1 + sum(_parity(a) * m for a, m in A.multiplicities())
     if (shift - _parity(s)) % 2:
         raise ConsistencyError(f"parity violation in the block of {A} at n={s}")
-    distinct = set(exponents)
-    run = 0  # 1..run lie in E_A: q_pochhammer(s, run) has cancelled them unbuilt
-    while run + 1 in distinct:
-        run += 1
-    numerator = divide_out(q_pochhammer(s, run), sorted(e for e in distinct if e > run))
-    for a, m in A.multiplicities():
-        numerator = numerator * _numerator(a, m)
-    rest = (Counter(exponents) - Counter(distinct)).elements()
-    block = divide_out(numerator, rest).times_power((shift - _parity(s)) // 2)
+    block = flagchar._own_size_average(A, _top_block, "trivial").times_power((shift - _parity(s)) // 2)
     if not block.nonnegative():
         raise ConsistencyError(f"negative rank in the block of {A} at n={s}")
     return block

@@ -335,8 +335,11 @@ def test_gamma_poincare_examples():
     assert gamma_poincare(A, 4, "sign") == QPoly({1: 1, 2: 1, 3: 1})
     B = MultiIndex((3, 2))
     assert gamma_poincare(B, 5, "trivial") == gauss_multinomial(5, (3, 2))
-    with pytest.raises(ValueError):
+    # one check of a character name serves both routes
+    with pytest.raises(ValueError, match="unknown character 'alternating'"):
         gamma_poincare(A, 4, "alternating")
+    with pytest.raises(ValueError, match="unknown character 'alternating'"):
+        flagchar.class_average(A, lambda cls: gamma_trace(A, 4, cls), "alternating")
 
 
 def test_isotypic_parts_reconstruct_full_trace_for_two_blocks():
@@ -379,6 +382,38 @@ def test_gamma_poincare_nonnegative():
         for A in multiindices(n, n - 1):
             for chi in ("trivial", "sign"):
                 assert gamma_poincare(A, n, chi).nonnegative()
+
+
+def test_gamma_poincare_matches_the_class_average_of_the_flag_traces():
+    # the factored S(A) average against the per-class oracle, at every free
+    # part d = n - |A| and for both characters
+    checked = 0
+    for n in range(2, 15):
+        for A in multiindices(n, n - 1):
+            for chi in flagchar.CHARACTERS:
+                oracle = flagchar.class_average(A, lambda cls: gamma_trace(A, n, cls), chi)
+                assert gamma_poincare(A, n, chi) == oracle, (A, n, chi)
+                checked += 1
+    assert checked == 986
+
+
+def test_gamma_poincare_takes_no_class_average(monkeypatch):
+    # the quotient homology is the factored average, never a sum over the
+    # classes of S(A)
+    def no_trace(A, n, cls):
+        raise AssertionError(f"gamma_trace({A}, {n}, {cls})")
+
+    def no_average(A, trace, chi="trivial"):
+        raise AssertionError(f"class average over S({A})")
+
+    monkeypatch.setattr(flagchar, "gamma_trace", no_trace)
+    monkeypatch.setattr(flagchar, "class_average", no_average)
+    flagchar._cycle_average.cache_clear()
+    for n in range(2, 9):
+        for A in multiindices(n, n - 1):
+            for chi in flagchar.CHARACTERS:
+                assert gamma_poincare(A, n, chi).nonnegative()
+    assert gamma_poincare(MultiIndex((2, 2)), 4, "sign") == QPoly({1: 1, 2: 1, 3: 1})
 
 
 def test_gamma_character_table():

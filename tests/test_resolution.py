@@ -421,14 +421,14 @@ def test_verify_collects_a_check_that_raises(monkeypatch):
 
 
 #: Every memo of the block engine: the tables, the open-cone series in t and
-#: in q, the own-size blocks, the numerators N_{a,m}, the size sums and the
-#: lifts.
+#: in q, the own-size blocks, the cycle-type averages (the numerators
+#: N_{a,m}), the size sums and the lifts.
 _ENGINE_MEMOS = (
     spectral_table,
     h_poly,
     resolution._top_block,
     resolution._own_size_block,
-    resolution._numerator,
+    flagchar._cycle_average,
     resolution._size_sum,
     resolution._lift,
 )
@@ -568,7 +568,7 @@ def test_a_cold_table_builds_no_smaller_table(monkeypatch, fresh_tables):
     assert resolution._own_size_block.cache_info().currsize == indices
     assert resolution._top_block.cache_info().currsize == 11
     assert len(lifts) == len(set(lifts)) == resolution._lift.cache_info().currsize
-    assert resolution._numerator.cache_info().hits > 0
+    assert flagchar._cycle_average.cache_info().hits > 0
 
 
 def _n_independent_block(A, n):
@@ -674,15 +674,13 @@ def test_an_own_size_shift_of_the_wrong_parity_raises(monkeypatch, fresh_tables)
 
 
 def test_a_negative_class_average_raises(monkeypatch, fresh_tables):
-    # a negated numerator N_{a,m} (an S_m class average) makes the own-size
-    # block raise, and negated flag traces make the quotient homology raise:
-    # neither route may return a negative rank
-    real_numerator = resolution._numerator
-    monkeypatch.setattr(resolution, "_numerator", lambda a, m: -real_numerator(a, m))
+    # a negated cycle-type average (an S_m class average, the one both routes
+    # share) makes the own-size block and the quotient homology raise:
+    # neither may return a negative rank
+    real_average = flagchar._cycle_average
+    monkeypatch.setattr(flagchar, "_cycle_average", lambda *args: -real_average(*args))
     with pytest.raises(ConsistencyError, match="negative rank in the block of"):
         block_poincare(MultiIndex((2, 2)), 4)
-    real = flagchar.gamma_trace
-    monkeypatch.setattr(flagchar, "gamma_trace", lambda A, n, cls: -real(A, n, cls))
     for chi in ("trivial", "sign"):
         with pytest.raises(ConsistencyError, match="negative rank"):
             gamma_poincare(MultiIndex((2, 2)), 4, chi)
