@@ -25,8 +25,9 @@ blocks contributes the partition-averaged factor
 Over the common denominator prod_{j<=a}(1 - q^{c j}) every such factor sums
 to exactly 1 (the Molien series of the permutation action of S_a on a
 polynomial ring).  Each c > 1 is the q -> q^c image of c = 1, so the collapse
-is checked once per block size a: the S_a class average of
-``coinvariant_trace(a, lambda)`` is 1.  sigma fixes the free part, whose S_d
+is checked once per block size a, by the shared S_m average below:
+``_cycle_average(1, a, None, "trivial")``, the S_a class average of the
+coinvariant traces, is 1.  sigma fixes the free part, whose S_d
 averages to 1 / prod_{j<=d} (1 - q^j) by the same collapse, checked where a
 block of size d is read and by the oracle's free orbit below; so, as in
 ``gauss_multinomial``, those factors are never built.  The trace is
@@ -47,7 +48,7 @@ group (the free part, or a fixed block) sigma is the identity and the counts
 are the classical a! / z_lambda; every orbit of two or more groups is
 enumerated in full.  It uses neither the uniform composite nor the collapse
 above.  z_lambda (``centralizer_order``) is the one input the oracle shares
-with ``_collapsed_denominator`` and ``_cycle_average``;
+with ``_cycle_average``, which the collapse check reads too;
 ``tests/test_flagchar.py::test_one_group_orbits_count_each_cycle_type_by_its_class_size``
 guards it by enumerating S_a for a <= 8.
 
@@ -111,9 +112,9 @@ def coinvariant_trace(n: int, mu: tuple[int, ...]) -> QPoly:
 def _collapsed_denominator(a: int) -> range:
     """Exponents 1..a of the common denominator prod (1 - q^j) of the
     partition-averaged factor of size-a blocks; checks that the factor
-    collapses, i.e. that the S_a class average of the coinvariant traces is 1."""
-    pairs = [(factorial(a) // centralizer_order(lam), coinvariant_trace(a, lam)) for lam in partitions(a)]
-    if integer_combination(pairs, factorial(a)) != QPoly.one():
+    collapses, i.e. that the S_a class average of the coinvariant traces,
+    :func:`_cycle_average` for a parts of size 1, is 1."""
+    if _cycle_average(1, a, None, "trivial") != QPoly.one():
         raise ConsistencyError(f"partition average for a={a} did not collapse to 1")
     return range(1, a + 1)
 
@@ -157,7 +158,7 @@ def _orbit_cycle_types(c: int, a: int) -> tuple[tuple[tuple[int, ...], int], ...
     On one group (c = 1: the free part or a fixed block) sigma is the
     identity, so sigma * u runs over S_a and each cycle type lambda occurs
     a! / z_lambda times (z_lambda is ``centralizer_order``, shared with
-    ``_collapsed_denominator``).  An orbit of c >= 2 groups is enumerated in
+    ``_cycle_average``).  An orbit of c >= 2 groups is enumerated in
     full: u maps each group onto itself and sigma shifts it onto the next,
     so the restriction of sigma * u to a group is one of its a! shifted
     images, built once, and sigma * u is their concatenation."""

@@ -10,10 +10,8 @@ Everything downstream is bookkeeping with two kinds of integer polynomials:
   ``t^j`` is the rank of a (Borel-Moore) homology group in degree ``j``.
 
 The one bridge from q to t is :meth:`QPoly.to_graded`, which doubles every
-exponent (``q = t^2``).  The one step back is the halving of the known total
-of the locus in ``resolution._top_block``: a ``GradedDims`` whose exponents
-share one parity becomes a ``QPoly`` there, and an exponent of the other
-parity raises.  There is deliberately no implicit coercion: off-by-one
+exponent (``q = t^2``); it runs one way, and nothing turns a ``GradedDims``
+back into a ``QPoly``.  There is deliberately no implicit coercion: off-by-one
 degree shifts are the dominant failure mode in this kind of computation,
 and keeping the gradings in separate types makes them impossible to
 confuse silently.

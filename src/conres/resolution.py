@@ -14,7 +14,8 @@ it.  Because the rational homology of every link vanishes in degrees of one
 parity, the resulting spectral table degenerates immediately, so the blocks'
 Borel-Moore Poincare polynomials add up degree-by-degree to those of the
 whole locus -- which are known independently via Alexander duality from the
-complement.  That identity drives everything here:
+complement.  ``verify``'s ``table-total`` checks that identity; the blocks
+are built without it:
 
 * every block of the table for n is ``t^{(n + 1) mod 2}`` times a
   polynomial in q = t^2, so the engine builds each block in q, at half the
@@ -28,9 +29,8 @@ complement.  That identity drives everything here:
 * ``block_poincare`` lifts the block at its own size to a free part
   d = n - |A| > 0 by ``t^{d^2} [n; |A|]_{t^2}``, one factor per (n, |A|);
 * ``_top_block`` builds the top block (a), the open cone on the link of
-  the whole collection, in q: the known total for n = a halved to q, minus
-  the other blocks of size a and the lifted sum of the blocks of each
-  smaller size, with the parity and sign of what is left checked; it is one
+  the whole collection, in q from its closed form, the higher Lie character
+  of one a-cycle; it reads neither the total nor the other blocks, is one
   more index to ``_own_size_block``, and ``h_poly`` is its series in t;
 * ``spectral_table`` lists the lifted blocks of every index of size <= n,
   the top one included, so a cold table builds no smaller table;
@@ -51,9 +51,10 @@ open-cone homology and the h-grading) plus the t-shift ``t^{((a + 1) mod 2)
 m}`` of each N_{a,m}; it checks that sigma_A has the parity of its table
 before halving it to q.  :func:`_lift` owns the
 ``t^{d^2}`` of the Hermitian operators on a free part d (with both edge
-parities folded in), :func:`total_discriminant_poincare` the
-Alexander-duality shift ``t^{n^2 - 1}``, which :func:`_top_block` halves to
-q with a parity check, :func:`link_poincare` the ``t^{-2}`` from the
+parities folded in), :func:`_top_block` the shift q^{(a - 1 - _parity(a))/2}
+of the Lie character, :func:`total_discriminant_poincare` the
+Alexander-duality shift ``t^{n^2 - 1}`` (the total stays in t: nothing
+halves a t-polynomial to q), :func:`link_poincare` the ``t^{-2}`` from the
 open-cone series to the link's reduced homology, and :class:`SpectralTable`
 the relabelling (p, i) -> (-p, n^2 - (i - p) - 1) of the cohomological
 view.  The oracle's :func:`fiber_char` applies ``t^{#A + d^2 - 1}`` to a
@@ -65,10 +66,10 @@ permutation sign) and it reorders the tensor factors of the open-cone
 homology, which is defined only up to the reordering sign (again the
 permutation sign).  Their product is the trivial character, so
 :func:`fiber_char` and N_{a,m} carry no sign and the block reduces to the
-plain trivial-isotypic projection.  Since the top block is the total minus the
-lower blocks, the tables add up to the total by construction; what a wrong
-sign rule breaks is the parity and nonnegativity of the top blocks and the
-independently known link homology, which the golden tests pin.
+plain trivial-isotypic projection.  A wrong sign rule changes the blocks of
+two or more parts but not the closed-form top block, so the table no longer
+adds up to the total and ``table-total`` fails; the golden tests pin the
+link homology too.
 
 Palindromes.  The link polynomial need not be palindromic, and no sign rule
 should make it so.  For even n the swap of the two parts of (n/2, n/2) acts
@@ -82,9 +83,10 @@ symmetric.  Among n = 3..14 the link is palindromic exactly when n is not
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
-from math import factorial
+from math import factorial, prod
 from typing import Callable, Iterator
 
 from . import flagchar
@@ -97,10 +99,11 @@ from .qcombinat import (
     QPoly,
     block_cycles,
     conjugacy_classes,
+    divide_out,
     gauss_multinomial,
     integer_combination,
     multiindices,
-    partitions,
+    q_pochhammer,
 )
 
 
@@ -153,13 +156,6 @@ def _own_size_block(A: MultiIndex) -> QPoly:
 
 
 @cache
-def _size_sum(s: int) -> QPoly:
-    """The sum of the blocks of every index of size s at n = s, (s) included,
-    in q."""
-    return integer_combination([(1, _own_size_block(MultiIndex(p))) for p in partitions(s, 2)], 1)
-
-
-@cache
 def _lift(n: int, s: int) -> QPoly:
     """``t^{(n - s)^2} [n; s]_{t^2}`` in q, which lifts a block of size s from
     n = s to ambient dimension n: the Grassmannian of the collection's span
@@ -198,25 +194,29 @@ def total_discriminant_poincare(n: int) -> GradedDims:
 @cache
 def _top_block(a: int) -> QPoly:
     """H_a, the top block (a) of the table for n = a in q: ``h_a(t) =
-    t^{(a + 1) mod 2} H_a(t^2)``.  It is the known total, halved to q, minus
-    every other block, which are the blocks of size a and the sum of the
-    blocks of each size s < a lifted to n = a.
+    t^{(a + 1) mod 2} H_a(t^2)``.  H_2 = 1, and for a >= 3 H_a is
+    ``q^{(a - 1 - _parity(a))/2} L_a(q)``, the graded multiplicity of the
+    higher Lie character of one a-cycle in the coinvariant algebra
+    (Klyachko, "Lie elements in the tensor algebra", 1974; Gessel and
+    Reutenauer, JCTA 64, 1993):
 
-    The total is halved here, its one crossing from t to q: a degree of the
-    wrong parity raises the parity violation (the exponents n^2 - 1 - 2e of
-    the total have the right one by construction, so the check guards the
-    duality shift against edits), and a negative rank in what is left
-    raises too.  Both are :class:`ConsistencyError`; a failure is not
-    memoized, so the next call rebuilds the top block from memoized parts.
+        L_a(q) = (1/a) sum_{k | a} mu(k) (q;q)_a / (1 - q^k)^{a/k},
+
+    one exact ``divide_out`` per squarefree divisor k and one exact division
+    by a.  It reads neither the total nor the other blocks.  A non-integral
+    rank (a remainder of the division by a) or a negative rank raises
+    :class:`ConsistencyError`; a failure is not memoized.
     """
-    parity = _parity(a)
-    total = total_discriminant_poincare(a)
-    if any((e - parity) % 2 for e in total.support()):
-        raise ConsistencyError(f"parity violation in h-polynomial for a={a}")
-    halved = QPoly({(e - parity) // 2: c for e, c in total.items()})
-    lower = [(-1, _own_size_block(MultiIndex(parts))) for parts in partitions(a, 2)[1:]]
-    lower += [(-1, _lift(a, s) * _size_sum(s)) for s in range(2, a)]
-    top = integer_combination([(1, halved), *lower], 1)
+    if a == 2:
+        return QPoly.one()
+    # a squarefree divisor k is a set of primes of a, and mu(k) = (-1)^{#set}
+    primes = [p for p in range(2, a + 1) if a % p == 0 and all(p % r for r in range(2, p))]
+    pairs = [
+        ((-1) ** len(ps), divide_out(q_pochhammer(a), [prod(ps)] * (a // prod(ps))))
+        for r in range(len(primes) + 1)
+        for ps in itertools.combinations(primes, r)
+    ]
+    top = integer_combination(pairs, a).times_power((a - 1 - _parity(a)) // 2)
     if not top.nonnegative():
         raise ConsistencyError(f"negative rank in h-polynomial for a={a}")
     return top
@@ -229,7 +229,7 @@ def h_poly(a: int) -> GradedDims:
     The coefficient of ``t^i`` is the rank in degree ``i - 1``; for a = 2 the
     cone is a point and the series is ``t``.
 
-    A negative rank or a parity violation falsifies the sign convention and
+    A non-integral or negative rank in the closed form of :func:`_top_block`
     raises :class:`ConsistencyError` rather than being repaired.
     """
     return block_poincare(MultiIndex((a,)), a)
@@ -407,21 +407,21 @@ _Outcome = tuple[str, bool, str]
 def _check_block_parity(n: int, budget: int) -> Iterator[_Outcome]:
     """Every block lives in degrees of the parity opposite to n.  The engine
     builds the blocks in q and fixes this parity at the table edge, so here
-    it holds by construction.  So, for valid input, do the parity checks
-    where a t-shift is halved to q (the total in :func:`_top_block`, each
-    sigma_A in :func:`_own_size_block`): they guard the shift formulas
-    against edits."""
+    it holds by construction.  So, for valid input, does the parity check
+    of each sigma_A in :func:`_own_size_block`, where a t-shift is halved to
+    q: it guards the shift formula against edits."""
     for A, poly in spectral_table(n).blocks:
         bad = [e for e in poly.support() if e % 2 == n % 2]
         yield f"A={A}, n={n}", not bad, f"offending degrees {bad}" if bad else ""
 
 
 def _check_table_total(n: int, budget: int) -> Iterator[_Outcome]:
-    """The blocks add up to the total (true by construction, since the top
-    block is the total minus the lower blocks), and their total rank is n! - 1,
-    the reduced rank of the complete flag manifold.  The rank compares the
-    total with n! independently of how it was built, but it is the t = 1
-    shadow of the total and cannot see a degree shift."""
+    """The blocks add up to the total, and their total rank is n! - 1, the
+    reduced rank of the complete flag manifold.  The two sides are built
+    independently: the blocks from the flag traces and the closed-form top
+    blocks, the total from the complement ring by Alexander duality.  The
+    rank compares the total with n! independently of how it was built, but
+    it is the t = 1 shadow of the total and cannot see a degree shift."""
     expected = total_discriminant_poincare(n)
     got = spectral_table(n).total()
     if got != expected:
@@ -434,8 +434,8 @@ def _check_table_total(n: int, budget: int) -> Iterator[_Outcome]:
 
 
 def _check_h_poly(n: int, budget: int) -> Iterator[_Outcome]:
-    """Each open-cone series up to n has the right parity and nonnegative
-    ranks (both checked when it is built)."""
+    """Each open-cone series up to n builds: its closed form divides exactly
+    by a and has nonnegative ranks (both checked when it is built)."""
     for a in range(2, n + 1):
         try:
             h_poly(a)

@@ -201,18 +201,29 @@ def test_a_split_spelling_of_a_class_is_rejected(call):
 
 def test_the_collapse_check_is_live(monkeypatch):
     # gamma_trace divides out 1 - q^{c j}, j <= a, only because the S_a class
-    # average of the coinvariant traces is 1; a wrong trace must stop it
+    # average of the coinvariant traces is 1; the check reads that average
+    # off the shared cycle-type average, and a wrong term there must stop it
     A = MultiIndex((2, 2))
     swap = _swap_class(A)
-    gamma_trace.cache_clear()
-    flagchar._collapsed_denominator.cache_clear()
-    real = flagchar.coinvariant_trace
+    memos = (gamma_trace, flagchar._collapsed_denominator, flagchar._cycle_average)
+    for memo in memos:
+        memo.cache_clear()
+    real = flagchar.divide_out
 
-    # the transposition traced as the identity: the average is 1 + q
-    broken = lambda n, mu: real(n, (1, 1) if (n, mu) == (2, (2,)) else mu)
-    monkeypatch.setattr(flagchar, "coinvariant_trace", broken)
-    with pytest.raises(ConsistencyError, match="a=2 did not collapse to 1"):
-        gamma_trace(A, 4, swap)
+    # the transposition's term (1 - q)(1 - q^2) / (1 - q^2) divided as the
+    # identity's, by (1 - q)^2: the average is 1 + q
+    def broken(poly, exponents):
+        exponents = list(exponents)
+        return real(poly, [1, 1] if exponents == [2] else exponents)
+
+    monkeypatch.setattr(flagchar, "divide_out", broken)
+    try:
+        with pytest.raises(ConsistencyError, match="a=2 did not collapse to 1"):
+            gamma_trace(A, 4, swap)
+    finally:
+        # the broken average is memoized; later tests must not read it
+        for memo in memos:
+            memo.cache_clear()
 
 
 def test_naive_oracle_examples():
