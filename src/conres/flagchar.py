@@ -45,12 +45,19 @@ The per-orbit counts of cycle types are convolved, which rests on orbit
 restriction: sigma * u maps the points of each orbit onto themselves, so its
 cycle type is the union of those of its restrictions.  On an orbit of one
 group (the free part, or a fixed block) sigma is the identity and the counts
-are the classical a! / z_lambda; every orbit of two or more groups is
-enumerated in full.  It uses neither the uniform composite nor the collapse
-above.  z_lambda (``centralizer_order``) is the one input the oracle shares
-with ``_cycle_average``, which the collapse check reads too;
+are the classical a! / z_lambda.  On an orbit of c >= 2 groups of a points
+all a!^c tuples u are visited, but none is walked point by point: sigma * u
+maps each group onto the next, so every one of its cycles meets the first
+group, and its cycle type is c times that of the composite pi = u_{c-1} o
+... o u_0, the return map to the first group.  pi is formed explicitly for
+each tuple and its cycle type looked up among those of S_a.  The oracle
+uses neither the uniform composite nor the collapse above.  z_lambda
+(``centralizer_order``) is the one input the oracle shares with
+``_cycle_average``, which the collapse check reads too;
 ``tests/test_flagchar.py::test_one_group_orbits_count_each_cycle_type_by_its_class_size``
-guards it by enumerating S_a for a <= 8.
+guards it by enumerating S_a for a <= 8, and
+``test_orbit_counts_equal_the_concatenate_and_walk_reference`` walks every
+orbit of c >= 2 groups within the budget point by point.
 
 A class of S(A) is one cycle type lambda |- m per part size a of multiplicity
 m, and its trace, size and sign factor over the part sizes.  So the weighted
@@ -66,6 +73,7 @@ import itertools
 from collections import Counter
 from functools import cache
 from math import factorial, prod
+from operator import itemgetter
 from typing import Callable, TypeVar
 
 from .qcombinat import (
@@ -89,9 +97,11 @@ _P = TypeVar("_P", QPoly, GradedDims)
 
 #: Largest parabolic group |W_A| the brute-force oracle accepts (8! covers
 #: every multi-index in ambient dimension up to 8).  It bounds the order of
-#: W_A, not the number of permutations enumerated: only the orbits of two or
-#: more groups are enumerated, each shape once, and a one-group orbit is
-#: counted in closed form, so far fewer than |W_A| are visited.
+#: W_A, not the work done: only the orbits of two or more groups are
+#: enumerated, each shape once, and a one-group orbit is counted in closed
+#: form.  An orbit of c >= 2 groups of a points still visits all a!^c
+#: tuples, composing each one's return map to its first group, and walks
+#: only the a! permutations of S_a point by point.
 NAIVE_BUDGET = factorial(8)
 
 CHARACTERS = ("trivial", "sign")
@@ -150,26 +160,31 @@ def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
 @cache
 def _orbit_cycle_types(c: int, a: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(cycle type, count) pairs of sigma * u on one orbit of c groups of a
-    points, numbered group after group, which sigma maps each identically
-    onto the next, over every u in the product of the groups' symmetric
-    groups.  Orbits recur across classes and multi-indices, so each is
-    counted once.
+    points, which sigma maps each identically onto the next, over every u =
+    (u_0, ..., u_{c-1}) in the product of the groups' symmetric groups.
+    Orbits recur across classes and multi-indices, so each is counted once.
 
     On one group (c = 1: the free part or a fixed block) sigma is the
     identity, so sigma * u runs over S_a and each cycle type lambda occurs
     a! / z_lambda times (z_lambda is ``centralizer_order``, shared with
-    ``_cycle_average``).  An orbit of c >= 2 groups is enumerated in
-    full: u maps each group onto itself and sigma shifts it onto the next,
-    so the restriction of sigma * u to a group is one of its a! shifted
-    images, built once, and sigma * u is their concatenation."""
+    ``_cycle_average``).  On c >= 2 groups all a!^c tuples u are visited:
+    sigma * u maps group g onto group g + 1 (mod c), so from a point i of
+    group 0 it first comes back to group 0 after c steps, at pi(i) with pi =
+    u_{c-1} o ... o u_0.  Every cycle of sigma * u thus meets group 0, and
+    its cycle type is c times that of pi.  The composite pi of each tuple is
+    formed explicitly (``itemgetter(*path)(u)`` is u o path), never assumed
+    uniform on S_a, and looked up among the a! cycle types of S_a, each part
+    multiplied by c."""
     if c == 1:
         return tuple((lam, factorial(a) // centralizer_order(lam)) for lam in partitions(a))
-    size = c * a
-    shifted = [
-        [tuple((i + a) % size for i in image) for image in itertools.permutations(range(start, start + a))]
-        for start in range(0, size, a)
-    ]
-    counts = Counter(cycle_type(sum(blocks, ())) for blocks in itertools.product(*shifted))
+    perms = list(itertools.permutations(range(a)))
+    dilated = {perm: tuple(c * part for part in cycle_type(perm)) for perm in perms}
+    paths = [tuple(range(a))]
+    for _ in range(c - 1):  # u_{c-2} o ... o u_0, one path per prefix
+        paths = [itemgetter(*path)(u) for path in paths for u in perms]
+    counts: Counter[tuple[int, ...]] = Counter()
+    for path in paths:
+        counts.update(map(dilated.__getitem__, map(itemgetter(*path), perms)))
     return tuple(counts.items())
 
 
@@ -184,7 +199,9 @@ def gamma_trace_naive(
     type is the union of those of its restrictions, and the number of u
     giving a cycle type is a convolution of the per-orbit counts.  An orbit
     of one group is counted as a! / z_lambda per cycle type lambda (sigma is
-    the identity there); an orbit of two or more groups is enumerated.
+    the identity there); on an orbit of c >= 2 groups every tuple is
+    visited, and its cycle type is c times that of its composite around the
+    orbit (see :func:`_orbit_cycle_types`).
     Nothing else is assumed: neither the uniform composite around a block
     cycle nor the collapse of the partition average that :func:`gamma_trace`
     uses.  The counts must sum to |W_A|, or it raises."""

@@ -453,13 +453,24 @@ def _check_miller(n: int, budget: int) -> Iterator[_Outcome]:
 
 def _check_gamma_oracle(n: int, budget: int) -> Iterator[_Outcome]:
     """``gamma_trace`` agrees with the brute-force average wherever |W_A| is
-    within ``budget``, and every nontrivial class traces to 0 at q = 1."""
+    within ``budget``, and every nontrivial class traces to 0 at q = 1.  The
+    oracle runs first, and ``gamma_trace`` only where the oracle answers.
+    On an orbit of c >= 2 groups of a points the oracle visits all a!^c
+    tuples and reads each one's cycle type off its composite around the
+    orbit (``flagchar._orbit_cycle_types``).  The collapse ``gamma_trace``
+    rests on is checked for every part size a = 2..n, also where every
+    class is over the budget; it adds an outcome only when it fails."""
+    for a in range(2, n + 1):
+        try:
+            flagchar._collapsed_denominator(a)
+        except ConsistencyError as exc:
+            yield f"a={a}, n={n}", False, str(exc)
     for A in multiindices(n, n - 1):
         for cls in conjugacy_classes(A):
             location = f"A={A}, n={n}, cls={cls}"
             try:
-                fast = flagchar.gamma_trace(A, n, cls)
                 slow = flagchar.gamma_trace_naive(A, n, cls, budget=budget)
+                fast = flagchar.gamma_trace(A, n, cls)
             except flagchar.BudgetExceededError:
                 continue
             except ConsistencyError as exc:

@@ -7,7 +7,9 @@ index reaches dimension 11; n = 14..16 are the largest tables of the
 ``table`` benchmark, and the documents of n = 18 and 20, 1.9 and 4 MB, are
 the largest the json writer is pinned on), ``link`` for n = 3..10,
 ``verify`` for n = 2..12 (past 10 with ``--max-n``, up to the largest n of
-the ``verify`` benchmark)
+the ``verify`` benchmark) and 16, whose oracle enumerates orbits of five
+groups of three points and of eight groups of two, which no smaller pin
+reaches
 and one sample each of ``gamma``, ``order`` and ``stab``, and of the md and
 csv renderings of ``table --n 5`` (both views, and by total degree) and
 ``table --n 9`` (both views),
@@ -83,6 +85,7 @@ DIGESTS = {
     "verify --n 10 --max-n 10 --format json": "3ccd44250ea2bafdcb345808c67eb1d9b2177c205cff9be4380c84fca5f4f8d9",
     "verify --n 11 --max-n 11 --format json": "21e76b203aa7f928e7dc7013a8106e30b23f2fbb27241f58d27ecabc156fb916",
     "verify --n 12 --max-n 12 --format json": "7a9c59e7dc3036f27447c3ee0cca4e17ef93b5d49aaa028aeca984a3d1bcfcfc",
+    "verify --n 16 --max-n 16 --format json": "2b79c56831fc64b254d3cf96831a8edaaba2eeb42c1c58d16d1bf51ce27b6281",
     "table --n 5 --view hom --format md": "8199cbaaeb223838080dd57948bf2eb6ed971f0369354cd69aaf3913c0aae487",
     "table --n 5 --view hom --format csv": "34c42f7d35f0293ddb93b546f26c5cb831d726959276e1d5ab574d3ecd045f11",
     "table --n 5 --view cohom --format md": "ab2e8d1b62b16f71ff1dbef1c628ed8fa832a116753bc1c28375385aec0d2017",

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 from collections import Counter
+from math import factorial
 
 import pytest
 
@@ -226,6 +227,24 @@ def test_the_collapse_check_is_live(monkeypatch):
             memo.cache_clear()
 
 
+def test_the_collapse_is_checked_where_every_class_is_over_the_budget(monkeypatch):
+    # at n = 10 the only index with a part of size 10 is (10), and
+    # |W_(10)| = 10! is over the budget, so none of its classes reaches
+    # gamma_trace; the gamma-oracle check must still see a broken collapse
+    real = flagchar._cycle_average
+
+    def broken(a, m, factor, chi):
+        average = real(a, m, factor, chi)
+        return average + QPoly({1: 1}) if (a, m) == (1, 10) else average
+
+    flagchar._collapsed_denominator.cache_clear()  # a memoized a = 10 would skip the check
+    monkeypatch.setattr(flagchar, "_cycle_average", broken)
+    report = verify(10, checks=("gamma-oracle",))
+    assert [(c.location, c.detail) for c in report.failures()] == [
+        ("a=10, n=10", "partition average for a=10 did not collapse to 1")
+    ]
+
+
 def test_naive_oracle_examples():
     A = MultiIndex((2, 2))
     swap = _swap_class(A)
@@ -291,10 +310,10 @@ def test_one_group_orbits_count_each_cycle_type_by_its_class_size():
 
 def test_naive_oracle_enumerates_each_orbit_shape_once(monkeypatch):
     # the oracle runs over verify(12) visit 424 orbits of only 18 shapes
-    # (c groups of a points): 76,869 permutations orbit by orbit, 36,385 when
-    # each shape is enumerated once, and 30,472 when only the shapes of
-    # c >= 2 groups are: one group (a = 1..7) is counted in closed form; an
-    # empty free part is no orbit
+    # (c groups of a points): one group (a = 1..7) is counted in closed form,
+    # and each of the 11 shapes of c >= 2 groups walks its a! cycle types of
+    # S_a once, 196 in all, while still counting all 30,472 tuples of its
+    # a!^c composites; an empty free part is no orbit
     memo = flagchar._orbit_cycle_types
     memo.cache_clear()
     enumerated = Counter()
@@ -312,9 +331,42 @@ def test_naive_oracle_enumerates_each_orbit_shape_once(monkeypatch):
     monkeypatch.setattr(flagchar, "cycle_type", counted)
     monkeypatch.setattr(flagchar, "_orbit_cycle_types", recorded)
     assert verify(12, checks=("gamma-oracle",)).ok
-    assert enumerated["perms"] == 30472
     assert len(shapes) == memo.cache_info().currsize == 18
     assert all(a > 0 for _, a in shapes)
+    multiple = [(c, a) for c, a in shapes if c >= 2]
+    assert len(multiple) == 11
+    assert enumerated["perms"] == sum(factorial(a) for _, a in multiple) == 196
+    tuples = sum(count for c, a in multiple for _, count in memo(c, a))
+    assert tuples == sum(factorial(a) ** c for c, a in multiple) == 30472
+
+
+def _concatenate_and_walk(c, a):
+    # the reference: sigma * u written out point by point on c groups of a
+    # points, numbered group after group, and walked cycle by cycle; the
+    # restriction of sigma * u to a group is one of the a! images of that
+    # group shifted onto the next one
+    size = c * a
+    shifted = [
+        [tuple((i + a) % size for i in image) for image in itertools.permutations(range(start, start + a))]
+        for start in range(0, size, a)
+    ]
+    return Counter(cycle_type(sum(blocks, ())) for blocks in itertools.product(*shifted))
+
+
+# every (c, a) with a!^c <= NAIVE_BUDGET = 8!: c <= 15 since 2^16 > 8!, and
+# a <= 5 since 6!^2 > 8!
+_IN_BUDGET_SHAPES = [
+    (c, a) for c in range(2, 16) for a in range(2, 6) if factorial(a) ** c <= NAIVE_BUDGET
+]
+
+
+@pytest.mark.parametrize("c, a", _IN_BUDGET_SHAPES)
+def test_orbit_counts_equal_the_concatenate_and_walk_reference(c, a):
+    # every orbit shape of c >= 2 groups the oracle can reach within its
+    # budget, (2,5), (3,4), (5,3) and (15,2) among them, which the
+    # whole-product test for n <= 7 never reaches
+    assert NAIVE_BUDGET == factorial(8) and len(_IN_BUDGET_SHAPES) == 21
+    assert dict(flagchar._orbit_cycle_types.__wrapped__(c, a)) == _concatenate_and_walk(c, a)
 
 
 def test_naive_oracle_checks_that_the_orbits_cover_w_a(monkeypatch):
