@@ -22,7 +22,8 @@ for m in range(2, 8):
     poly = gauss_multinomial(m, A.parts)
     print(f"  m={m}: {[poly.coefficient(j) for j in range(4)]}")
 
-# The freezing point is |A| + degree // 2, checked on these coefficients.
+# The freezing point is |A| + degree // 2; the witness is the frozen part,
+# the series 1 / ((1 - q)(1 - q^2)) read up to q^(degree // 2).
 for degree in (0, 2, 4, 6):
     report = stab_index(A, degree)
     print(f"stab((2), degree {degree}) = {report.stab_n}, witness {report.witness}")

@@ -332,13 +332,10 @@ def _cmd_order(args: argparse.Namespace) -> _Result:
 
 
 def _cmd_stab(args: argparse.Namespace) -> _Result:
-    cell_mode = args.p is not None or args.q is not None
-    shape_mode = args.parts is not None or args.degree is not None
-    if cell_mode == shape_mode:
+    given = [value is not None for value in (args.p, args.q, args.parts, args.degree)]
+    if given not in ([True, True, False, False], [False, False, True, True]):
         raise UsageError("give either --p and --q, or --parts and --degree")
-    if cell_mode:
-        if args.p is None or args.q is None:
-            raise UsageError("--p and --q must be given together")
+    if given[0]:
         # validated up front: a ValueError out of the cell's evaluation is a bug
         try:
             check_stable_cell(args.p, args.q)
@@ -353,8 +350,6 @@ def _cmd_stab(args: argparse.Namespace) -> _Result:
             "stable_rank": cell.rank,
         }
         return {"p": args.p, "q": args.q}, payload, 0
-    if args.parts is None or args.degree is None:
-        raise UsageError("--parts and --degree must be given together")
     A = _parse_parts(args.parts)
     try:
         check_degree(A, args.degree)

@@ -21,8 +21,10 @@ the degree, trimmed at both ends.  Every product is a Kronecker substitution
 in 64-bit slots (``_product``); wider coefficients are split into halves that
 fit.  Quotients by prod (1 - x^e), as in every flag manifold, go through
 ``divide_out``: one running sum with stride e per factor, no denominator
-built.  ``exact_div`` stays as the general division, one synthetic-division
-pass that stops at the first remainder.  Every linear combination goes through
+built; ``divide_out_series`` runs them on a power series cut at x^cut, with no
+exactness check (the stable flag series 1 / prod (q;q)_a).  ``exact_div``
+stays as the general division, one synthetic-division pass that stops at the
+first remainder.  Every linear combination goes through
 ``integer_combination``: sums, differences, negation and scalar multiples
 (divisor 1), and the orbit averages over finite groups, whose integer weights
 (class sizes, or counts of cycle types) times polynomials are summed in
@@ -390,6 +392,23 @@ def divide_out(poly: _P, exponents: Iterable[int]) -> _P:
         if any(coeffs[stop : stop + e]):
             raise InexactDivisionError(f"{poly!r} has no factor 1 - {poly._var}^{e} left")
     return poly._dense(poly._low, coeffs[:stop])
+
+
+def divide_out_series(poly: _P, exponents: Iterable[int], cut: int) -> _P:
+    """The terms up to x^cut of the power series ``poly / prod_e (1 - x^e)``:
+    the running sums of :func:`divide_out` on a buffer cut there, with no
+    exactness check and no pass for a factor with e > cut, which changes none."""
+    if not isinstance(poly, _SparsePoly):
+        raise TypeError(f"cannot divide {type(poly).__name__}; expected a polynomial")
+    width = max(cut - poly._low + 1, 0)
+    coeffs = (list(poly._coeffs) + _zeros(width))[:width]
+    for e in exponents:
+        if e < 1:
+            raise ValueError("exponent must be positive")
+        if e < width:
+            for r in range(e):
+                coeffs[r::e] = itertools.accumulate(coeffs[r::e])
+    return poly._dense(poly._low, coeffs)
 
 
 def integer_combination(pairs: Iterable[tuple[int, _P]], divisor: int) -> _P:

@@ -5,8 +5,8 @@ operator with simple spectrum on the complement) is compatible with the whole
 construction, and the induced maps between cohomological tables are onto and
 eventually bijective cell by cell.  The engine behind the estimate is that the
 low-degree cohomology of the flag manifold of a fixed shape A stops changing
-once the ambient dimension reaches |A| + degree // 2, the closed form that
-``stab_index`` checks on Gaussian-multinomial coefficients.  Its maximum over
+once the ambient dimension reaches |A| + degree // 2, the closed form of
+``stab_index``, which returns the stable coefficients with it.  Its maximum over
 the shapes A of complexity -p, in degree p + q - 2 #A, is a sufficient bound
 for one cohomological cell, which ``e1_stable_bound`` returns in closed form,
 
@@ -18,9 +18,8 @@ agree, which is how the bound is kept honest; ``stable_table`` and
 and ``check_degree`` reject a cell or a (shape, degree) request that cannot
 be read, or would cost more than ``MAX_CELL_BOUND``, ``MAX_WITNESS_SPAN`` or
 ``MAX_WITNESS_COST`` allow, so that ``conres stab`` can tell a bad request
-from a bug.  ``stab_index`` builds the Gaussian multinomials whole, up to
-four chains of |A| products, so its cost grows with |A|^2 times their span,
-not with the degree alone.
+from a bug.  ``stab_index`` builds no flag polynomial: it reads the series
+1 / prod_a (q;q)_a up to q^(degree // 2), one running sum per factor.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .qcombinat import ConsistencyError, MultiIndex, QPoly, gauss_multinomial
+from .qcombinat import ConsistencyError, MultiIndex, QPoly, divide_out_series
 from .resolution import SpectralTable, spectral_table
 
 #: Largest ambient dimension ``conres`` accepts for ``--n`` and ``--max-n``
@@ -40,17 +39,18 @@ MAX_TABLE_N = 24
 #: Largest bound ``stable_cell`` reads, so tables up to n = ``MAX_TABLE_N`` (``stable_cell(-11, 24)``: 2.4 s, 69 MB).
 MAX_CELL_BOUND = MAX_TABLE_N - 2
 
-#: Widest polynomial ``stab_index`` builds.  Of the requests on the edge of
-#: this cap and ``MAX_WITNESS_COST`` (parts 2 or one part, |A| = 2..80), ten
-#: parts 2 in degree 6400 cost most: ``conres stab`` takes 6.0-7.7 s and 51 MB
-#: (eight parts 2 in degree 8170: 6.0 s, 48 MB; fifteen in degree 1906: 3.0 s).
+#: Longest witness ``stab_index`` builds: q_cut + 1 coefficients, where
+#: q_cut = max(degree, 0) // 2, so (2) is read up to degree 131071.
 MAX_WITNESS_SPAN = 1 << 16
 
-#: Most |A|^2 x span for ``stab_index``, which memoizes |A| products per
-#: q-Pochhammer chain, each up to the span, with coefficients of up to |A|
-#: bits; shapes of size up to 20 meet ``MAX_WITNESS_SPAN`` first.  A cap on
-#: |A| x span alone would admit 50 parts 2 in degree 150, which took 110 MB.
-MAX_WITNESS_COST = 20 * 20 * MAX_WITNESS_SPAN
+#: Most running-sum steps for ``stab_index``: each factor 1 - q^j with
+#: j <= q_cut sweeps the q_cut + 1 coefficients once.  Of the requests on the
+#: edge of the two caps (k parts 2 for k = 1, 2, 4, ..., 2048, one part of 2,
+#: 16, 128, 512, 1024 or 2048, parts (4^k, 3^k, 2^k), (1024, 1024) and sixteen
+#: parts 64), (2,2) and (4) in degree 131071 cost most: a cold
+#: ``conres stab --format json`` takes 0.5-0.7 s and 46 MB (Python 3.11 on a
+#: shared 2-core Xeon VM), most of it writing 65536 coefficients.
+MAX_WITNESS_COST = 4 * MAX_WITNESS_SPAN
 
 
 @dataclass(frozen=True)
@@ -67,55 +67,39 @@ class StabReport:
     witness: QPoly
 
 
-def _low_coefficients(A: MultiIndex, m: int, q_cut: int) -> tuple[int, ...]:
-    poly = gauss_multinomial(m, A.parts)
-    return tuple(poly.coefficient(j) for j in range(q_cut + 1))
-
-
 def check_degree(A: MultiIndex, degree: int) -> None:
     """Raise ``ValueError`` unless :func:`stab_index` can read shape ``A`` in
-    ``degree`` at a bounded cost.  Its largest polynomial, prod (1 - q^i) over
-    the |A| factors m + 2 - |A| < i <= m + 2 of the Gaussian multinomial at
-    m + 2, must span at most ``MAX_WITNESS_SPAN`` exponents.  It builds and
-    memoizes up to four chains of |A| products (at m - 1, ..., m + 2),
-    whose coefficients sum in absolute value to at most 2^|A|, so |A|^2 times
-    the span must be at most ``MAX_WITNESS_COST``."""
-    s, top = A.size, A.size + max(degree, 0) // 2 + 2
-    span = s * top - s * (s - 1) // 2 + 1
+    ``degree`` at a bounded cost.  With q_cut = max(degree, 0) // 2, the
+    witness holds q_cut + 1 coefficients, at most ``MAX_WITNESS_SPAN``; each
+    part a divides out min(a, q_cut) factors, each a sweep of them all, and
+    factors times coefficients is at most ``MAX_WITNESS_COST``."""
+    q_cut = max(degree, 0) // 2
+    span, factors = q_cut + 1, sum(min(a, q_cut) for a in A.parts)
     if span > MAX_WITNESS_SPAN:
-        raise ValueError(
-            f"degree {degree} of shape {A} needs polynomials spanning {span} exponents,"
-            f" more than {MAX_WITNESS_SPAN}"
-        )
-    if s * s * span > MAX_WITNESS_COST:
-        raise ValueError(
-            f"degree {degree} of shape {A} memoizes products of up to {s} factors spanning"
-            f" {span} exponents: {s}^2 x {span} is more than {MAX_WITNESS_COST}"
-        )
+        raise ValueError(f"degree {degree} of shape {A} needs {span} coefficients, more than {MAX_WITNESS_SPAN}")
+    if factors * span > MAX_WITNESS_COST:
+        raise ValueError(f"degree {degree} of shape {A} needs {factors} x {span} sums, more than {MAX_WITNESS_COST}")
 
 
 @cache
 def stab_index(A: MultiIndex, degree: int) -> StabReport:
     """Smallest ambient dimension past which the flag cohomology of shape A
     stops changing in real degrees up to ``degree``: m = |A| + q_cut with
-    q_cut = max(degree, 0) // 2, since odd degrees are empty.
+    q_cut = max(degree, 0) // 2, since odd degrees are empty.  The witness is
+    the stable series 1 / prod_(a in A) (q;q)_a, the Poincare series of
+    prod_a BU(a), up to q^q_cut.
 
-    Proof: [m; A, m - |A|]_q = [m; |A|]_q [|A|; A]_q.  The q^j coefficient of
-    [m; s]_q counts partitions of j into at most s parts of size at most
-    d = m - s, so it grows from d to d + 1 exactly when some j <= q_cut is
-    >= d + 1; the second factor (constant term 1, nonnegative coefficients)
-    keeps that change visible.  The coefficients must agree at m, m + 1 and
-    m + 2 and, if q_cut > 0, differ at m - 1.
+    Proof: [m; A, m - |A|]_q = prod_(i = m - |A| + 1..m) (1 - q^i) /
+    prod_a (q;q)_a.  Up to q^q_cut every numerator factor is 1 once
+    m - |A| >= q_cut, so the low coefficients at m, m + 1, ... are the
+    series'.  At m - 1 the numerator gains 1 - q^q_cut, which lowers the
+    coefficient of q^q_cut by the series' constant term 1 when q_cut > 0.
+    A factor 1 - q^j with j > q_cut is 1 up to q^q_cut, so none is listed.
     """
     check_degree(A, degree)
     q_cut = max(degree, 0) // 2
-    m = A.size + q_cut
-    low = _low_coefficients(A, m, q_cut)
-    if not low == _low_coefficients(A, m + 1, q_cut) == _low_coefficients(A, m + 2, q_cut):
-        raise ConsistencyError(f"coefficients of shape {A} failed to stabilize by m={m}")
-    if q_cut and low == _low_coefficients(A, m - 1, q_cut):
-        raise ConsistencyError(f"coefficients of shape {A} were already stable at m={m - 1}")
-    return StabReport(A, degree, m, QPoly({j: c for j, c in enumerate(low)}))
+    exponents = [j for a in A.parts for j in range(1, min(a, q_cut) + 1)]
+    return StabReport(A, degree, A.size + q_cut, divide_out_series(QPoly.one(), exponents, q_cut))
 
 
 def e1_stable_bound(p: int, q: int) -> int:

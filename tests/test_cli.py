@@ -28,8 +28,16 @@ def test_usage_errors_exit_one(capsys):
     assert _run(capsys, "link", "--n", "2")[0] == 1
     assert _run(capsys, "gamma", "--parts", "2,3", "--n", "5")[0] == 1
     assert _run(capsys, "gamma", "--parts", "4,2", "--n", "5")[0] == 1
-    assert _run(capsys, "stab", "--p", "-1")[0] == 1
-    assert _run(capsys, "stab", "--p", "-1", "--q", "3", "--parts", "2")[0] == 1
+    # one mode rule: exactly one flag pair, given whole
+    for argv in (
+        (),
+        ("--p", "-1"),
+        ("--degree", "4"),
+        ("--p", "-1", "--q", "3", "--parts", "2"),
+        ("--p", "-1", "--q", "3", "--parts", "2", "--degree", "4"),
+    ):
+        code, out, err = _run(capsys, "stab", *argv)
+        assert (code, out, err) == (1, "", "usage error: give either --p and --q, or --parts and --degree\n"), argv
     assert _run(capsys, "nonsense")[0] == 1
     assert _run(capsys, "table")[0] == 1
     assert _run(capsys, "table", "--n", "4", "--koszul")[0] == 1
@@ -40,15 +48,14 @@ def test_usage_errors_exit_one(capsys):
     code, out, err = _run(capsys, "table", "--n", "4", "--view", "cohom", "--total-degree")
     assert (code, out) == (1, "")
     assert "--total-degree" in err
-    # the witness would span more exponents than stab_index builds, or it
-    # would memoize too many products of too many factors, or the cell would
-    # need tables past its ceiling; each is refused at once
+    # the witness would hold more coefficients than stab_index builds, or take
+    # more running sums than it makes, or the cell would need tables past its
+    # ceiling; each is refused at once
     for argv in (
         ("--parts", "2", "--degree", "100000000"),
         ("--parts", "2", "--degree", "1000000"),
-        ("--parts", "200", "--degree", "0"),
-        ("--parts", "100,100,100", "--degree", "0"),
-        ("--parts", "358", "--degree", "0"),
+        ("--parts", "2", "--degree", "131072"),
+        ("--parts", "1024", "--degree", "1024"),
         ("--p", "-30", "--q", "60"),
         ("--p", "-1", "--q", "1000"),
     ):

@@ -19,6 +19,7 @@ from conres.qcombinat import (
     centralizer_order,
     conjugacy_classes,
     divide_out,
+    divide_out_series,
     gauss_multinomial,
     integer_combination,
     multiindices,
@@ -318,6 +319,40 @@ def test_divide_out_exponent_at_least_the_length_is_inexact(kind):
     for e in (3, 4, 10, 2**62):
         with pytest.raises(InexactDivisionError):
             divide_out(p, [e])
+
+
+def _truncated(poly, cut):
+    return type(poly)({e: c for e, c in poly.items() if e <= cut})
+
+
+@settings(max_examples=200)
+@given(_laurent, _exponents)
+def test_divide_out_series_agrees_with_divide_out_on_exact_quotients(terms, exponents):
+    # cut below the quotient, inside it, and past the product's top
+    for cofactor in (GradedDims(terms), QPoly({e + 6: c for e, c in terms.items()})):
+        product = cofactor * _denominator(type(cofactor), exponents)
+        quotient = divide_out(product, exponents)
+        for cut in range(-8, 60):
+            assert divide_out_series(product, exponents, cut) == _truncated(quotient, cut), cut
+
+
+def test_divide_out_series_examples():
+    # partitions into parts 1 and 2, and into parts 1, 2, 3
+    assert divide_out_series(QPoly.one(), [1, 2], 5) == QPoly({j: j // 2 + 1 for j in range(6)})
+    assert divide_out_series(QPoly.one(), [3, 2, 1], 6) == QPoly({0: 1, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 7})
+    # no exactness check: 1 + q is no multiple of 1 - q
+    assert divide_out_series(QPoly({0: 1, 1: 1}), [1], 3) == QPoly({0: 1, 1: 2, 2: 2, 3: 2})
+    # a factor past the cut makes no pass, however large
+    assert divide_out_series(QPoly.one(), [2**62, 1], 3) == QPoly({0: 1, 1: 1, 2: 1, 3: 1})
+    # Laurent input keeps its low exponent; a cut below it leaves nothing
+    assert divide_out_series(GradedDims({-3: 2}), [2], 0) == GradedDims({-3: 2, -1: 2})
+    assert divide_out_series(GradedDims({-3: 2}), [1], -4) == GradedDims.zero()
+    assert divide_out_series(QPoly.zero(), [1], 10) == QPoly.zero()
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            divide_out_series(QPoly.one(), [1, bad], 4)
+    with pytest.raises(TypeError):
+        divide_out_series({0: 1}, [1], 4)
 
 
 def test_quotient_with_negative_exponents_is_not_a_qpoly():

@@ -653,6 +653,37 @@ def test_block_ranks_count_permutations_of_their_cycle_type():
         assert sum(poly(1) for _, poly in spectral_table(n).blocks) == factorial(n) - 1
 
 
+def _maj_blocks(n):
+    # engine-free: enumerate S_n once; the block of A is
+    # t^(d^2 - 1 + sum of the parts >= 3) times sum of t^(2 maj(sigma)) over
+    # the sigma of cycle type A + 1^d, maj summing the descent positions from 1
+    terms = {}
+    for sigma in itertools.permutations(range(n)):
+        seen, parts = set(), []
+        for start in range(n):
+            length, i = 0, start
+            while i not in seen:
+                seen.add(i)
+                i, length = sigma[i], length + 1
+            if length >= 2:
+                parts.append(length)
+        if parts:
+            A = MultiIndex(tuple(sorted(parts, reverse=True)))
+            maj = sum(i for i in range(1, n) if sigma[i - 1] > sigma[i])
+            exponent = (n - A.size) ** 2 - 1 + sum(a for a in parts if a >= 3) + 2 * maj
+            block = terms.setdefault(A, {})
+            block[exponent] = block.get(exponent, 0) + 1
+    return {A: GradedDims(block) for A, block in terms.items()}
+
+
+def test_every_block_counts_its_conjugacy_class_by_major_index():
+    blocks = 0
+    for n in range(2, 9):
+        assert dict(spectral_table(n).blocks) == _maj_blocks(n), n
+        blocks += len(spectral_table(n).blocks)
+    assert blocks == 58
+
+
 def test_block_ranks_and_table_total_see_a_short_total(monkeypatch, fresh_tables):
     real = resolution.total_discriminant_poincare
 

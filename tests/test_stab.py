@@ -6,12 +6,13 @@ import pytest
 
 from conres import stab
 from conres.cli import main
-from conres.qcombinat import ConsistencyError, MultiIndex, QPoly, gauss_multinomial, multiindices
+from conres.qcombinat import ConsistencyError, MultiIndex, QPoly, gauss_multinomial, multiindices, q_pochhammer
 from conres.resolution import spectral_table
 from conres.stab import (
     MAX_CELL_BOUND,
     MAX_WITNESS_COST,
     MAX_WITNESS_SPAN,
+    StabReport,
     StableCell,
     check_degree,
     check_stable_cell,
@@ -41,8 +42,7 @@ def test_stab_index_witness():
 
 
 def test_stab_index_at_degree_600():
-    # the free part of [m; 2, m - 2]_q cancels before it is built, so a large
-    # degree costs a product of two factors, not one of m; the stable
+    # the witness is the series 1 / ((1 - q)(1 - q^2)) up to q^300, whose
     # coefficients count partitions of j into parts 1 and 2
     report = stab_index(MultiIndex((2,)), 600)
     assert report.stab_n == 302
@@ -66,14 +66,38 @@ def fresh_stab_index():
     stab_index.cache_clear()
 
 
-@pytest.mark.parametrize("shift, message", [(1, "already stable"), (-1, "failed to stabilize")])
-def test_stab_index_checks_its_closed_form(monkeypatch, fresh_stab_index, shift, message):
-    # coefficients that settle one step early fail the minimality check, and
-    # ones that settle one step late fail the three-point agreement
-    real = stab.gauss_multinomial
-    monkeypatch.setattr(stab, "gauss_multinomial", lambda m, parts: real(m + shift, parts))
-    with pytest.raises(ConsistencyError, match=message):
-        stab_index(MultiIndex((2, 2)), 4)
+def _low(poly, q_cut):
+    return [poly.coefficient(j) for j in range(q_cut + 1)]
+
+
+def test_witness_is_the_low_gauss_multinomial_coefficients():
+    # the closed form against whole Gaussian multinomials [m; A, m - |A|]_q:
+    # up to q^q_cut they equal the witness at stab_n, stab_n + 1, stab_n + 2,
+    # and at stab_n - 1 the top one is one lower
+    requests = [(A, degree) for A in multiindices(10, 9) for degree in range(31)]
+    requests += [(MultiIndex((2,) * 10), 200), (MultiIndex((5, 4, 3)), 60)]
+    for A, degree in requests:
+        report = stab_index(A, degree)
+        q_cut = degree // 2
+        witness = _low(report.witness, q_cut)
+        for k in (0, 1, 2):
+            assert _low(gauss_multinomial(report.stab_n + k, A.parts), q_cut) == witness, (A, degree, k)
+        if q_cut:
+            early = _low(gauss_multinomial(report.stab_n - 1, A.parts), q_cut)
+            assert early == witness[:-1] + [witness[-1] - 1], (A, degree)
+
+
+def test_stab_index_builds_no_flag_polynomial(fresh_stab_index):
+    # no q-Pochhammer product, so no Gaussian multinomial, which starts from
+    # one: shapes with hundreds of factors read witness 1 in degree 0, and a
+    # part past the cut lists no factor beyond it
+    before = q_pochhammer.cache_info()
+    for parts in [(200,), (100, 100, 100), (358,), (2,) * 45, (10**9,)]:
+        A = MultiIndex(parts)
+        assert stab_index(A, 0) == StabReport(A, 0, A.size, QPoly.one())
+    assert stab_index(MultiIndex((10**9,)), 6).witness == QPoly({0: 1, 1: 1, 2: 2, 3: 3})
+    assert stab_index(MultiIndex((2,) * 10), 6400).stab_n == 3220
+    assert q_pochhammer.cache_info() == before
 
 
 def test_stab_index_clamps_negative_degrees():
@@ -109,37 +133,43 @@ def test_stable_table_reads_no_stab_index(fresh_stab_index):
 
 
 def test_check_degree_caps_the_witness_span():
-    # (2) in degree d needs 2 (d // 2) + 8 exponents
-    check_degree(MultiIndex((2,)), 65529)
-    with pytest.raises(ValueError, match=f"spanning 65538 exponents, more than {MAX_WITNESS_SPAN}"):
-        check_degree(MultiIndex((2,)), 65530)
+    # (2) in degree d needs d // 2 + 1 coefficients
+    assert stab_index(MultiIndex((2,)), 131071).witness.coefficient(65535) == 32768
+    with pytest.raises(ValueError, match=f"needs 65537 coefficients, more than {MAX_WITNESS_SPAN}"):
+        check_degree(MultiIndex((2,)), 131072)
 
 
-def test_check_degree_caps_what_stab_index_memoizes():
-    # fifteen parts 2 (|A| = 30) in degree d span 30 (d // 2) + 526 exponents,
-    # and 30^2 times that passes MAX_WITNESS_COST between degrees 1907 and 1908
-    fifteen = MultiIndex((2,) * 15)
-    check_degree(fifteen, 1907)
-    with pytest.raises(ValueError, match=rf"30\^2 x 29146 is more than {MAX_WITNESS_COST}"):
-        check_degree(fifteen, 1908)
-    # the costliest request the two caps accept
-    check_degree(MultiIndex((2,) * 10), 6400)
+def test_check_degree_caps_the_running_sums():
+    # one part a >= q_cut divides q_cut factors out of q_cut + 1 coefficients,
+    # so (1024) passes MAX_WITNESS_COST between degrees 1023 and 1024
+    check_degree(MultiIndex((1024,)), 1023)
+    with pytest.raises(ValueError, match=rf"needs 512 x 513 sums, more than {MAX_WITNESS_COST}"):
+        check_degree(MultiIndex((1024,)), 1024)
+    # the costliest requests the two caps accept lie on both edges at once
+    for parts in [(2, 2), (4,)]:
+        check_degree(MultiIndex(parts), 131071)
+    with pytest.raises(ValueError, match=rf"needs 5 x 65536 sums, more than {MAX_WITNESS_COST}"):
+        check_degree(MultiIndex((5,)), 131071)
 
 
-@pytest.mark.parametrize("parts", [(200,), (100, 100, 100), (358,), (2,) * 45])
+#: The last degree in which each shape is read: one degree on, its factors
+#: min(a, q_cut) summed over the parts, times q_cut + 1, pass MAX_WITNESS_COST.
+LAST_DEGREE = {(200,): 2619, (100, 100, 100): 1745, (358,): 1463, (2,) * 45: 5823}
+
+
+@pytest.mark.parametrize("parts", list(LAST_DEGREE))
 def test_many_factors_are_refused_before_anything_is_built(monkeypatch, parts):
-    # within MAX_WITNESS_SPAN, but |A| products of up to |A|-bit coefficients
-    # per chain; without the cap, (200) took 4.3 s and 167 MB, three times the
-    # memory of the costliest request that the caps accept
-    def no_build(*args):
-        raise AssertionError("built a Gaussian multinomial")
+    A, last = MultiIndex(parts), LAST_DEGREE[parts]
+    assert stab_index(A, last).stab_n == A.size + last // 2
 
-    monkeypatch.setattr(stab, "gauss_multinomial", no_build)
-    A = MultiIndex(parts)
-    with pytest.raises(ValueError, match=rf"\^2 x \d+ is more than {MAX_WITNESS_COST}"):
-        check_degree(A, 0)
+    def no_build(*args):
+        raise AssertionError("built a series")
+
+    monkeypatch.setattr(stab, "divide_out_series", no_build)
+    with pytest.raises(ValueError, match=rf"needs \d+ x {last // 2 + 2} sums, more than {MAX_WITNESS_COST}"):
+        check_degree(A, last + 1)
     with pytest.raises(ValueError, match="more than"):
-        stab_index.__wrapped__(A, 0)
+        stab_index.__wrapped__(A, last + 1)
 
 
 @pytest.mark.parametrize("p, q", [(-30, 60), (-1, 1000), (-12, 24), (-1, 45)])
