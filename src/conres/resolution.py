@@ -32,10 +32,11 @@ are built without it:
   the whole collection, in q from its closed form, the higher Lie character
   of one a-cycle; it reads neither the total nor the other blocks, is one
   more index to ``_own_size_block``, and ``h_poly`` is its series in t;
-* ``spectral_table`` lists the lifted blocks of every index of size <= n,
-  the top one included, so a cold table builds no smaller table;
-  ``verify`` re-checks every identity the construction is supposed to
-  satisfy.
+* ``spectral_column(n, p)`` lists the lifted blocks of complexity p, the
+  top one included: a stable cell builds the one column it reads, and
+  ``spectral_table`` the union of its columns, so a cold table builds no
+  smaller table; ``verify`` re-checks every identity the construction is
+  supposed to satisfy.
 
 The class-by-class average over S(A) of flag trace (``flagchar.gamma_trace``)
 times fiber trace (:func:`fiber_char`) is the same block by another route; it
@@ -103,6 +104,7 @@ from .qcombinat import (
     gauss_multinomial,
     integer_combination,
     multiindices,
+    partitions,
     q_pochhammer,
 )
 
@@ -244,9 +246,19 @@ def link_poincare(n: int) -> GradedDims:
     return h_poly(n).times_power(-2)
 
 
+@cache
+def spectral_column(n: int, p: int) -> tuple[tuple[MultiIndex, GradedDims], ...]:
+    """The blocks ``(A, block_poincare(A, n))`` of complexity p in the table for
+    n, parts lexicographically decreasing: the indices of size s = p + 1 ..
+    min(n, 2p) with s - p parts.  The one memo of lifted blocks."""
+    indices = (parts for s in range(p + 1, min(n, 2 * p) + 1) for parts in partitions(s, 2) if len(parts) == s - p)
+    return tuple((A, block_poincare(A, n)) for A in map(MultiIndex, sorted(indices, reverse=True)))
+
+
 @dataclass(frozen=True)
 class SpectralTable:
-    """Per-index Borel-Moore homology table in ambient dimension n.
+    """Per-index Borel-Moore homology table in ambient dimension n: a view over
+    the columns ``spectral_column(n, p)``, p = 1 .. n - 1, each built when read.
 
     Cell (p, i) holds the rank coming from all indices of complexity p in
     total degree i; the per-index breakdown is kept.  The table owns the
@@ -256,46 +268,44 @@ class SpectralTable:
     """
 
     n: int
-    blocks: tuple[tuple[MultiIndex, GradedDims], ...]
+
+    def __post_init__(self) -> None:
+        if self.n < 2:
+            raise ValueError("ambient dimension must be at least 2")
 
     @cached_property
-    def _columns(self) -> dict[int, dict[MultiIndex, GradedDims]]:
-        """Blocks grouped by complexity, ascending, each column in the listing
-        order of :meth:`MultiIndex.sort_key`; built once per table."""
-        columns: dict[int, dict[MultiIndex, GradedDims]] = {}
-        for A, poly in sorted(self.blocks, key=lambda block: block[0].sort_key()):
-            columns.setdefault(A.complexity, {})[A] = poly
-        return columns
+    def blocks(self) -> tuple[tuple[MultiIndex, GradedDims], ...]:
+        """Every block, column by column: the order of :func:`multiindices`."""
+        return tuple(block for p in self.complexities() for block in self.column(p))
 
     def block(self, A: MultiIndex) -> GradedDims:
-        return self._columns[A.complexity][A]
+        return dict(self.column(A.complexity))[A]
 
     def complexities(self) -> tuple[int, ...]:
-        return tuple(self._columns)
+        return tuple(range(1, self.n))
 
     def column(self, p: int) -> tuple[tuple[MultiIndex, GradedDims], ...]:
         """Blocks of complexity p, parts lexicographically decreasing."""
-        return tuple(self._columns.get(p, {}).items())
+        return spectral_column(self.n, p)
 
     def cell_blocks(self) -> Iterator[tuple[int, int, list[tuple[MultiIndex, int]]]]:
         """The nonzero per-index ranks cell by cell, (p, i, [(A, rank), ...]),
         in one pass over the columns: cells sorted, each listing its blocks in
         column order."""
-        for p, column in self._columns.items():
+        for p in self.complexities():
             by_degree: dict[int, list[tuple[MultiIndex, int]]] = {}
-            for A, poly in column.items():
+            for A, poly in self.column(p):
                 for i, c in poly.items():
                     by_degree.setdefault(i, []).append((A, c))
             for i in sorted(by_degree):
                 yield p, i, by_degree[i]
 
     def rank(self, p: int, i: int) -> int:
-        # point queries scan their column: callers such as the stable cells read
-        # a few cells per table, and a cell index would outweigh the table
-        return sum(poly.coefficient(i) for poly in self._columns.get(p, {}).values())
+        # a point query scans its column: a stable cell reads one cell of it, so an index would not pay
+        return sum(poly.coefficient(i) for _, poly in self.column(p))
 
     def breakdown(self, p: int, i: int) -> dict[MultiIndex, int]:
-        ranks = ((A, poly.coefficient(i)) for A, poly in self._columns.get(p, {}).items())
+        ranks = ((A, poly.coefficient(i)) for A, poly in self.column(p))
         return {A: r for A, r in ranks if r}
 
     def total(self) -> GradedDims:
@@ -332,10 +342,12 @@ class SpectralTable:
 def spectral_table(n: int) -> SpectralTable:
     """The full first-page table: one block per index of size <= n, the top
     block (n) included, each lifted from its own size by
-    :func:`block_poincare`.  A table whose top block fails its checks raises
-    that :class:`ConsistencyError`.
+    :func:`block_poincare`.  It builds every column, so a table whose top
+    block fails its checks raises that :class:`ConsistencyError`.
     """
-    return SpectralTable(n, tuple((A, block_poincare(A, n)) for A in multiindices(n, n - 1)))
+    table = SpectralTable(n)
+    table.blocks  # build, and so check, every column
+    return table
 
 
 def symbols(n: int, i: int) -> dict[MultiIndex, int]:

@@ -14,12 +14,14 @@ for one cohomological cell, which ``e1_stable_bound`` returns in closed form,
 
 ``stable_cell`` evaluates one cell at n*, n* + 1, n* + 2 and insists the ranks
 agree, which is how the bound is kept honest; ``stable_table`` and
-``conres stab --p --q`` both get their cells from it.  ``check_stable_cell``
-and ``check_degree`` reject a cell or a (shape, degree) request that cannot
-be read, or would cost more than ``MAX_CELL_BOUND``, ``MAX_WITNESS_SPAN`` or
-``MAX_WITNESS_COST`` allow, so that ``conres stab`` can tell a bad request
-from a bug.  ``stab_index`` builds no flag polynomial: it reads the series
-1 / prod_a (q;q)_a up to q^(degree // 2), one running sum per factor.
+``conres stab --p --q`` both get their cells from it, and it builds one
+column of each table it reads (``resolution.spectral_column(n, -p)``).
+``check_stable_cell`` and ``check_degree`` reject a cell or a (shape, degree)
+request that cannot be read, or would cost more than ``MAX_CELL_BOUND``,
+``MAX_WITNESS_SPAN`` or ``MAX_WITNESS_COST`` allow, so that ``conres stab``
+can tell a bad request from a bug.  ``stab_index`` builds no flag
+polynomial: it reads the series 1 / prod_a (q;q)_a up to q^(degree // 2),
+one running sum per factor.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .qcombinat import ConsistencyError, MultiIndex, QPoly, divide_out_series
-from .resolution import SpectralTable, spectral_table
+from .resolution import SpectralTable
 
 #: Largest ambient dimension ``conres`` accepts for ``--n`` and ``--max-n``
 #: (Python 3.11 on a shared 2-core Xeon VM: ``table --n 24`` 2.7-3.0 s and
@@ -36,7 +38,8 @@ from .resolution import SpectralTable, spectral_table
 #: 285 and 317 MB).
 MAX_TABLE_N = 24
 
-#: Largest bound ``stable_cell`` reads, so tables up to n = ``MAX_TABLE_N`` (``stable_cell(-11, 24)``: 2.4 s, 69 MB).
+#: Largest bound ``stable_cell`` reads, so tables up to n = ``MAX_TABLE_N``; column 11 costs most (same VM:
+#: ``stable_cell(-11, 24)`` 0.09-0.13 s, 18 MB, against 1.7-1.8 s, 69 MB when a cell built whole tables).
 MAX_CELL_BOUND = MAX_TABLE_N - 2
 
 #: Longest witness ``stab_index`` builds: q_cut + 1 coefficients, where
@@ -129,8 +132,8 @@ def check_stable_cell(p: int, q: int) -> None:
 
 
 def cohomological_rank(n: int, p: int, q: int) -> int:
-    """Rank of the cohomological cell (p, q) of the table for n."""
-    return spectral_table(n).cohomological_rank(p, q)
+    """Rank of the cohomological cell (p, q) of the table for n, off its column -p."""
+    return SpectralTable(n).cohomological_rank(p, q)
 
 
 @dataclass(frozen=True)

@@ -434,11 +434,12 @@ def test_verify_collects_a_check_that_raises(monkeypatch):
 # --------------------------------------------------------------------------
 
 
-#: Every memo of the block engine: the tables, the open-cone series in t and
-#: in q, the own-size blocks, the cycle-type averages (the numerators
-#: N_{a,m}) and the lifts.
+#: Every memo of the block engine: the tables and their columns, the
+#: open-cone series in t and in q, the own-size blocks, the cycle-type
+#: averages (the numerators N_{a,m}) and the lifts.
 _ENGINE_MEMOS = (
     spectral_table,
+    resolution.spectral_column,
     h_poly,
     resolution._top_block,
     resolution._own_size_block,
@@ -458,17 +459,29 @@ def fresh_tables():
         memo.cache_clear()
 
 
-def test_each_table_is_built_once(fresh_tables):
+def test_a_stable_cell_builds_only_the_columns_it_reads(fresh_tables):
     cells = stable_table(-3, 6)
-    read = {m for c in cells if c.p < 0 for m in (c.bound_n, c.bound_n + 1, c.bound_n + 2)}
-    # a table builds no smaller table: only the tables read are built
-    info = spectral_table.cache_info()
-    assert info.misses == info.currsize == len(read)
-    assert info.hits > 0
+    read = {(m, -c.p) for c in cells if c.p < 0 for m in (c.bound_n, c.bound_n + 1, c.bound_n + 2)}
+    columns = resolution.spectral_column.cache_info()
+    own = resolution._own_size_block.cache_info()
+    # no whole table is built, and the column memo holds exactly the columns
+    # read: as many entries, and reading each again is a hit
+    assert spectral_table.cache_info().misses == 0
+    assert columns.currsize == len(read)
+    assert columns.hits > 0
+    indices = {A for m, p in read for A, _ in resolution.spectral_column(m, p)}
+    assert resolution.spectral_column.cache_info().misses == columns.misses
+    # the own-size blocks are exactly those of the indices in these columns,
+    # so none of complexity above 3 is built
+    assert own.currsize == len(indices)
+    for A in indices:
+        resolution._own_size_block(A)
+    assert resolution._own_size_block.cache_info().misses == own.misses
+    assert {A.complexity for A in indices} == {1, 2, 3}
 
 
 def test_columns_agree_with_a_rescan_of_the_blocks():
-    for n in range(2, 10):
+    for n in range(2, 11):
         table = spectral_table(n)
         assert table.complexities() == tuple(sorted({A.complexity for A, _ in table.blocks}))
         for p in range(-1, n + 1):
@@ -495,19 +508,15 @@ def test_the_cell_walk_agrees_with_the_column_scans():
         assert list(table.cells()) == [cell for cell in sums if cell[2]]
 
 
-def test_table_groups_blocks_given_in_any_order():
-    for n in (5, 6):
-        table = spectral_table(n)
-        shuffled = SpectralTable(n, tuple(reversed(table.blocks)))
-        assert shuffled.complexities() == table.complexities()
-        assert list(shuffled.cells()) == list(table.cells())
-        # columns list their parts lexicographically decreasing, as documented
-        for p in table.complexities():
-            assert shuffled.column(p) == table.column(p)
-        for p, i, _ in table.cells():
-            assert list(shuffled.breakdown(p, i).items()) == list(table.breakdown(p, i).items())
-    # reversed, the n = 6 blocks of complexity 4 come as (3,3), (4,2), (5)
-    assert [A.parts for A, _ in shuffled.column(4)] == [(5,), (4, 2), (3, 3)]
+def test_a_table_is_the_union_of_its_columns():
+    # the view lists every index of size <= n in the order of multiindices,
+    # each with its block_poincare; the rescan test above reads the columns
+    for n in range(2, 11):
+        assert SpectralTable(n).blocks == tuple((A, block_poincare(A, n)) for A in multiindices(n, n - 1))
+    # columns list their parts lexicographically decreasing, across sizes
+    assert [A.parts for A, _ in SpectralTable(6).column(4)] == [(5,), (4, 2), (3, 3)]
+    with pytest.raises(ValueError):
+        SpectralTable(1)
 
 
 def _class_averaged_block(A, n, fiber=fiber_char):

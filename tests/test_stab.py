@@ -216,6 +216,10 @@ def test_cohomological_rank_unit_column():
         assert cohomological_rank(n, 0, 2) == 0
     with pytest.raises(ValueError):
         cohomological_rank(3, 1, 0)
+    # there is no table for n = 1, even where no column would be read
+    for p, q in ((0, 0), (-1, 3)):
+        with pytest.raises(ValueError):
+            cohomological_rank(1, p, q)
 
 
 def test_cohomological_rank_degree_two_line():
@@ -241,6 +245,15 @@ def test_stable_table_is_pinned():
     # multiplied-out denominators and exact_div, independently of divide_out
     digest = hashlib.sha256(repr(stable_table(-5, 12)).encode()).hexdigest()
     assert digest == "3ec0d55cec9932bba5585e08ff7ce5e34a435996a896e4899cc3742f244d58b7"
+
+
+def test_the_ceiling_table_is_pinned():
+    # SHA-256 of repr(stable_table(-11, 30)), 306 cells, 275 of them with
+    # p < 0, generated with every cell read off a whole spectral table
+    cells = stable_table(-11, 30)
+    assert (len(cells), sum(c.p < 0 for c in cells)) == (306, 275)
+    digest = hashlib.sha256(repr(cells).encode()).hexdigest()
+    assert digest == "cca8de19070900b318253a39ca8f7fdea48c9069e3b085bc3709d2528069e99e"
 
 
 def test_stable_cell_is_the_table_entry():
