@@ -29,14 +29,18 @@ for degree in (0, 2, 4, 6):
     print(f"stab((2), degree {degree}) = {report.stab_n}, witness {report.witness}")
 
 # A cell bound is the worst case of these over all shapes of complexity -p,
-# in degree p + q - 2 #A; in closed form it is max(-2p, (q - p) // 2).
+# in degree p + q - 2 #A; in closed form it is max(-2p, (q - p) // 2).  The
+# tables at the bound and two beyond it agree on the cell, the check that
+# stab.three_point_ranks makes.
 for p, q in ((-1, 3), (-1, 5), (-2, 6), (-3, 9)):
     bound = e1_stable_bound(p, q)
     ranks = [cohomological_rank(m, p, q) for m in (bound, bound + 1, bound + 2)]
     print(f"cell ({p}, {q}): stable from n = {bound}, ranks there {ranks}")
 
-# The stable table itself, for a small window.  The line p + q = 2 carries
-# exactly one rank per column: the degree-2 classes of each order.
+# The stable table itself, for a small window, read off the n-independent
+# series of each column (stab.stable_column) with no table built.  The line
+# p + q = 2 carries exactly one rank per column: the degree-2 classes of each
+# order.
 print("\nstable table (p >= -2, q <= 8):")
 for cell in stable_table(-2, 8):
     if cell.rank:

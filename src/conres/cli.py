@@ -10,10 +10,12 @@ Subcommands
 ``conres order``    order of a degree-2 class given as an integer sequence
 ``conres stab``     stabilization bound of a cell, or of one shape
 
-A cell's stable rank comes from ``stab.stable_cell``, the one place that
-evaluates the cell at its bound n* and at n* + 1, n* + 2 and requires the
-ranks to agree.  Each subcommand returns its arguments, payload and exit
-code; ``main`` wraps them in the one ``OutputDocument`` it renders.
+A cell's stable rank comes from ``stab.stable_cell``, which reads it off the
+n-independent series of its column; ``stab --p --q`` also reads the cell in
+the tables for its bound n* and n* + 1, n* + 2 (``stab.three_point_ranks``)
+and requires all four ranks to agree.  Each subcommand returns its
+arguments, payload and exit code; ``main`` wraps them in the one
+``OutputDocument`` it renders.
 
 ``--max-n`` (default 10) bounds ``--n``, and may itself be at most
 ``stab.MAX_TABLE_N``, so that no request builds a table past n = 24.
@@ -35,6 +37,7 @@ import sys
 import traceback
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
@@ -43,7 +46,7 @@ from .cohomring import h2_order
 from .flagchar import CHARACTERS, gamma_poincare
 from .qcombinat import ConsistencyError, GradedDims, MultiIndex, QPoly
 from .resolution import ALL_CHECKS, SpectralTable, link_poincare, spectral_table, verify
-from .stab import MAX_TABLE_N, check_degree, check_stable_cell, stab_index, stable_cell
+from .stab import MAX_TABLE_N, check_degree, check_stable_cell, stab_index, stable_cell, three_point_ranks
 
 DEFAULT_MAX_N = 10
 
@@ -75,7 +78,8 @@ def _flat_encoder(depth: int) -> json.JSONEncoder:
 def _dumps(value: Any, depth: int = 0) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)`` for plain str-keyed dicts,
     lists and scalars at ``depth``; the C encoder writes each container that
-    holds none."""
+    holds none, and a list of nonempty int-only lists (polynomial pairs) in
+    one pass."""
     if type(value) is int:
         return int.__repr__(value)
     if type(value) not in (dict, list, tuple) or not value:
@@ -83,9 +87,16 @@ def _dumps(value: Any, depth: int = 0) -> str:
     pad = "\n" + "  " * depth
     inner = pad + "  "
     items = value.values() if type(value) is dict else value
-    if {*map(type, items)}.isdisjoint((dict, list, tuple)):
+    kinds = {*map(type, items)}
+    if kinds.isdisjoint((dict, list, tuple)):
         text = _flat_encoder(depth).encode(value)
         return text[0] + inner + text[1:-1] + pad + text[-1]
+    if type(value) is list and kinds == {list} and all(value) and {*map(type, chain.from_iterable(value))} == {int}:
+        # written with the rows' separator throughout; only digits, signs and
+        # separators are left, so "],<sep>[" is a seam between two rows
+        row = inner + "  "
+        rows = _flat_encoder(depth + 1).encode(value)[2:-2].replace("]," + row + "[", f"{inner}],{inner}[{row}")
+        return f"[{inner}[{row}{rows}{inner}]{pad}]"
     if type(value) is dict:
         body = [f"{encode_basestring_ascii(k)}: {_dumps(value[k], depth + 1)}" for k in sorted(value)]
         return "{" + inner + ("," + inner).join(body) + pad + "}"
@@ -342,11 +353,15 @@ def _cmd_stab(args: argparse.Namespace) -> _Result:
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         cell = stable_cell(args.p, args.q)
+        ranks = three_point_ranks(args.p, args.q)
+        if ranks[0] != cell.rank:
+            detail = f"rank {ranks[0]} in the tables, {cell.rank} in the series"
+            raise ConsistencyError(f"cell ({args.p}, {args.q}) has {detail}")
         payload = {
             "p": cell.p,
             "q": cell.q,
             "bound_n": cell.bound_n,
-            "ranks": [cell.rank] * 3,
+            "ranks": ranks,
             "stable_rank": cell.rank,
         }
         return {"p": args.p, "q": args.q}, payload, 0

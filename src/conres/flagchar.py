@@ -265,13 +265,19 @@ def _cycle_average(a: int, m: int, factor: Callable[[int], QPoly] | None, chi: s
     return integer_combination(pairs, factorial(m))
 
 
+def _denominator_exponents(A: MultiIndex) -> list[int]:
+    """E_A = {kj : k <= m, j <= a} over the (a, m) of A, with repeats: the
+    exponents of prod_{(a, m)} D_{a,m}.  It has sum_a a m = |A| members."""
+    return [k * j for a, m in A.multiplicities() for k in range(1, m + 1) for j in range(1, a + 1)]
+
+
 def _own_size_average(A: MultiIndex, factor: Callable[[int], QPoly] | None, chi: str) -> QPoly:
     """``prod_{i <= s} (1 - q^i) prod_{(a, m)} M_{a,m} / D_{a,m}``, s = |A|,
     with M_{a,m} = ``_cycle_average(a, m, factor, chi)``.  Every exponent kj
-    of E_A = {kj : k <= m, j <= a} is at most s, so each distinct one
+    of E_A (:func:`_denominator_exponents`) is at most s, so each distinct one
     cancels a factor of prod_{i <= s} (1 - q^i) before the product, and the
     rest of E_A is divided out after it; a remainder raises."""
-    exponents = [k * j for a, m in A.multiplicities() for k in range(1, m + 1) for j in range(1, a + 1)]
+    exponents = _denominator_exponents(A)
     distinct = set(exponents)
     run = 0  # 1..run lie in E_A: q_pochhammer(s, run) has cancelled them unbuilt
     while run + 1 in distinct:

@@ -33,10 +33,13 @@ are built without it:
   of one a-cycle; it reads neither the total nor the other blocks, is one
   more index to ``_own_size_block``, and ``h_poly`` is its series in t;
 * ``spectral_column(n, p)`` lists the lifted blocks of complexity p, the
-  top one included: a stable cell builds the one column it reads, and
-  ``spectral_table`` the union of its columns, so a cold table builds no
-  smaller table; ``verify`` re-checks every identity the construction is
-  supposed to satisfy.
+  top one included: ``stab``'s three-point oracle builds the one column it
+  reads, and ``spectral_table`` the union of its columns, so a cold table
+  builds no smaller table; ``verify`` re-checks every identity the
+  construction is supposed to satisfy;
+* ``_stable_factors`` hands the n-independent factors (sigma_A, N_A, E_A)
+  of a block to ``stab.stable_column``, which reads the stable cells off
+  them as a series in 1/q without building any table.
 
 The class-by-class average over S(A) of flag trace (``flagchar.gamma_trace``)
 times fiber trace (:func:`fiber_char`) is the same block by another route; it
@@ -46,11 +49,11 @@ compare the two routes on every block below the top one for n <= 12.
 Degree bookkeeping.  Each shift has one owner.  :func:`_parity` is the
 t-parity ``(n + 1) mod 2`` of every block of the table for n, which
 :func:`block_poincare` applies at the table edge, where a block leaves q for
-t.  :func:`_own_size_block` owns sigma_A = #A - 1 + sum_a ((a + 1) mod 2)
-m_a: ``t^{#A - 1}`` (the Euclidean factor #A and the one-degree gap between
+t.  :func:`_sigma` owns sigma_A = #A - 1 + sum_a ((a + 1) mod 2) m_a:
+``t^{#A - 1}`` (the Euclidean factor #A and the one-degree gap between
 open-cone homology and the h-grading) plus the t-shift ``t^{((a + 1) mod 2)
-m}`` of each N_{a,m}; it checks that sigma_A has the parity of its table
-before halving it to q.  :func:`_lift` owns the
+m}`` of each N_{a,m}; :func:`_own_size_block` checks that sigma_A has the
+parity of its table before halving it to q.  :func:`_lift` owns the
 ``t^{d^2}`` of the Hermitian operators on a free part d (with both edge
 parities folded in), :func:`_top_block` the shift q^{(a - 1 - _parity(a))/2}
 of the Lie character, :func:`total_discriminant_poincare` the
@@ -134,21 +137,27 @@ def _parity(n: int) -> int:
     return (n + 1) % 2
 
 
+def _sigma(A: MultiIndex) -> int:
+    """sigma_A = #A - 1 + sum_a _parity(a) m_a, the t-shift of the Euclidean
+    factor and the numerators N_{a,m} in the block of ``A``; for a single part
+    (a) it is _parity(a), the t-parity of the top block."""
+    return A.length - 1 + sum(_parity(a) * m for a, m in A.multiplicities())
+
+
 @cache
 def _own_size_block(A: MultiIndex) -> QPoly:
     """The block of index ``A`` at its own size s = |A|, as B in q with block
     = ``t^{_parity(s)} B(t^2)``: :func:`_top_block` for a single part, else
-    ``t^{sigma_A}`` times ``flagchar._own_size_average`` with the factor
-    :func:`_top_block`, where sigma_A = #A - 1 + sum_a _parity(a) m_a is the
-    t-shift of the Euclidean factor and the numerators N_{a,m}.  A remainder
-    or a negative rank raises :class:`ConsistencyError`, and so does a
-    sigma_A of the wrong parity: for valid input sigma_A = (number of odd
-    parts) - 1 = s + 1 (mod 2) by construction, so that check guards the
-    shift formula against edits."""
+    ``t^{sigma_A}`` (:func:`_sigma`) times ``flagchar._own_size_average``
+    with the factor :func:`_top_block`.  A remainder or a negative rank
+    raises :class:`ConsistencyError`, and so does a sigma_A of the wrong
+    parity: for valid input sigma_A = (number of odd parts) - 1 = s + 1
+    (mod 2) by construction, so that check guards the shift formula against
+    edits."""
     s = A.size
     if A.length == 1:
         return _top_block(s)
-    shift = A.length - 1 + sum(_parity(a) * m for a, m in A.multiplicities())
+    shift = _sigma(A)
     if (shift - _parity(s)) % 2:
         raise ConsistencyError(f"parity violation in the block of {A} at n={s}")
     block = flagchar._own_size_average(A, _top_block, "trivial").times_power((shift - _parity(s)) // 2)
@@ -246,13 +255,31 @@ def link_poincare(n: int) -> GradedDims:
     return h_poly(n).times_power(-2)
 
 
+def _stable_factors(A: MultiIndex) -> tuple[int, QPoly, list[int]]:
+    """(sigma_A, N_A, E_A), the factors of the block of ``A`` that do not
+    depend on n: with d = n - |A| and q = t^2,
+
+        block(A, n) = t^{sigma_A + d^2} prod_{d < i <= n} (1 - q^i) N_A(q) / prod_{e in E_A} (1 - q^e),
+
+    where N_A = prod_{(a, m)} N_{a,m} (``flagchar._cycle_average`` with the
+    factor :func:`_top_block`; N_{a,1} = H_a, so a single part (a) has
+    N_A = H_a) and E_A is ``flagchar._denominator_exponents(A)``."""
+    numerators = (flagchar._cycle_average(a, m, _top_block, "trivial") for a, m in A.multiplicities())
+    return _sigma(A), prod(numerators, start=QPoly.one()), flagchar._denominator_exponents(A)
+
+
+def _column_indices(p: int, n: int) -> tuple[MultiIndex, ...]:
+    """The indices of complexity p and size at most n, parts lexicographically
+    decreasing: size s = p + 1 .. min(n, 2p) with s - p parts."""
+    indices = (parts for s in range(p + 1, min(n, 2 * p) + 1) for parts in partitions(s, 2) if len(parts) == s - p)
+    return tuple(map(MultiIndex, sorted(indices, reverse=True)))
+
+
 @cache
 def spectral_column(n: int, p: int) -> tuple[tuple[MultiIndex, GradedDims], ...]:
     """The blocks ``(A, block_poincare(A, n))`` of complexity p in the table for
-    n, parts lexicographically decreasing: the indices of size s = p + 1 ..
-    min(n, 2p) with s - p parts.  The one memo of lifted blocks."""
-    indices = (parts for s in range(p + 1, min(n, 2 * p) + 1) for parts in partitions(s, 2) if len(parts) == s - p)
-    return tuple((A, block_poincare(A, n)) for A in map(MultiIndex, sorted(indices, reverse=True)))
+    n, in the order of :func:`_column_indices`.  The one memo of lifted blocks."""
+    return tuple((A, block_poincare(A, n)) for A in _column_indices(p, n))
 
 
 @dataclass(frozen=True)

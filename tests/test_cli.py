@@ -155,6 +155,11 @@ def test_unstable_cell_exits_two(monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert err == "consistency failure: cell (-1, 3) not stable at its bound 2: ranks [2, 3, 4]\n"
+    # three tables that agree with each other but not with the series fail too
+    monkeypatch.setattr("conres.stab.cohomological_rank", lambda n, p, q: 7)
+    code, out, err = _run(capsys, "stab", "--p", "-1", "--q", "3", "--format", "json")
+    assert (code, out) == (2, "")
+    assert err == "consistency failure: cell (-1, 3) has rank 7 in the tables, 1 in the series\n"
 
 
 # --------------------------------------------------------------------------
@@ -183,8 +188,12 @@ _scalars = (
     | st.sampled_from([-0.0, 1e300, -1e-300])
     | _keys
 )
+# lists of int-only lists, such as polynomial pairs, have a writer of their own
+_rows = st.lists(st.lists(st.integers() | st.integers(-(2**200), 2**200), min_size=1, max_size=3), max_size=4)
 _documents = st.recursive(
-    _scalars, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_keys, inner, max_size=4), max_leaves=40
+    _scalars | _rows,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_keys, inner, max_size=4),
+    max_leaves=40,
 )
 
 
@@ -208,6 +217,13 @@ def test_json_writer_matches_the_stdlib_indenter(value):
         {"only": {}},
         [{}, {}, {}],
         [[1, 2], {"x": [3, {"y": None}]}, [], 4],
+        [[0, 1], [-(2**70), 3, 4], [5]],
+        {"w": [[1, -1]], "x": {"y": [[2], [3]]}},
+        [[1, 2], []],
+        [[1, True]],
+        [[1, 2.0]],
+        [[1], [[2]]],
+        [[1, "2"]],
         7,
         -(2**100),
         "x",

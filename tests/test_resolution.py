@@ -34,7 +34,7 @@ from conres.resolution import (
     total_discriminant_poincare,
     verify,
 )
-from conres.stab import stable_table
+from conres.stab import e1_stable_bound, three_point_ranks
 
 from golden import LINK_POLYNOMIALS, SPECTRAL_TABLES
 
@@ -460,8 +460,11 @@ def fresh_tables():
 
 
 def test_a_stable_cell_builds_only_the_columns_it_reads(fresh_tables):
-    cells = stable_table(-3, 6)
-    read = {(m, -c.p) for c in cells if c.p < 0 for m in (c.bound_n, c.bound_n + 1, c.bound_n + 2)}
+    # the three-point oracle of every cell of stable_table(-3, 6)
+    cells = [(p, q) for p in range(-3, 0) for q in range(-p, 7)]
+    for p, q in cells:
+        three_point_ranks(p, q)
+    read = {(m, -p) for p, q in cells for m in range(e1_stable_bound(p, q), e1_stable_bound(p, q) + 3)}
     columns = resolution.spectral_column.cache_info()
     own = resolution._own_size_block.cache_info()
     # no whole table is built, and the column memo holds exactly the columns

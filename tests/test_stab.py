@@ -1,10 +1,12 @@
 import hashlib
+import itertools
 import json
 import re
+from collections import Counter
 
 import pytest
 
-from conres import stab
+from conres import resolution, stab
 from conres.cli import main
 from conres.qcombinat import ConsistencyError, MultiIndex, QPoly, gauss_multinomial, multiindices, q_pochhammer
 from conres.resolution import spectral_table
@@ -20,7 +22,9 @@ from conres.stab import (
     e1_stable_bound,
     stab_index,
     stable_cell,
+    stable_column,
     stable_table,
+    three_point_ranks,
 )
 
 
@@ -177,9 +181,13 @@ def test_a_cell_past_the_ceiling_builds_no_table(monkeypatch, p, q):
     def no_table(n, p, q):
         raise AssertionError(f"built a table for n = {n}")
 
+    def no_series(A):
+        raise AssertionError(f"built the series of {A}")
+
     monkeypatch.setattr(stab, "cohomological_rank", no_table)
+    monkeypatch.setattr(stab, "_stable_factors", no_series)
     assert e1_stable_bound(p, q) > MAX_CELL_BOUND
-    for read in (lambda: check_stable_cell(p, q), lambda: stable_cell(p, q)):
+    for read in (lambda: check_stable_cell(p, q), lambda: stable_cell(p, q), lambda: three_point_ranks(p, q)):
         with pytest.raises(ValueError, match=rf"cell \({p}, {q}\) is stable from n = \d+, more than {MAX_CELL_BOUND}"):
             read()
 
@@ -264,14 +272,111 @@ def test_stable_cell_is_the_table_entry():
 
 
 def test_an_unstable_cell_raises(monkeypatch):
-    # ranks that keep changing with n fail the three-point agreement, in the
-    # cell and in every table that contains it
+    # ranks that keep changing with n fail the three-point oracle; the series
+    # reads no table
     monkeypatch.setattr(stab, "cohomological_rank", lambda n, p, q: n)
     message = r"cell \(-1, 3\) not stable at its bound 2: ranks \[2, 3, 4\]"
     with pytest.raises(ConsistencyError, match=message):
-        stable_cell(-1, 3)
-    with pytest.raises(ConsistencyError, match=r"cell \(-1, 1\) not stable"):
-        stable_table(-1, 3)
+        three_point_ranks(-1, 3)
+    assert stable_cell(-1, 3) == StableCell(-1, 3, 2, 1)
+
+
+def test_the_series_is_the_three_point_rule():
+    cells = [c for c in stable_table(-11, 30) if c.p < 0]
+    assert len(cells) == 275
+    for c in cells:
+        assert three_point_ranks(c.p, c.q) == [c.rank] * 3, (c.p, c.q)
+
+
+def _permutation_counts(L):
+    """(c, Q) -> the number of sigma in S_L with L - cyc(sigma) = c, whose
+    descents are as many as the s points it moves, and with
+    Q = 2 (s L - maj(sigma)) - s^2 - (sum of its cycle lengths >= 3) + c.
+
+    By Gessel and Reutenauer (JCTA 64, 1993), the block of A in the table for
+    n is t^{d^2 - 1 + sum_{a in A, a >= 3} a} times the sum of t^{2 maj} over
+    the sigma in S_n of cycle type A with d fixed points.  Put sigma in S_L in
+    the last L positions of S_n: its cohomological cell (-c, Q) moves with n
+    unless des(sigma) = s, and then Q is the one above.  So these counts are
+    the stable ranks wherever L is large enough, with no engine code."""
+    counts = Counter()
+    for perm in itertools.permutations(range(L)):
+        moved = sum(i != image for i, image in enumerate(perm))
+        descents = [i for i in range(1, L) if perm[i - 1] > perm[i]]
+        if len(descents) != moved:
+            continue
+        lengths = []
+        seen = set()
+        for start in range(L):
+            length, j = 0, start
+            while j not in seen:
+                seen.add(j)
+                j, length = perm[j], length + 1
+            if length:
+                lengths.append(length)
+        c = L - len(lengths)
+        counts[c, 2 * (moved * L - sum(descents)) - moved * moved - sum(n for n in lengths if n >= 3) + c] += 1
+    return counts
+
+
+def test_the_series_counts_permutations():
+    # S_8 reaches every cell of stable_table(-4, 9) with p < 0; it misses (-4, 10)
+    counts = _permutation_counts(8)
+    cells = [c for c in stable_table(-4, 10) if c.p < 0]
+    assert len(cells) == 34
+    assert [c for c in cells if counts[-c.p, c.q] != c.rank] == [StableCell(-4, 10, 8, 13)]
+
+
+def test_column_minus_one_counts_partitions_into_ones_and_twos():
+    # the index (2) alone: 1 / ((1 - y)(1 - y^2)), one coefficient per odd Q
+    ranks = [rank for rank, _ in stable_column(-1, 44)]
+    assert ranks == [(q - 3) // 4 + 1 if q % 2 and q >= 3 else 0 for q in range(1, 45)]
+
+
+def test_the_first_ranks_of_columns_two_and_three():
+    for p, start in ((-2, [1, 3, 4, 8, 11, 17]), (-3, [1, 3, 9, 16, 31, 50])):
+        column = stable_column(p, 14 - p)
+        assert [rank for rank, _ in column if rank][:6] == start
+        # the odd rows of the column are empty
+        assert not any(rank for q, (rank, _) in zip(range(-p, 15 - p), column) if (q + p) % 2)
+
+
+def test_the_proved_bound_is_at_most_the_e1_bound():
+    bounds = [
+        (bound, e1_stable_bound(p, q))
+        for p in range(-11, 0)
+        for q, (_, bound) in zip(range(-p, 31), stable_column(p, 30))
+    ]
+    assert len(bounds) == 275
+    assert all(proved <= e1 for proved, e1 in bounds)
+    assert sum(proved < e1 for proved, e1 in bounds) == 197
+
+
+def test_the_stable_table_builds_no_table():
+    columns, own = resolution.spectral_column.cache_info(), resolution._own_size_block.cache_info()
+    stable_table(-6, 14)
+    assert resolution.spectral_column.cache_info() == columns
+    assert resolution._own_size_block.cache_info() == own
+
+
+def test_the_series_checks_its_ranks_and_bounds(monkeypatch):
+    factors = stab._stable_factors
+
+    def negated(A):
+        sigma, numerator, exponents = factors(A)
+        return sigma, -numerator, exponents
+
+    def shifted(A):
+        sigma, numerator, exponents = factors(A)
+        return sigma + 2, numerator, exponents
+
+    monkeypatch.setattr(stab, "_stable_factors", negated)
+    with pytest.raises(ConsistencyError, match=r"negative stable rank -1 in cell \(-1, 3\)"):
+        stable_column(-1, 5)
+    # one power of q more in every block: (-1, 3) would be stable only from n = 3
+    monkeypatch.setattr(stab, "_stable_factors", shifted)
+    with pytest.raises(ConsistencyError, match=r"proved bound 3 of cell \(-1, 3\) is above n\* = 2"):
+        stable_column(-1, 5)
 
 
 def test_cohomological_view_is_the_cohomological_rank(capsys):
