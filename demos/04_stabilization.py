@@ -37,8 +37,8 @@ for p, q in ((-1, 3), (-1, 5), (-2, 6), (-3, 9)):
     ranks = [cohomological_rank(m, p, q) for m in (bound, bound + 1, bound + 2)]
     print(f"cell ({p}, {q}): stable from n = {bound}, ranks there {ranks}")
 
-# The stable table itself, for a small window, read off the n-independent
-# series of each column (stab.stable_column) with no table built.  The line
+# The stable table itself, for a small window, read off one plethystic
+# product over the cycle sizes (stab.stable_series) with no table built.  The line
 # p + q = 2 carries exactly one rank per column: the degree-2 classes of each
 # order.
 print("\nstable table (p >= -2, q <= 8):")

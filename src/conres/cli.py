@@ -10,8 +10,8 @@ Subcommands
 ``conres order``    order of a degree-2 class given as an integer sequence
 ``conres stab``     stabilization bound of a cell, or of one shape
 
-A cell's stable rank comes from ``stab.stable_cell``, which reads it off the
-n-independent series of its column; ``stab --p --q`` also reads the cell in
+A cell's stable rank comes from ``stab.stable_cell``, which reads it off one
+plethystic product (``stab.stable_series``); ``stab --p --q`` also reads the cell in
 the tables for its bound n* and n* + 1, n* + 2 (``stab.three_point_ranks``)
 and requires all four ranks to agree.  Each subcommand returns its
 arguments, payload and exit code; ``main`` wraps them in the one

@@ -37,9 +37,9 @@ are built without it:
   reads, and ``spectral_table`` the union of its columns, so a cold table
   builds no smaller table; ``verify`` re-checks every identity the
   construction is supposed to satisfy;
-* ``_stable_factors`` hands the n-independent factors (sigma_A, N_A, E_A)
-  of a block to ``stab.stable_column``, which reads the stable cells off
-  them as a series in 1/q without building any table.
+* ``stab.stable_series`` reads every stable cell off ``_top_block`` and
+  ``_parity`` alone, as one plethystic product, without building any
+  block.
 
 The class-by-class average over S(A) of flag trace (``flagchar.gamma_trace``)
 times fiber trace (:func:`fiber_char`) is the same block by another route; it
@@ -253,19 +253,6 @@ def link_poincare(n: int) -> GradedDims:
     if n < 3:
         raise ValueError("the link is empty for n < 3")
     return h_poly(n).times_power(-2)
-
-
-def _stable_factors(A: MultiIndex) -> tuple[int, QPoly, list[int]]:
-    """(sigma_A, N_A, E_A), the factors of the block of ``A`` that do not
-    depend on n: with d = n - |A| and q = t^2,
-
-        block(A, n) = t^{sigma_A + d^2} prod_{d < i <= n} (1 - q^i) N_A(q) / prod_{e in E_A} (1 - q^e),
-
-    where N_A = prod_{(a, m)} N_{a,m} (``flagchar._cycle_average`` with the
-    factor :func:`_top_block`; N_{a,1} = H_a, so a single part (a) has
-    N_A = H_a) and E_A is ``flagchar._denominator_exponents(A)``."""
-    numerators = (flagchar._cycle_average(a, m, _top_block, "trivial") for a, m in A.multiplicities())
-    return _sigma(A), prod(numerators, start=QPoly.one()), flagchar._denominator_exponents(A)
 
 
 def _column_indices(p: int, n: int) -> tuple[MultiIndex, ...]:

@@ -3,13 +3,22 @@ import itertools
 import json
 import re
 from collections import Counter
+from math import prod
 
 import pytest
 
-from conres import resolution, stab
+from conres import flagchar, resolution, stab
 from conres.cli import main
-from conres.qcombinat import ConsistencyError, MultiIndex, QPoly, gauss_multinomial, multiindices, q_pochhammer
-from conres.resolution import spectral_table
+from conres.qcombinat import (
+    ConsistencyError,
+    MultiIndex,
+    QPoly,
+    divide_out_series,
+    gauss_multinomial,
+    multiindices,
+    q_pochhammer,
+)
+from conres.resolution import _column_indices, _sigma, _top_block, spectral_table
 from conres.stab import (
     MAX_CELL_BOUND,
     MAX_WITNESS_COST,
@@ -22,7 +31,7 @@ from conres.stab import (
     e1_stable_bound,
     stab_index,
     stable_cell,
-    stable_column,
+    stable_series,
     stable_table,
     three_point_ranks,
 )
@@ -181,15 +190,24 @@ def test_a_cell_past_the_ceiling_builds_no_table(monkeypatch, p, q):
     def no_table(n, p, q):
         raise AssertionError(f"built a table for n = {n}")
 
-    def no_series(A):
-        raise AssertionError(f"built the series of {A}")
+    def no_series(c_max, q_max):
+        raise AssertionError(f"built the stable series up to x^{c_max} T^{q_max}")
 
     monkeypatch.setattr(stab, "cohomological_rank", no_table)
-    monkeypatch.setattr(stab, "_stable_factors", no_series)
+    monkeypatch.setattr(stab, "stable_series", no_series)
     assert e1_stable_bound(p, q) > MAX_CELL_BOUND
     for read in (lambda: check_stable_cell(p, q), lambda: stable_cell(p, q), lambda: three_point_ranks(p, q)):
         with pytest.raises(ValueError, match=rf"cell \({p}, {q}\) is stable from n = \d+, more than {MAX_CELL_BOUND}"):
             read()
+
+
+def test_a_table_past_the_ceiling_names_its_first_refused_cell(monkeypatch):
+    # every cell is checked in (p, q) order before the one series is built
+    monkeypatch.setattr(stab, "stable_series", lambda c_max, q_max: pytest.fail("built the stable series"))
+    with pytest.raises(ValueError, match=re.escape("cell (-12, 12) is stable from n = 24, more than 22")):
+        stable_table(-12, 24)
+    with pytest.raises(ValueError, match=re.escape("cell (-2, 44) is stable from n = 23, more than 22")):
+        stable_table(-2, 44)
 
 
 def test_the_ceiling_admits_the_largest_bound():
@@ -327,18 +345,82 @@ def test_the_series_counts_permutations():
     assert [c for c in cells if counts[-c.p, c.q] != c.rank] == [StableCell(-4, 10, 8, 13)]
 
 
+def _stable_factors(A):
+    """(sigma_A, N_A, E_A), the factors of the block of ``A`` that do not
+    depend on n: with d = n - |A| and q = t^2,
+
+        block(A, n) = t^{sigma_A + d^2} prod_{d < i <= n} (1 - q^i) N_A(q) / prod_{e in E_A} (1 - q^e),
+
+    where N_A = prod_{(a, m)} N_{a,m} (``flagchar._cycle_average`` with the
+    factor ``_top_block``) and E_A is ``flagchar._denominator_exponents(A)``."""
+    numerators = (flagchar._cycle_average(a, m, _top_block, "trivial") for a, m in A.multiplicities())
+    return _sigma(A), prod(numerators, start=QPoly.one()), flagchar._denominator_exponents(A)
+
+
+def stable_column(p, q_max):
+    """The third route to the stable cells, index by index: (stable rank,
+    proved bound) of the cell (p, Q) for Q = -p .. q_max.  With c = -p and
+    y = 1/q, the rank is the sum over the indices A of complexity c, of size
+    s = c + 1 .. 2c, of
+
+        [y^{j_A}] rev(N_A)(y) / prod_{e in E_A} (1 - y^e),
+        j_A = (s + Q + 1 - c + sigma_A) / 2 + deg N_A - sum E_A,
+
+    where an A with an odd numerator or j_A < 0 adds nothing.  The cell is
+    the coefficient of t^{n^2 - Q - 1 + c} in column c of the table for n,
+    j_A powers of q below the top of the block of A.  Read from the top, the
+    signs of the s factors 1 - q^i and the s factors 1 / (1 - q^e) cancel,
+    and prod_{d < i <= n} (1 - y^i) is 1 up to y^d, so the block's
+    coefficient is the series' once j_A <= d = n - s: the cell is exact from
+    n = max(2, s + j_A) over the A that add a term, its proved bound.  It
+    shares ``_top_block`` with :func:`stable_series`, and the class averages
+    ``flagchar._cycle_average`` with the blocks."""
+    c = -p
+    qs = range(c, q_max + 1)
+    ranks = [int(q == 0) for q in qs]  # column 0 holds only the unit class
+    bounds = [2] * len(qs)
+    for A in _column_indices(c, 2 * c):
+        sigma, numerator, exponents = _stable_factors(A)
+        top = numerator.degree()
+        base, shift = A.size + 1 - c + sigma, top - sum(exponents)  # j_A = (base + Q) / 2 + shift
+        reads = [(k, (base + q) // 2 + shift) for k, q in enumerate(qs) if (base + q) % 2 == 0]
+        reads = [(k, j) for k, j in reads if j >= 0]
+        if not reads:
+            continue
+        reversed_numerator = QPoly({top - e: v for e, v in numerator.items()})
+        series = divide_out_series(reversed_numerator, exponents, max(j for _, j in reads))
+        for k, j in reads:
+            ranks[k] += series.coefficient(j)
+            bounds[k] = max(bounds[k], A.size + j)
+    return tuple(zip(ranks, bounds))
+
+
+def test_the_product_is_the_sum_over_indices():
+    # the whole table against the per-index column series, past the ceiling
+    # too: all columns up to c = 14 and Q = 40
+    rows = stable_series(14, 40)
+    for c in range(15):
+        assert [rank for rank, _ in stable_column(-c, 40)] == list(rows[c][c:]), c
+        assert not any(rows[c][:c]), c
+    for c_max, q_max in ((-1, 3), (3, -1)):
+        with pytest.raises(ValueError, match="c_max and q_max must be at least 0"):
+            stable_series(c_max, q_max)
+
+
 def test_column_minus_one_counts_partitions_into_ones_and_twos():
     # the index (2) alone: 1 / ((1 - y)(1 - y^2)), one coefficient per odd Q
-    ranks = [rank for rank, _ in stable_column(-1, 44)]
-    assert ranks == [(q - 3) // 4 + 1 if q % 2 and q >= 3 else 0 for q in range(1, 45)]
+    expected = [(q - 3) // 4 + 1 if q % 2 and q >= 3 else 0 for q in range(1, 45)]
+    assert [rank for rank, _ in stable_column(-1, 44)] == expected
+    assert list(stable_series(1, 44)[1][1:]) == expected
 
 
 def test_the_first_ranks_of_columns_two_and_three():
+    rows = stable_series(3, 17)
     for p, start in ((-2, [1, 3, 4, 8, 11, 17]), (-3, [1, 3, 9, 16, 31, 50])):
-        column = stable_column(p, 14 - p)
-        assert [rank for rank, _ in column if rank][:6] == start
+        column = rows[-p][-p : 15 - p]
+        assert [rank for rank in column if rank][:6] == start
         # the odd rows of the column are empty
-        assert not any(rank for q, (rank, _) in zip(range(-p, 15 - p), column) if (q + p) % 2)
+        assert not any(rank for q, rank in zip(range(-p, 15 - p), column) if (q + p) % 2)
 
 
 def test_the_proved_bound_is_at_most_the_e1_bound():
@@ -353,30 +435,42 @@ def test_the_proved_bound_is_at_most_the_e1_bound():
 
 
 def test_the_stable_table_builds_no_table():
-    columns, own = resolution.spectral_column.cache_info(), resolution._own_size_block.cache_info()
+    def infos():
+        memos = (resolution.spectral_column, resolution._own_size_block, flagchar._cycle_average)
+        return [memo.cache_info() for memo in memos]
+
+    before = infos()
     stable_table(-6, 14)
-    assert resolution.spectral_column.cache_info() == columns
-    assert resolution._own_size_block.cache_info() == own
+    assert infos() == before
 
 
-def test_the_series_checks_its_ranks_and_bounds(monkeypatch):
-    factors = stab._stable_factors
+def test_a_plethysm_read_without_its_dilation_leaves_a_remainder(monkeypatch):
+    # p_k[Y] read as Y(T) instead of Y(T^k): 2 F_2 = Y_2^2 + 2 Y_3 + Y_2 is
+    # odd at T^3, where Y_2 starts
+    monkeypatch.setattr(stab, "_dilate", lambda series, k: series)
+    with pytest.raises(ConsistencyError, match=r"remainder 1 mod 2 in the stable series at x\^2 T\^3"):
+        stable_table(-3, 9)
 
-    def negated(A):
-        sigma, numerator, exponents = factors(A)
-        return sigma, -numerator, exponents
 
-    def shifted(A):
-        sigma, numerator, exponents = factors(A)
-        return sigma + 2, numerator, exponents
-
-    monkeypatch.setattr(stab, "_stable_factors", negated)
+def test_the_series_checks_its_ranks(monkeypatch):
+    lie_series = stab._lie_series
+    # -Y_2: Exp[-x Y_2] is integral, and its first coefficient is -1
+    monkeypatch.setattr(stab, "_lie_series", lambda a, cut: [-v for v in lie_series(a, cut)])
     with pytest.raises(ConsistencyError, match=r"negative stable rank -1 in cell \(-1, 3\)"):
-        stable_column(-1, 5)
-    # one power of q more in every block: (-1, 3) would be stable only from n = 3
-    monkeypatch.setattr(stab, "_stable_factors", shifted)
-    with pytest.raises(ConsistencyError, match=r"proved bound 3 of cell \(-1, 3\) is above n\* = 2"):
-        stable_column(-1, 5)
+        stable_table(-1, 5)
+
+
+def test_the_series_checks_its_wedge(monkeypatch):
+    lie_series = stab._lie_series
+
+    def with_constant(a, cut):
+        series = lie_series(a, cut)
+        return [series[0] + (a == 2)] + series[1:]
+
+    # Y_2 + 1 puts a rank at (-1, 0), where p + q < 0
+    monkeypatch.setattr(stab, "_lie_series", with_constant)
+    with pytest.raises(ConsistencyError, match=r"stable rank 1 in cell \(-1, 0\), outside the wedge"):
+        stable_table(-2, 6)
 
 
 def test_cohomological_view_is_the_cohomological_rank(capsys):
