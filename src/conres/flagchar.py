@@ -41,19 +41,20 @@ everywhere within its budget.  The orbits of sigma on the blocks are read
 off the class: a block cycle of length c over size-a blocks is an orbit of c
 groups of a points, each mapped identically onto the next.  The free part,
 which the class does not list, is one more orbit: a fixed group of d points.
-The per-orbit counts of cycle types are convolved, which rests on orbit
-restriction: sigma * u maps the points of each orbit onto themselves, so its
-cycle type is the union of those of its restrictions.  On an orbit of one
-group (the free part, or a fixed block) sigma is the identity and the counts
-are the classical a! / z_lambda.  On an orbit of c >= 2 groups of a points
-all a!^c tuples u are visited, but none is walked point by point: sigma * u
-maps each group onto the next, so every one of its cycles meets the first
-group, and its cycle type is c times that of the composite pi = u_{c-1} o
-... o u_0, the return map to the first group.  pi is formed explicitly for
-each tuple and its cycle type looked up among those of S_a.  The oracle
-uses neither the uniform composite nor the collapse above.  z_lambda
-(``centralizer_order``) is the one input the oracle shares with
-``_cycle_average``, which the collapse check reads too;
+By orbit restriction (sigma * u maps each orbit's points onto themselves)
+and the closed form above, the trace of sigma * u is the q-multinomial of
+the orbit sizes times those of its restrictions; so the traces are summed
+once per orbit shape (c, a), and a class takes one q-multinomial times them.
+On an orbit of one group (the free part, or a fixed block) sigma is the
+identity and the counts are the classical a! / z_lambda.  On an orbit of c
+>= 2 groups of a points all a!^c tuples u are visited, but none is walked
+point by point: sigma * u maps each group onto the next, so every one of its
+cycles meets the first group, and its cycle type is c times that of the
+composite pi = u_{c-1} o ... o u_0, the return map to the first group.  pi
+is formed explicitly for each tuple and its cycle type looked up among
+those of S_a.  The oracle uses neither the uniform composite nor the
+collapse above.  z_lambda (``centralizer_order``) is the one input the
+oracle shares with ``_cycle_average``, which the collapse check reads too;
 ``tests/test_flagchar.py::test_one_group_orbits_count_each_cycle_type_by_its_class_size``
 guards it by enumerating S_a for a <= 8, and
 ``test_orbit_counts_equal_the_concatenate_and_walk_reference`` walks every
@@ -188,6 +189,16 @@ def _orbit_cycle_types(c: int, a: int) -> tuple[tuple[tuple[int, ...], int], ...
     return tuple(counts.items())
 
 
+@cache
+def _orbit_trace_sum(c: int, a: int) -> tuple[QPoly, int]:
+    """T(c, a): the coinvariant traces of sigma * u on one orbit of c groups
+    of a points, summed over its tuples u by the counts of
+    :func:`_orbit_cycle_types`, and the number of tuples."""
+    counts = _orbit_cycle_types(c, a)
+    pairs = [(count, coinvariant_trace(c * a, nu)) for nu, count in counts]
+    return integer_combination(pairs, 1), sum(count for _, count in counts)
+
+
 def gamma_trace_naive(
     A: MultiIndex, n: int, cls: BlockClass, budget: int = NAIVE_BUDGET
 ) -> QPoly:
@@ -196,36 +207,35 @@ def gamma_trace_naive(
 
     W_A is taken one sigma-orbit of groups (blocks and free part) at a time.
     sigma * u maps the points of each orbit onto themselves, so its cycle
-    type is the union of those of its restrictions, and the number of u
-    giving a cycle type is a convolution of the per-orbit counts.  An orbit
-    of one group is counted as a! / z_lambda per cycle type lambda (sigma is
-    the identity there); on an orbit of c >= 2 groups every tuple is
-    visited, and its cycle type is c times that of its composite around the
-    orbit (see :func:`_orbit_cycle_types`).
-    Nothing else is assumed: neither the uniform composite around a block
-    cycle nor the collapse of the partition average that :func:`gamma_trace`
-    uses.  The counts must sum to |W_A|, or it raises."""
+    type is the union of those of its restrictions, and its trace is the
+    q-multinomial [n; s_1, ..., s_k]_q of the orbit sizes times theirs (both
+    sides are (q;q)_n / prod (1 - q^part)).  Summed over all u, that is the
+    q-multinomial times the per-shape sums of :func:`_orbit_trace_sum`,
+    divided exactly by |W_A|.  An orbit of one group is counted as a! /
+    z_lambda per cycle type lambda (sigma is the identity there); on an
+    orbit of c >= 2 groups every tuple is visited, and its cycle type is c
+    times that of its composite around the orbit (see
+    :func:`_orbit_cycle_types`).  Nothing else is assumed: neither the
+    uniform composite around a block cycle nor the collapse of the
+    partition average that :func:`gamma_trace` uses.  The tuple counts must
+    multiply to |W_A|, or it raises."""
     cycles, d = block_cycles(A, n, cls)
     group_order = prod(factorial(a) for a in A.parts) * factorial(d)
     if group_order > budget:
         raise BudgetExceededError(
             f"|W_A| = {group_order} exceeds the enumeration budget {budget}"
         )
-    counts: Counter[tuple[int, ...]] = Counter({(): 1})
-    for c, a in cycles + ((1, d),) if d else cycles:
-        orbit_counts = _orbit_cycle_types(c, a)
-        merged: Counter[tuple[int, ...]] = Counter()
-        for mu, count in counts.items():
-            for nu, orbit_count in orbit_counts:
-                merged[tuple(sorted(mu + nu, reverse=True))] += count * orbit_count
-        counts = merged
-    enumerated = sum(counts.values())
+    orbits = cycles + ((1, d),) if d else cycles
+    sums = [_orbit_trace_sum(c, a) for c, a in orbits]
+    enumerated = prod(count for _, count in sums)
     if enumerated != group_order:
         raise ConsistencyError(
             f"the orbits of class {cls} count {enumerated} elements of W_A, not {group_order}"
         )
-    pairs = [(count, coinvariant_trace(n, mu)) for mu, count in sorted(counts.items())]
-    return integer_combination(pairs, group_order)
+    # the largest orbit is the implicit last part: its factors cancel unbuilt
+    sizes = sorted(c * a for c, a in orbits)[:-1]
+    total = prod((trace for trace, _ in sums), start=gauss_multinomial(n, sizes))
+    return integer_combination([(1, total)], group_order)
 
 
 def _weight(chi: str, sign: int) -> int:

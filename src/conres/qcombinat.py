@@ -602,12 +602,18 @@ def conjugacy_classes(A: MultiIndex) -> tuple[BlockClass, ...]:
     return tuple(BlockClass(tuple(combo)) for combo in itertools.product(*choices))
 
 
+@cache
+def _class_set(A: MultiIndex) -> frozenset[BlockClass]:
+    """:func:`conjugacy_classes` of ``A`` as a set, for membership tests."""
+    return frozenset(conjugacy_classes(A))
+
+
 def block_cycles(A: MultiIndex, n: int, cls: BlockClass) -> tuple[tuple[tuple[int, int], ...], int]:
     """The block cycles of ``cls``, as (cycle length, part size) pairs, and
     the free part's dimension d = n - |A|.  Raises ValueError unless ``A`` fits
     in C^n and ``cls`` is one of :func:`conjugacy_classes` of ``A``."""
     d = A.liberty(n)
-    if cls not in conjugacy_classes(A):
+    if cls not in _class_set(A):
         raise ValueError(f"class {cls} does not match the shape of {A}")
     return cls.cycles, d
 

@@ -483,9 +483,12 @@ def _check_gamma_oracle(n: int, budget: int) -> Iterator[_Outcome]:
     oracle runs first, and ``gamma_trace`` only where the oracle answers.
     On an orbit of c >= 2 groups of a points the oracle visits all a!^c
     tuples and reads each one's cycle type off its composite around the
-    orbit (``flagchar._orbit_cycle_types``).  The collapse ``gamma_trace``
-    rests on is checked for every part size a = 2..n, also where every
-    class is over the budget; it adds an outcome only when it fails."""
+    orbit (``flagchar._orbit_cycle_types``); it sums their coinvariant
+    traces once per orbit shape (``flagchar._orbit_trace_sum``), and a class
+    costs one q-multinomial of its orbit sizes times these sums.  The
+    collapse ``gamma_trace`` rests on is checked for every part size a =
+    2..n, also where every class is over the budget; it adds an outcome only
+    when it fails."""
     for a in range(2, n + 1):
         try:
             flagchar._collapsed_denominator(a)
@@ -493,21 +496,22 @@ def _check_gamma_oracle(n: int, budget: int) -> Iterator[_Outcome]:
             yield f"a={a}, n={n}", False, str(exc)
     for A in multiindices(n, n - 1):
         for cls in conjugacy_classes(A):
-            location = f"A={A}, n={n}, cls={cls}"
             try:
                 slow = flagchar.gamma_trace_naive(A, n, cls, budget=budget)
                 fast = flagchar.gamma_trace(A, n, cls)
             except flagchar.BudgetExceededError:
                 continue
             except ConsistencyError as exc:
-                yield location, False, str(exc)
-                continue
-            if fast != slow:
-                yield location, False, f"traces disagree: fast {fast} vs naive {slow}"
-            elif not cls.is_trivial and fast(1) != 0:
-                yield location, False, f"nontrivial trace {fast} is nonzero at q = 1"
+                ok, detail = False, str(exc)
             else:
-                yield location, True, ""
+                if fast != slow:
+                    ok, detail = False, f"traces disagree: fast {fast} vs naive {slow}"
+                elif not cls.is_trivial and fast(1) != 0:
+                    ok, detail = False, f"nontrivial trace {fast} is nonzero at q = 1"
+                else:
+                    ok, detail = True, ""
+            # formatted only once the oracle has answered
+            yield f"A={A}, n={n}, cls={cls}", ok, detail
 
 
 #: The checks ``verify`` runs, in report order.

@@ -316,6 +316,7 @@ def test_naive_oracle_enumerates_each_orbit_shape_once(monkeypatch):
     # a!^c composites; an empty free part is no orbit
     memo = flagchar._orbit_cycle_types
     memo.cache_clear()
+    flagchar._orbit_trace_sum.cache_clear()  # a warm per-shape sum never asks for the counts
     enumerated = Counter()
     shapes = set()
     real = flagchar.cycle_type
@@ -338,6 +339,21 @@ def test_naive_oracle_enumerates_each_orbit_shape_once(monkeypatch):
     assert enumerated["perms"] == sum(factorial(a) for _, a in multiple) == 196
     tuples = sum(count for c, a in multiple for _, count in memo(c, a))
     assert tuples == sum(factorial(a) ** c for c, a in multiple) == 30472
+
+
+def test_one_group_trace_sums_collapse_to_the_group_order():
+    # the collapse seen from the oracle's side, without _cycle_average: the
+    # coinvariant traces of S_a sum to a! times 1
+    for a in range(1, 11):
+        assert flagchar._orbit_trace_sum(1, a) == (QPoly.one() * factorial(a), factorial(a)), a
+
+
+def test_naive_oracle_needs_the_q_multinomial(monkeypatch):
+    # the traces of the orbits multiply to that of sigma * u only with the
+    # q-multinomial of the orbit sizes; without it the oracle disagrees
+    monkeypatch.setattr(flagchar, "gauss_multinomial", lambda n, parts: QPoly.one())
+    report = verify(8, checks=("gamma-oracle",))
+    assert len(report.failures()) == 30
 
 
 def _concatenate_and_walk(c, a):
