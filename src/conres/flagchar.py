@@ -53,19 +53,19 @@ cycles meets the first group, and its cycle type is c times that of the
 composite pi = u_{c-1} o ... o u_0, the return map to the first group.  pi
 is formed explicitly for each tuple and its cycle type looked up among
 those of S_a.  The oracle uses neither the uniform composite nor the
-collapse above.  z_lambda (``centralizer_order``) is the one input the
-oracle shares with ``_cycle_average``, which the collapse check reads too;
-``tests/test_flagchar.py::test_one_group_orbits_count_each_cycle_type_by_its_class_size``
-guards it by enumerating S_a for a <= 8, and
+collapse above, and shares no count with ``_cycle_average``, which reads
+no z_lambda (``centralizer_order``); the oracle's z_lambda is guarded by
+``tests/test_flagchar.py::test_one_group_orbits_count_each_cycle_type_by_its_class_size``,
+which enumerates S_a for a <= 8, and
 ``test_orbit_counts_equal_the_concatenate_and_walk_reference`` walks every
 orbit of c >= 2 groups within the budget point by point.
 
 A class of S(A) is one cycle type lambda |- m per part size a of multiplicity
 m, and its trace, size and sign factor over the part sizes.  So the weighted
-S(A) average of the traces at n = |A| is prod_{i<=|A|} (1 - q^i) times one
-S_m average per (a, m), ``_cycle_average``: ``_own_size_average`` builds the
-quotient homology so, and, with h_a(q^c) per block cycle, ``resolution``'s
-blocks.  ``class_average`` over ``gamma_trace`` is the class-by-class oracle.
+S(A) average of the traces at n = s = |A| is [s; a m, ...]_q times one factor
+``_cycle_average`` per (a, m), P_{a,m} = (q;q)_{am} h_m[F / (q;q)_a] (e_m for
+the sign character; F = 1 for the quotient homology, H_a for the blocks).
+``class_average`` over ``gamma_trace`` is the class-by-class oracle.
 """
 
 from __future__ import annotations
@@ -167,15 +167,15 @@ def _orbit_cycle_types(c: int, a: int) -> tuple[tuple[tuple[int, ...], int], ...
 
     On one group (c = 1: the free part or a fixed block) sigma is the
     identity, so sigma * u runs over S_a and each cycle type lambda occurs
-    a! / z_lambda times (z_lambda is ``centralizer_order``, shared with
-    ``_cycle_average``).  On c >= 2 groups all a!^c tuples u are visited:
-    sigma * u maps group g onto group g + 1 (mod c), so from a point i of
-    group 0 it first comes back to group 0 after c steps, at pi(i) with pi =
-    u_{c-1} o ... o u_0.  Every cycle of sigma * u thus meets group 0, and
-    its cycle type is c times that of pi.  The composite pi of each tuple is
-    formed explicitly (``itemgetter(*path)(u)`` is u o path), never assumed
-    uniform on S_a, and looked up among the a! cycle types of S_a, each part
-    multiplied by c."""
+    a! / z_lambda times (z_lambda is ``centralizer_order``).  On c >= 2
+    groups all a!^c tuples u are visited: sigma * u maps group g onto group
+    g + 1 (mod c), so from a point i of group 0 it first comes back to group
+    0 after c steps, at pi(i) with pi = u_{c-1} o ... o u_0.  Every cycle
+    of sigma * u thus meets group 0, and its cycle type is c times that of
+    pi.  The composite pi of each tuple is formed explicitly
+    (``itemgetter(*path)(u)`` is u o path), never assumed uniform on S_a,
+    and looked up among the a! cycle types of S_a, each part multiplied by
+    c."""
     if c == 1:
         return tuple((lam, factorial(a) // centralizer_order(lam)) for lam in partitions(a))
     perms = list(itertools.permutations(range(a)))
@@ -259,43 +259,36 @@ def class_average(A: MultiIndex, trace: Callable[[BlockClass], _P], chi: str = "
 
 @cache
 def _cycle_average(a: int, m: int, factor: Callable[[int], QPoly] | None, chi: str) -> QPoly:
-    """D_{a,m} = prod_{k <= m, j <= a} (1 - q^{kj}) times the chi-weighted S_m
-    average, over the cycle types lambda of m, of prod_{c in lambda} F(q^c) /
-    prod_{j <= a} (1 - q^{cj}), with F = ``factor(a)``, or 1 if ``factor``
-    is None.  Each quotient is exact, and the character scales the integer
-    class size m! / z_lambda."""
-    denominator = prod((q_pochhammer(a).substitute_power(k) for k in range(1, m + 1)), start=QPoly.one())
+    """P_{a,m} = (q;q)_{am} h_m[F / (q;q)_a], e_m for h_m under the sign
+    character, with F = ``factor(a)``, or 1 if ``factor`` is None: the
+    chi-weighted S_m average over cycle types lambda of (q;q)_{am} prod_{c in
+    lambda} F(q^c) / (q^c;q^c)_a.  By Newton's identity (Macdonald, I.2),
+
+        m P_{a,m} = sum_{k <= m} eps_k F(q^k) R_k P_{a,m-k},   P_{a,0} = 1,
+        R_k = (q;q)_{am} / ((q;q)_{a(m-k)} (q^k;q^k)_a),
+
+    eps_k = chi(k-cycle); each R_k is one exact ``divide_out``, and a
+    remainder there or in the division by m raises."""
+    if m == 0:
+        return QPoly.one()
     pairs = []
-    for lam in partitions(m):
-        term = divide_out(denominator, [c * j for c in lam for j in range(1, a + 1)])
+    for k in range(1, m + 1):
+        term = divide_out(q_pochhammer(a * m, a * (m - k)), [k * j for j in range(1, a + 1)])
+        term = term * _cycle_average(a, m - k, factor, chi)
         if factor:
-            term = prod((factor(a).substitute_power(c) for c in lam), start=term)
-        weight = _weight(chi, (-1) ** (m - len(lam))) * (factorial(m) // centralizer_order(lam))
-        pairs.append((weight, term))
-    return integer_combination(pairs, factorial(m))
-
-
-def _denominator_exponents(A: MultiIndex) -> list[int]:
-    """E_A = {kj : k <= m, j <= a} over the (a, m) of A, with repeats: the
-    exponents of prod_{(a, m)} D_{a,m}.  It has sum_a a m = |A| members."""
-    return [k * j for a, m in A.multiplicities() for k in range(1, m + 1) for j in range(1, a + 1)]
+            term = term * factor(a).substitute_power(k)
+        pairs.append((_weight(chi, (-1) ** (k - 1)), term))
+    return integer_combination(pairs, m)
 
 
 def _own_size_average(A: MultiIndex, factor: Callable[[int], QPoly] | None, chi: str) -> QPoly:
-    """``prod_{i <= s} (1 - q^i) prod_{(a, m)} M_{a,m} / D_{a,m}``, s = |A|,
-    with M_{a,m} = ``_cycle_average(a, m, factor, chi)``.  Every exponent kj
-    of E_A (:func:`_denominator_exponents`) is at most s, so each distinct one
-    cancels a factor of prod_{i <= s} (1 - q^i) before the product, and the
-    rest of E_A is divided out after it; a remainder raises."""
-    exponents = _denominator_exponents(A)
-    distinct = set(exponents)
-    run = 0  # 1..run lie in E_A: q_pochhammer(s, run) has cancelled them unbuilt
-    while run + 1 in distinct:
-        run += 1
-    numerator = divide_out(q_pochhammer(A.size, run), sorted(e for e in distinct if e > run))
-    for a, m in A.multiplicities():
-        numerator = numerator * _cycle_average(a, m, factor, chi)
-    return divide_out(numerator, (Counter(exponents) - Counter(distinct)).elements())
+    """The chi-weighted S(A) average at n = s = |A| of the flag traces
+    (``gamma_trace``) times prod F(q^c) per block cycle (c, a): the
+    q-multinomial [s; a m, ...]_q over the (a, m) of A times
+    prod_{(a, m)} P_{a,m}, with P_{a,m} = ``_cycle_average(a, m, factor, chi)``."""
+    multiplicities = A.multiplicities()
+    start = gauss_multinomial(A.size, [a * m for a, m in multiplicities])
+    return prod((_cycle_average(a, m, factor, chi) for a, m in multiplicities), start=start)
 
 
 def gamma_poincare(A: MultiIndex, n: int, chi: str = "trivial") -> QPoly:
@@ -303,8 +296,8 @@ def gamma_poincare(A: MultiIndex, n: int, chi: str = "trivial") -> QPoly:
     *unordered* orthogonal collections of shape ``A`` in C^n, with constant
     coefficients (``chi="trivial"``) or with the rank-1 local system where a
     loop permuting equal blocks acts by the permutation sign (``chi="sign"``):
-    the factored S(A) average at n = |A|, lifted to a free part d = n - |A|
-    > 0 by ``[n; |A|]_q``.  A negative rank raises :class:`ConsistencyError`."""
+    the factored S(A) average at n = |A| (:func:`_own_size_average`), lifted
+    to d = n - |A| > 0 by ``[n; |A|]_q``.  A negative rank raises :class:`ConsistencyError`."""
     result = _own_size_average(A, None, chi)
     if A.liberty(n):
         result = result * gauss_multinomial(n, (A.size,))

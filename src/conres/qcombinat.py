@@ -525,27 +525,25 @@ class MultiIndex:
         """Order of the group permuting equal-size parts among themselves."""
         return prod(factorial(m) for _, m in self.multiplicities())
 
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        """(complexity, lexicographically decreasing parts): the listing order."""
-        return (self.complexity, tuple(-p for p in self.parts))
-
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
+def _column_indices(p: int, n: int) -> tuple[MultiIndex, ...]:
+    """The indices of complexity p and size at most n, parts lexicographically
+    decreasing: size s = p + 1 .. min(n, 2p) with s - p parts."""
+    indices = (parts for s in range(p + 1, min(n, 2 * p) + 1) for parts in partitions(s, 2) if len(parts) == s - p)
+    return tuple(map(MultiIndex, sorted(indices, reverse=True)))
+
+
 def multiindices(n: int, max_complexity: int) -> list[MultiIndex]:
     """All multi-indices with size <= n and complexity <= max_complexity,
-    ordered by complexity, then lexicographically decreasing parts."""
+    ordered by complexity, then lexicographically decreasing parts: the
+    columns :func:`_column_indices` for p = 1 .. min(max_complexity, n - 1),
+    since an index of size s has complexity 1 .. s - 1."""
     if n < 2:
         raise ValueError("ambient dimension must be at least 2")
-    out = [
-        MultiIndex(parts)
-        for s in range(2, n + 1)
-        for parts in partitions(s, 2)
-        if s - len(parts) <= max_complexity
-    ]
-    out.sort(key=MultiIndex.sort_key)
-    return out
+    return [A for p in range(1, min(max_complexity, n - 1) + 1) for A in _column_indices(p, n)]
 
 
 @dataclass(frozen=True)

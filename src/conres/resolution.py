@@ -21,11 +21,11 @@ are built without it:
   polynomial in q = t^2, so the engine builds each block in q, at half the
   length of its t-graded form, and moves it to t once, at the table edge;
 * a block factors through an n-independent series: the block of an index A
-  of two or more parts at its own size s = |A| is t^{sigma_A} times the
-  S(A) average of the flag trace times H_a(q^c) per block cycle (c, a), in
-  the factored form ``flagchar._own_size_average`` builds for the quotient
-  homology too: prod_{i <= s} (1 - q^i) prod_{(a, m)} N_{a,m} / D_{a,m},
-  one product and one exact ``divide_out``, checked here for negative ranks;
+  at its own size s = |A| is t^{sigma_A} times the S(A) average of the
+  flag trace times H_a(q^c) per block cycle (c, a), in the factored form
+  ``flagchar._own_size_average`` builds for the quotient homology too:
+  [s; a m, ...]_q prod_{(a, m)} N_{a,m}, N_{a,m} = (q;q)_{am} h_m[H_a /
+  (q;q)_a] by Newton's identity, checked here for negative ranks;
 * ``block_poincare`` lifts the block at its own size to a free part
   d = n - |A| > 0 by ``t^{d^2} [n; |A|]_{t^2}``, one factor per (n, |A|);
 * ``_top_block`` builds the top block (a), the open cone on the link of
@@ -101,13 +101,13 @@ from .qcombinat import (
     GradedDims,
     MultiIndex,
     QPoly,
+    _column_indices,
     block_cycles,
     conjugacy_classes,
     divide_out,
     gauss_multinomial,
     integer_combination,
     multiindices,
-    partitions,
     q_pochhammer,
 )
 
@@ -147,16 +147,14 @@ def _sigma(A: MultiIndex) -> int:
 @cache
 def _own_size_block(A: MultiIndex) -> QPoly:
     """The block of index ``A`` at its own size s = |A|, as B in q with block
-    = ``t^{_parity(s)} B(t^2)``: :func:`_top_block` for a single part, else
-    ``t^{sigma_A}`` (:func:`_sigma`) times ``flagchar._own_size_average``
-    with the factor :func:`_top_block`.  A remainder or a negative rank
+    = ``t^{_parity(s)} B(t^2)``: ``t^{sigma_A}`` (:func:`_sigma`) times
+    ``flagchar._own_size_average`` with the factor :func:`_top_block` (for a
+    single part, :func:`_top_block` itself).  A remainder or a negative rank
     raises :class:`ConsistencyError`, and so does a sigma_A of the wrong
     parity: for valid input sigma_A = (number of odd parts) - 1 = s + 1
     (mod 2) by construction, so that check guards the shift formula against
     edits."""
     s = A.size
-    if A.length == 1:
-        return _top_block(s)
     shift = _sigma(A)
     if (shift - _parity(s)) % 2:
         raise ConsistencyError(f"parity violation in the block of {A} at n={s}")
@@ -181,9 +179,8 @@ def block_poincare(A: MultiIndex, n: int) -> GradedDims:
     dimension n: the block at n = |A|, lifted to a free part d = n - |A| > 0
     by ``t^{d^2} [n; |A|]_{t^2}``.  It is built in q and gets its t-parity
     ``t^{(n + 1) mod 2}`` here, once."""
-    d = A.liberty(n)
-    own = _own_size_block(A)
-    return (own * _lift(n, A.size) if d else own).to_graded().times_power(_parity(n))
+    A.liberty(n)  # an index that does not fit in C^n raises here
+    return (_own_size_block(A) * _lift(n, A.size)).to_graded().times_power(_parity(n))
 
 
 def total_discriminant_poincare(n: int) -> GradedDims:
@@ -253,13 +250,6 @@ def link_poincare(n: int) -> GradedDims:
     if n < 3:
         raise ValueError("the link is empty for n < 3")
     return h_poly(n).times_power(-2)
-
-
-def _column_indices(p: int, n: int) -> tuple[MultiIndex, ...]:
-    """The indices of complexity p and size at most n, parts lexicographically
-    decreasing: size s = p + 1 .. min(n, 2p) with s - p parts."""
-    indices = (parts for s in range(p + 1, min(n, 2 * p) + 1) for parts in partitions(s, 2) if len(parts) == s - p)
-    return tuple(map(MultiIndex, sorted(indices, reverse=True)))
 
 
 @cache

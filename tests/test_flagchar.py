@@ -1,7 +1,7 @@
 import hashlib
 import itertools
 from collections import Counter
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -21,12 +21,16 @@ from conres.qcombinat import (
     ConsistencyError,
     MultiIndex,
     QPoly,
+    centralizer_order,
     conjugacy_classes,
+    divide_out,
     gauss_multinomial,
     integer_combination,
     multiindices,
+    partitions,
+    q_pochhammer,
 )
-from conres.resolution import block_poincare, fiber_char, verify
+from conres.resolution import _top_block, block_poincare, fiber_char, verify
 
 
 # --------------------------------------------------------------------------
@@ -495,6 +499,34 @@ def test_gamma_poincare_takes_no_class_average(monkeypatch):
     assert gamma_poincare(MultiIndex((2, 2)), 4, "sign") == QPoly({1: 1, 2: 1, 3: 1})
 
 
+def _partition_sum(a, m, factor, chi):
+    """(M_{a,m}, D_{a,m}): the chi-weighted S_m average over the cycle types
+    lambda of m of prod_{c in lambda} F(q^c) / prod_{j <= a} (1 - q^{cj}),
+    as the numerator M over D = prod_{k <= m, j <= a} (1 - q^{kj}), with the
+    sign scaling the class size m! / z_lambda; F = ``factor(a)``, or 1."""
+    denominator = prod((q_pochhammer(a).substitute_power(k) for k in range(1, m + 1)), start=QPoly.one())
+    pairs = []
+    for lam in partitions(m):
+        term = divide_out(denominator, [c * j for c in lam for j in range(1, a + 1)])
+        if factor:
+            term = prod((factor(a).substitute_power(c) for c in lam), start=term)
+        sign = (-1) ** (m - len(lam)) if chi == "sign" else 1
+        pairs.append((sign * (factorial(m) // centralizer_order(lam)), term))
+    return integer_combination(pairs, factorial(m)), denominator
+
+
+@pytest.mark.parametrize("factor", [None, _top_block])
+@pytest.mark.parametrize("chi", flagchar.CHARACTERS)
+def test_the_newton_factor_is_the_partition_sum(factor, chi):
+    # P_{a,m} = (q;q)_{am} h_m[F / (q;q)_a] from Newton's identity against
+    # the sum over the partitions of m it replaced: P D = M (q;q)_{am}
+    for a in range(1, 7):
+        for m in range(1, 7):
+            numerator, denominator = _partition_sum(a, m, factor, chi)
+            newton = flagchar._cycle_average(a, m, factor, chi)
+            assert newton * denominator == numerator * q_pochhammer(a * m), (a, m)
+
+
 def test_gamma_character_table():
     A = MultiIndex((2, 2))
     trivial = conjugacy_classes(A)[0]
@@ -507,8 +539,11 @@ def test_gamma_character_table():
 
 # SHA-256 of the reprs of gamma_poincare(A, n, chi) for every A in
 # multiindices(n, n - 1), characters trivial then sign, one per line;
-# generated with quotients by multiplied-out denominators and exact_div, so
-# they check the stride divisions against an independent computation
+# n <= 8 were generated with quotients by multiplied-out denominators and
+# exact_div, so they check the stride divisions against an independent
+# computation; n = 9..12 with the sum over the cycle types of each S_m on
+# the common denominator D_{a,m} that Newton's identity replaced, so they
+# pin every multiplicity up to m = 6 under both characters
 GAMMA_DIGESTS = {
     2: "fe0979ea753ec147b5ce20655c7c5ca1992c80c7a061db870869c6bcec771003",
     3: "9dfa9cc4cc6206a2497bdbbdd25df4572f161fd2553221c09c77445a41bd6daf",
@@ -517,6 +552,10 @@ GAMMA_DIGESTS = {
     6: "71992057a245ed173d403db1a09a9f9698e3d09b2437c62409b22995bc592242",
     7: "984959e0f5c3e5cf768690fc6b717d6b394946cbae8e7e66e93edae70e5eb4dd",
     8: "89f429a894224df126b6d048f8230136e925351d623a947b1ab6664154cd46d5",
+    9: "d4f008cbb300a2379fa282b3ca9f482a7a03c4512f28526ed7dc2c6c1c0e6bb7",
+    10: "8d30d427cbc5ae6fac9b36cc5a594836dabf541067156ef8cf0345b41dbdf609",
+    11: "860858dd8ee75d2f6b141b275f1c080b8582bf86ec1330a216bbf592c01b991b",
+    12: "f0139aa9cde31693e1fb6838eb00b4d1036b9d71a6b9bd115e79015400a7b051",
 }
 
 

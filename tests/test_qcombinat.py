@@ -563,7 +563,7 @@ def test_multiindices_ordering_and_bounds():
     for A in multiindices(8, 7):
         assert A.size <= 8
         assert A.complexity <= 7
-    keys = [A.sort_key() for A in multiindices(8, 7)]
+    keys = [(A.complexity, tuple(-p for p in A.parts)) for A in multiindices(8, 7)]
     assert keys == sorted(keys)
 
 

@@ -735,9 +735,15 @@ def test_an_own_size_shift_of_the_wrong_parity_raises(monkeypatch, fresh_tables)
 def test_a_negative_class_average_raises(monkeypatch, fresh_tables):
     # a negated cycle-type average (an S_m class average, the one both routes
     # share) makes the own-size block and the quotient homology raise:
-    # neither may return a negative rank
+    # neither may return a negative rank.  Only the factor (2, 2) reads is
+    # negated: the recursion reads the lower multiplicities by the same name
     real_average = flagchar._cycle_average
-    monkeypatch.setattr(flagchar, "_cycle_average", lambda *args: -real_average(*args))
+
+    def negated(a, m, factor, chi):
+        average = real_average(a, m, factor, chi)
+        return -average if (a, m) == (2, 2) else average
+
+    monkeypatch.setattr(flagchar, "_cycle_average", negated)
     with pytest.raises(ConsistencyError, match="negative rank in the block of"):
         block_poincare(MultiIndex((2, 2)), 4)
     for chi in ("trivial", "sign"):

@@ -352,9 +352,12 @@ def _stable_factors(A):
         block(A, n) = t^{sigma_A + d^2} prod_{d < i <= n} (1 - q^i) N_A(q) / prod_{e in E_A} (1 - q^e),
 
     where N_A = prod_{(a, m)} N_{a,m} (``flagchar._cycle_average`` with the
-    factor ``_top_block``) and E_A is ``flagchar._denominator_exponents(A)``."""
+    factor ``_top_block``) and E_A lists 1..am for each (a, m), so that the
+    q-multinomial [|A|; a m, ...]_q of the own-size block and the lift's
+    [n; |A|]_q leave prod_{d < i <= n} (1 - q^i) over it."""
     numerators = (flagchar._cycle_average(a, m, _top_block, "trivial") for a, m in A.multiplicities())
-    return _sigma(A), prod(numerators, start=QPoly.one()), flagchar._denominator_exponents(A)
+    exponents = [j for a, m in A.multiplicities() for j in range(1, a * m + 1)]
+    return _sigma(A), prod(numerators, start=QPoly.one()), exponents
 
 
 def stable_column(p, q_max):
