@@ -64,7 +64,7 @@ A class of S(A) is one cycle type lambda |- m per part size a of multiplicity
 m, and its trace, size and sign factor over the part sizes.  So the weighted
 S(A) average of the traces at n = s = |A| is [s; a m, ...]_q times one factor
 ``_cycle_average`` per (a, m), P_{a,m} = (q;q)_{am} h_m[F / (q;q)_a] (e_m for
-the sign character; F = 1 for the quotient homology, H_a for the blocks).
+the sign character; F = 1 for the quotient homology, L_a for the blocks).
 ``class_average`` over ``gamma_trace`` is the class-by-class oracle.
 """
 

@@ -21,42 +21,40 @@ are built without it:
   polynomial in q = t^2, so the engine builds each block in q, at half the
   length of its t-graded form, and moves it to t once, at the table edge;
 * a block factors through an n-independent series: the block of an index A
-  at its own size s = |A| is t^{sigma_A} times the S(A) average of the
-  flag trace times H_a(q^c) per block cycle (c, a), in the factored form
+  at its own size s = |A| is t^{s - 1} times the S(A) average of the flag
+  trace times L_a(q^c) per block cycle (c, a), in the factored form
   ``flagchar._own_size_average`` builds for the quotient homology too:
-  [s; a m, ...]_q prod_{(a, m)} N_{a,m}, N_{a,m} = (q;q)_{am} h_m[H_a /
+  [s; a m, ...]_q prod_{(a, m)} N_{a,m}, N_{a,m} = (q;q)_{am} h_m[L_a /
   (q;q)_a] by Newton's identity, checked here for negative ranks;
 * ``block_poincare`` lifts the block at its own size to a free part
   d = n - |A| > 0 by ``t^{d^2} [n; |A|]_{t^2}``, one factor per (n, |A|);
-* ``_top_block`` builds the top block (a), the open cone on the link of
-  the whole collection, in q from its closed form, the higher Lie character
-  of one a-cycle; it reads neither the total nor the other blocks, is one
-  more index to ``_own_size_block``, and ``h_poly`` is its series in t;
+* ``_lie_character`` builds L_a in q from its closed form, the higher Lie
+  character of one a-cycle; ``t^{a - 1} L_a(t^2)`` is the top block (a),
+  the open cone on the link of the whole collection; it reads neither the
+  total nor the other blocks, is one more index to ``_own_size_block``, and
+  ``h_poly`` is its series in t;
 * ``spectral_column(n, p)`` lists the lifted blocks of complexity p, the
   top one included: ``stab``'s three-point oracle builds the one column it
   reads, and ``spectral_table`` the union of its columns, so a cold table
   builds no smaller table; ``verify`` re-checks every identity the
   construction is supposed to satisfy;
-* ``stab.stable_series`` reads every stable cell off ``_top_block`` and
-  ``_parity`` alone, as one plethystic product, without building any
-  block.
+* ``stab.stable_series`` reads every stable cell off ``_lie_character``
+  alone, as one plethystic product, without building any block.
 
 The class-by-class average over S(A) of flag trace (``flagchar.gamma_trace``)
 times fiber trace (:func:`fiber_char`) is the same block by another route; it
 is kept as an oracle, like ``flagchar.gamma_trace_naive``, and the tests
 compare the two routes on every block below the top one for n <= 12.
 
-Degree bookkeeping.  Each shift has one owner.  :func:`_parity` is the
-t-parity ``(n + 1) mod 2`` of every block of the table for n, which
-:func:`block_poincare` applies at the table edge, where a block leaves q for
-t.  :func:`_sigma` owns sigma_A = #A - 1 + sum_a ((a + 1) mod 2) m_a:
+Degree bookkeeping.  Each shift has one owner.  Plethysm is homogeneous,
+h_m[q^e X] = q^{me} h_m[X], so a block built from the unshifted L_a carries
+one t-shift that does not depend on the parts: :func:`block_poincare` applies
+``t^{|A| - 1 + d^2}`` at the table edge, where a block leaves q for t.  It is
 ``t^{#A - 1}`` (the Euclidean factor #A and the one-degree gap between
-open-cone homology and the h-grading) plus the t-shift ``t^{((a + 1) mod 2)
-m}`` of each N_{a,m}; :func:`_own_size_block` checks that sigma_A has the
-parity of its table before halving it to q.  :func:`_lift` owns the
-``t^{d^2}`` of the Hermitian operators on a free part d (with both edge
-parities folded in), :func:`_top_block` the shift q^{(a - 1 - _parity(a))/2}
-of the Lie character, :func:`total_discriminant_poincare` the
+open-cone homology and the h-grading), ``t^{a - 1}`` per part a (the top
+block ``t^{a - 1} L_a(t^2)``) and the ``t^{d^2}`` of the Hermitian operators
+on a free part d; its parity, (n + 1) mod 2, is the one every block of the
+table for n has.  :func:`total_discriminant_poincare` owns the
 Alexander-duality shift ``t^{n^2 - 1}`` (the total stays in t: nothing
 halves a t-polynomial to q), :func:`link_poincare` the ``t^{-2}`` from the
 open-cone series to the link's reduced homology, and :class:`SpectralTable`
@@ -130,57 +128,34 @@ def fiber_char(A: MultiIndex, n: int, cls: BlockClass) -> GradedDims:
     return out
 
 
-def _parity(n: int) -> int:
-    """The t-parity (n + 1) mod 2 of every block of the table for n: each
-    block is ``t^{_parity(n)}`` times a polynomial in q = t^2, because the
-    homology of every link vanishes in degrees of one parity."""
-    return (n + 1) % 2
-
-
-def _sigma(A: MultiIndex) -> int:
-    """sigma_A = #A - 1 + sum_a _parity(a) m_a, the t-shift of the Euclidean
-    factor and the numerators N_{a,m} in the block of ``A``; for a single part
-    (a) it is _parity(a), the t-parity of the top block."""
-    return A.length - 1 + sum(_parity(a) * m for a, m in A.multiplicities())
-
-
 @cache
 def _own_size_block(A: MultiIndex) -> QPoly:
-    """The block of index ``A`` at its own size s = |A|, as B in q with block
-    = ``t^{_parity(s)} B(t^2)``: ``t^{sigma_A}`` (:func:`_sigma`) times
-    ``flagchar._own_size_average`` with the factor :func:`_top_block` (for a
-    single part, :func:`_top_block` itself).  A remainder or a negative rank
-    raises :class:`ConsistencyError`, and so does a sigma_A of the wrong
-    parity: for valid input sigma_A = (number of odd parts) - 1 = s + 1
-    (mod 2) by construction, so that check guards the shift formula against
-    edits."""
-    s = A.size
-    shift = _sigma(A)
-    if (shift - _parity(s)) % 2:
-        raise ConsistencyError(f"parity violation in the block of {A} at n={s}")
-    block = flagchar._own_size_average(A, _top_block, "trivial").times_power((shift - _parity(s)) // 2)
+    """The block of index ``A`` at its own size s = |A| in q, unshifted: the
+    block is ``t^{s - 1} B(t^2)`` with B = ``flagchar._own_size_average``
+    with the factor :func:`_lie_character` (for a single part (a), L_a
+    itself).  A remainder or a negative rank raises :class:`ConsistencyError`."""
+    block = flagchar._own_size_average(A, _lie_character, "trivial")
     if not block.nonnegative():
-        raise ConsistencyError(f"negative rank in the block of {A} at n={s}")
+        raise ConsistencyError(f"negative rank in the block of {A} at n={A.size}")
     return block
 
 
 @cache
 def _lift(n: int, s: int) -> QPoly:
-    """``t^{(n - s)^2} [n; s]_{t^2}`` in q, which lifts a block of size s from
-    n = s to ambient dimension n: the Grassmannian of the collection's span
-    and the Hermitian operators on the free part.  Both table-edge parities
-    are folded in, so the lift takes the q-part of the block for s to the
-    q-part of the block for n."""
-    return gauss_multinomial(n, (s,)).times_power((_parity(s) + (n - s) ** 2 - _parity(n)) // 2)
+    """``[n; s]_q``, which lifts the q-part of a block of size s from n = s to
+    ambient dimension n: the Grassmannian of the collection's span.  The
+    ``t^{(n - s)^2}`` of the Hermitian operators on the free part is in the
+    shift of :func:`block_poincare`."""
+    return gauss_multinomial(n, (s,))
 
 
 def block_poincare(A: MultiIndex, n: int) -> GradedDims:
     """Borel-Moore Poincare polynomial of the block of index ``A`` in ambient
     dimension n: the block at n = |A|, lifted to a free part d = n - |A| > 0
-    by ``t^{d^2} [n; |A|]_{t^2}``.  It is built in q and gets its t-parity
-    ``t^{(n + 1) mod 2}`` here, once."""
-    A.liberty(n)  # an index that does not fit in C^n raises here
-    return (_own_size_block(A) * _lift(n, A.size)).to_graded().times_power(_parity(n))
+    by ``t^{d^2} [n; |A|]_{t^2}``.  It is built in q from the unshifted Lie
+    characters and gets its one t-shift ``t^{|A| - 1 + d^2}`` here."""
+    d = A.liberty(n)  # an index that does not fit in C^n raises here
+    return (_own_size_block(A) * _lift(n, A.size)).to_graded().times_power(A.size - 1 + d * d)
 
 
 def total_discriminant_poincare(n: int) -> GradedDims:
@@ -200,11 +175,11 @@ def total_discriminant_poincare(n: int) -> GradedDims:
 
 
 @cache
-def _top_block(a: int) -> QPoly:
-    """H_a, the top block (a) of the table for n = a in q: ``h_a(t) =
-    t^{(a + 1) mod 2} H_a(t^2)``.  H_2 = 1, and for a >= 3 H_a is
-    ``q^{(a - 1 - _parity(a))/2} L_a(q)``, the graded multiplicity of the
-    higher Lie character of one a-cycle in the coinvariant algebra
+def _lie_character(a: int) -> QPoly:
+    """L_a, the factor of part size a in every block, in q: ``h_a(t) =
+    t^{a - 1} L_a(t^2)`` is the top block (a) of the table for n = a.  L_2 =
+    1 (the cone is a point), and for a >= 3 L_a is the graded multiplicity of
+    the higher Lie character of one a-cycle in the coinvariant algebra
     (Klyachko, "Lie elements in the tensor algebra", 1974; Gessel and
     Reutenauer, JCTA 64, 1993):
 
@@ -224,10 +199,10 @@ def _top_block(a: int) -> QPoly:
         for r in range(len(primes) + 1)
         for ps in itertools.combinations(primes, r)
     ]
-    top = integer_combination(pairs, a).times_power((a - 1 - _parity(a)) // 2)
-    if not top.nonnegative():
+    lie = integer_combination(pairs, a)
+    if not lie.nonnegative():
         raise ConsistencyError(f"negative rank in h-polynomial for a={a}")
-    return top
+    return lie
 
 
 @cache
@@ -237,7 +212,7 @@ def h_poly(a: int) -> GradedDims:
     The coefficient of ``t^i`` is the rank in degree ``i - 1``; for a = 2 the
     cone is a point and the series is ``t``.
 
-    A non-integral or negative rank in the closed form of :func:`_top_block`
+    A non-integral or negative rank in the closed form of :func:`_lie_character`
     raises :class:`ConsistencyError` rather than being repaired.
     """
     return block_poincare(MultiIndex((a,)), a)
@@ -281,9 +256,6 @@ class SpectralTable:
     def blocks(self) -> tuple[tuple[MultiIndex, GradedDims], ...]:
         """Every block, column by column: the order of :func:`multiindices`."""
         return tuple(block for p in self.complexities() for block in self.column(p))
-
-    def block(self, A: MultiIndex) -> GradedDims:
-        return dict(self.column(A.complexity))[A]
 
     def complexities(self) -> tuple[int, ...]:
         return tuple(range(1, self.n))
@@ -422,10 +394,10 @@ _Outcome = tuple[str, bool, str]
 
 def _check_block_parity(n: int, budget: int) -> Iterator[_Outcome]:
     """Every block lives in degrees of the parity opposite to n.  The engine
-    builds the blocks in q and fixes this parity at the table edge, so here
-    it holds by construction.  So, for valid input, does the parity check
-    of each sigma_A in :func:`_own_size_block`, where a t-shift is halved to
-    q: it guards the shift formula against edits."""
+    builds the blocks in q and :func:`block_poincare` applies their one
+    t-shift ``t^{|A| - 1 + d^2}`` at the table edge, whose parity is (n + 1)
+    mod 2 for every A; so here it holds by construction, and it guards that
+    shift against an edit of the wrong parity."""
     for A, poly in spectral_table(n).blocks:
         bad = [e for e in poly.support() if e % 2 == n % 2]
         yield f"A={A}, n={n}", not bad, f"offending degrees {bad}" if bad else ""

@@ -13,14 +13,14 @@ for one cohomological cell, which ``e1_stable_bound`` returns in closed form,
     n*(p, q) = max(-2p, (q - p) // 2)   (p < 0).
 
 No table is needed to read a stable cell.  The block of an index A is
-t^{sigma_A + d^2} prod_{d < i <= n} (1 - q^i) prod_{(a, m)} h_m[H_a / (q;q)_a],
-d = n - |A|, H_a = ``_top_block(a)``.  Read from the top, in 1/q, the product
-over i is 1 up to degree d, each 1 / (1 - q^e) gives a sign, and the shifts
-add over the (a, m).  So all stable cells are one plethystic product,
+t^{|A| - 1 + d^2} prod_{d < i <= n} (1 - q^i) prod_{(a, m)} h_m[L_a / (q;q)_a],
+d = n - |A|, L_a = ``_lie_character(a)``.  Read from the top, in 1/q, the
+product over i is 1 up to degree d, each 1 / (1 - q^e) gives a sign, and the
+degrees add over the (a, m).  So all stable cells are one plethystic product,
 Thrall's decomposition of the regular representation into higher Lie
 characters in the q-graded coinvariant algebra (Gessel and Reutenauer, JCTA
 64, 1993; Macdonald, *Symmetric Functions and Hall Polynomials*, 2nd ed.,
-section I.8): with L_a(q) = q^{-(a - 1 - _parity(a))/2} H_a(q),
+section I.8):
 
     Y_a(T) = T^{a^2 - 1} L_a(T^{-2}) / prod_{j <= a} (1 - T^{2j}),
     F(x, T) = prod_{a >= 2} E_a[x^{a - 1} Y_a(T)],
@@ -28,7 +28,7 @@ section I.8): with L_a(q) = q^{-(a - 1 - _parity(a))/2} H_a(q),
 E_a = Exp for even a and Lambda for odd a (m a-cycles carry (-1)^{am}, and
 (-1)^m h_m[-X] = e_m[X]), the stable rank of the cell (-c, Q) is
 [x^c T^Q] F.  ``stable_series`` builds every column at once from
-``_top_block`` alone, and ``stable_cell`` and ``stable_table`` read their
+``_lie_character`` alone, and ``stable_cell`` and ``stable_table`` read their
 ranks off it, with ``bound_n`` = n*; the costliest cell the ceiling admits,
 (-11, 33), takes 2.5-4 ms with cold top blocks (Python 3.11, shared 2-core
 Xeon VM).  The three-point rule, ``three_point_ranks``, is the oracle: it
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .qcombinat import ConsistencyError, MultiIndex, QPoly, _product, divide_out_series
-from .resolution import SpectralTable, _parity, _top_block
+from .resolution import SpectralTable, _lie_character
 
 #: Largest ambient dimension ``conres`` accepts for ``--n`` and ``--max-n``
 #: (Python 3.11 on a shared 2-core Xeon VM: ``table --n 24`` 2.7-3.0 s and
@@ -173,9 +173,8 @@ def three_point_ranks(p: int, q: int) -> list[int]:
 
 def _lie_series(a: int, cut: int) -> list[int]:
     """Y_a(T) = T^{a^2 - 1} L_a(T^{-2}) / prod_{j <= a} (1 - T^{2j}) up to T^cut,
-    L_a(q) = q^{-(a - 1 - _parity(a))/2} ``_top_block(a)``; it starts at T^{a - 1}."""
-    top = a * a - 1 + a - 1 - _parity(a)  # q^e in _top_block(a) is T^{top - 2e}
-    numerator = QPoly({top - 2 * e: v for e, v in _top_block(a).items()})
+    L_a = ``_lie_character(a)``; it starts at T^{a - 1}."""
+    numerator = QPoly({a * a - 1 - 2 * e: v for e, v in _lie_character(a).items()})
     series = divide_out_series(numerator, [2 * j for j in range(1, a + 1)], cut)
     return [series.coefficient(i) for i in range(cut + 1)]
 

@@ -30,7 +30,7 @@ from conres.qcombinat import (
     partitions,
     q_pochhammer,
 )
-from conres.resolution import _top_block, block_poincare, fiber_char, verify
+from conres.resolution import _lie_character, block_poincare, fiber_char, verify
 
 
 # --------------------------------------------------------------------------
@@ -515,7 +515,7 @@ def _partition_sum(a, m, factor, chi):
     return integer_combination(pairs, factorial(m)), denominator
 
 
-@pytest.mark.parametrize("factor", [None, _top_block])
+@pytest.mark.parametrize("factor", [None, _lie_character])
 @pytest.mark.parametrize("chi", flagchar.CHARACTERS)
 def test_the_newton_factor_is_the_partition_sum(factor, chi):
     # P_{a,m} = (q;q)_{am} h_m[F / (q;q)_a] from Newton's identity against

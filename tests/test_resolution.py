@@ -199,7 +199,7 @@ def test_h_poly_total_rank_is_the_lie_character_degree():
 
 
 def test_top_block_rejects_a_non_integral_or_negative_rank(monkeypatch, fresh_tables):
-    # the top block of n = 3 is q^{1} L_3(q), L_3 = ((q;q)_3 / (1 - q)^3 -
+    # the top block of n = 3 is t^2 L_3(t^2), L_3 = ((q;q)_3 / (1 - q)^3 -
     # (q;q)_3 / (1 - q^3)) / 3 = q + q^2; the Moebius term of k = 3 with its
     # sign flipped leaves a sum that 3 does not divide, and a negated
     # (q;q)_3 negates every rank
@@ -435,13 +435,13 @@ def test_verify_collects_a_check_that_raises(monkeypatch):
 
 
 #: Every memo of the block engine: the tables and their columns, the
-#: open-cone series in t and in q, the own-size blocks, the cycle-type
-#: averages (the numerators N_{a,m}) and the lifts.
+#: open-cone series in t, the Lie characters in q, the own-size blocks, the
+#: cycle-type averages (the numerators N_{a,m}) and the lifts.
 _ENGINE_MEMOS = (
     spectral_table,
     resolution.spectral_column,
     h_poly,
-    resolution._top_block,
+    resolution._lie_character,
     resolution._own_size_block,
     flagchar._cycle_average,
     resolution._lift,
@@ -494,8 +494,6 @@ def test_columns_agree_with_a_rescan_of_the_blocks():
                 assert table.rank(p, i) == sum(poly.coefficient(i) for _, poly in brute)
                 expected = [(A, poly.coefficient(i)) for A, poly in brute if poly.coefficient(i)]
                 assert list(table.breakdown(p, i).items()) == expected
-        for A, poly in table.blocks:
-            assert table.block(A) == poly
 
 
 def test_the_cell_walk_agrees_with_the_column_scans():
@@ -588,10 +586,10 @@ def test_a_cold_table_builds_no_smaller_table(monkeypatch, fresh_tables):
     assert graded_products == []
     assert spectral_table.cache_info().currsize == 1
     # one own-size block per index of size 2..12, the top blocks included,
-    # and one top block per size
+    # and one Lie character per size
     indices = sum(len(partitions(s, 2)) for s in range(2, 13))
     assert resolution._own_size_block.cache_info().currsize == indices
-    assert resolution._top_block.cache_info().currsize == 11
+    assert resolution._lie_character.cache_info().currsize == 11
     assert len(lifts) == len(set(lifts)) == resolution._lift.cache_info().currsize
     assert flagchar._cycle_average.cache_info().hits > 0
 
@@ -723,13 +721,16 @@ def test_table_total_sees_a_wrong_lift(monkeypatch, fresh_tables):
         assert failures[0].detail.startswith("sum ") and " != total " in failures[0].detail
 
 
-def test_an_own_size_shift_of_the_wrong_parity_raises(monkeypatch, fresh_tables):
-    # the own-size block's t-shift #A - 1 + sum_a ((a + 1) mod 2) m_a must
-    # have the t-parity of the table for |A| before it is halved to q; a
-    # Euclidean factor off by one degree breaks it
+def test_the_block_shift_reads_only_the_size_and_n(monkeypatch, fresh_tables):
+    # the one t-shift t^{|A| - 1 + d^2} reads |A| and n alone, so a
+    # Euclidean factor #A off by one, which a shift written per part would
+    # read, leaves every block unchanged
+    blocks, top = spectral_table(8).blocks, h_poly(8)
+    for memo in _ENGINE_MEMOS:
+        memo.cache_clear()
     monkeypatch.setattr(MultiIndex, "length", property(lambda self: len(self.parts) + 1))
-    with pytest.raises(ConsistencyError, match=r"parity violation in the block of \(2,2\) at n=4"):
-        block_poincare(MultiIndex((2, 2)), 4)
+    assert spectral_table(8).blocks == blocks
+    assert h_poly(8) == top
 
 
 def test_a_negative_class_average_raises(monkeypatch, fresh_tables):

@@ -18,7 +18,7 @@ from conres.qcombinat import (
     multiindices,
     q_pochhammer,
 )
-from conres.resolution import _column_indices, _sigma, _top_block, spectral_table
+from conres.resolution import _column_indices, _lie_character, spectral_table
 from conres.stab import (
     MAX_CELL_BOUND,
     MAX_WITNESS_COST,
@@ -345,19 +345,29 @@ def test_the_series_counts_permutations():
     assert [c for c in cells if counts[-c.p, c.q] != c.rank] == [StableCell(-4, 10, 8, 13)]
 
 
+def _shifted_lie_character(a):
+    """H_a = q^{(a - 1 - par(a))/2} L_a, par(a) = (a + 1) mod 2: the q-part of
+    the top block (a) = t^{par(a)} H_a(t^2), this oracle's per-part factor
+    (H_2 = L_2 = 1)."""
+    return _lie_character(a).times_power((a - 1 - (a + 1) % 2) // 2)
+
+
 def _stable_factors(A):
     """(sigma_A, N_A, E_A), the factors of the block of ``A`` that do not
-    depend on n: with d = n - |A| and q = t^2,
+    depend on n, in the per-part bookkeeping that the engine does not use:
+    with d = n - |A| and q = t^2,
 
         block(A, n) = t^{sigma_A + d^2} prod_{d < i <= n} (1 - q^i) N_A(q) / prod_{e in E_A} (1 - q^e),
 
-    where N_A = prod_{(a, m)} N_{a,m} (``flagchar._cycle_average`` with the
-    factor ``_top_block``) and E_A lists 1..am for each (a, m), so that the
-    q-multinomial [|A|; a m, ...]_q of the own-size block and the lift's
-    [n; |A|]_q leave prod_{d < i <= n} (1 - q^i) over it."""
-    numerators = (flagchar._cycle_average(a, m, _top_block, "trivial") for a, m in A.multiplicities())
+    where sigma_A = #A - 1 + sum_a par(a) m_a, N_A = prod_{(a, m)} N_{a,m}
+    (``flagchar._cycle_average`` with the factor H_a of
+    :func:`_shifted_lie_character`) and E_A lists 1..am for each (a, m), so
+    that the q-multinomial [|A|; a m, ...]_q of the own-size block and the
+    lift's [n; |A|]_q leave prod_{d < i <= n} (1 - q^i) over it."""
+    numerators = (flagchar._cycle_average(a, m, _shifted_lie_character, "trivial") for a, m in A.multiplicities())
     exponents = [j for a, m in A.multiplicities() for j in range(1, a * m + 1)]
-    return _sigma(A), prod(numerators, start=QPoly.one()), exponents
+    sigma = A.length - 1 + sum((a + 1) % 2 * m for a, m in A.multiplicities())
+    return sigma, prod(numerators, start=QPoly.one()), exponents
 
 
 def stable_column(p, q_max):
@@ -376,7 +386,7 @@ def stable_column(p, q_max):
     and prod_{d < i <= n} (1 - y^i) is 1 up to y^d, so the block's
     coefficient is the series' once j_A <= d = n - s: the cell is exact from
     n = max(2, s + j_A) over the A that add a term, its proved bound.  It
-    shares ``_top_block`` with :func:`stable_series`, and the class averages
+    shares ``_lie_character`` with :func:`stable_series`, and the class averages
     ``flagchar._cycle_average`` with the blocks."""
     c = -p
     qs = range(c, q_max + 1)
