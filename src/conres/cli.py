@@ -75,32 +75,47 @@ def _flat_encoder(depth: int) -> json.JSONEncoder:
     return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": "))
 
 
-def _dumps(value: Any, depth: int = 0) -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)`` for plain str-keyed dicts,
-    lists and scalars at ``depth``; the C encoder writes each container that
-    holds none, and a list of nonempty int-only lists (polynomial pairs) in
-    one pass."""
-    if type(value) is int:
-        return int.__repr__(value)
+def _dumps(value: Any, end: str = "") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2) + end``, joined from :func:`_write`'s pieces."""
+    pieces: list[str] = []
+    _write(value, 0, pieces)
+    pieces.append(end)
+    return "".join(pieces)
+
+
+def _write(value: Any, depth: int, pieces: list[str]) -> None:
+    """Append the text of plain str-keyed dicts, lists and scalars at ``depth``
+    to ``pieces``; the C encoder writes each container that holds none, and a
+    list of nonempty int-only lists (polynomial pairs) in one pass."""
     if type(value) not in (dict, list, tuple) or not value:
-        return _flat_encoder(depth).encode(value)
+        pieces.append(int.__repr__(value) if type(value) is int else _flat_encoder(depth).encode(value))
+        return
     pad = "\n" + "  " * depth
     inner = pad + "  "
-    items = value.values() if type(value) is dict else value
-    kinds = {*map(type, items)}
+    is_dict = type(value) is dict
+    kinds = {*map(type, value.values() if is_dict else value)}
     if kinds.isdisjoint((dict, list, tuple)):
         text = _flat_encoder(depth).encode(value)
-        return text[0] + inner + text[1:-1] + pad + text[-1]
-    if type(value) is list and kinds == {list} and all(value) and {*map(type, chain.from_iterable(value))} == {int}:
+        pieces += text[0], inner, text[1:-1], pad, text[-1]
+    elif type(value) is list and kinds == {list} and all(value) and {*map(type, chain.from_iterable(value))} == {int}:
         # written with the rows' separator throughout; only digits, signs and
         # separators are left, so "],<sep>[" is a seam between two rows
         row = inner + "  "
         rows = _flat_encoder(depth + 1).encode(value)[2:-2].replace("]," + row + "[", f"{inner}],{inner}[{row}")
-        return f"[{inner}[{row}{rows}{inner}]{pad}]"
-    if type(value) is dict:
-        body = [f"{encode_basestring_ascii(k)}: {_dumps(value[k], depth + 1)}" for k in sorted(value)]
-        return "{" + inner + ("," + inner).join(body) + pad + "}"
-    return "[" + inner + ("," + inner).join([_dumps(v, depth + 1) for v in value]) + pad + "]"
+        pieces += "[", inner, "[", row, rows, inner, "]", pad, "]"
+    else:
+        sep = "," + inner
+        pieces.append("{" if is_dict else "[")
+        start = len(pieces)
+        for i, key in enumerate(sorted(value) if is_dict else range(len(value))):
+            pieces.append(sep if i else inner)
+            if is_dict:
+                pieces += encode_basestring_ascii(key), ": "
+            _write(value[key], depth + 1, pieces)
+            if len(pieces) - start > 1 << 14:  # one chunk, so few small strings live at once
+                pieces[start:] = ["".join(pieces[start:])]
+                start += 1
+        pieces += pad, "}" if is_dict else "]"
 
 
 @dataclass(frozen=True)
@@ -127,7 +142,7 @@ class OutputDocument:
         }
 
     def to_json(self) -> str:
-        return _dumps(self.to_dict()) + "\n"
+        return _dumps(self.to_dict(), "\n")
 
     @staticmethod
     def from_json(text: str) -> "OutputDocument":
@@ -251,8 +266,7 @@ _RENDERERS = {
 
 def _parse_parts(text: str) -> MultiIndex:
     try:
-        parts = tuple(int(x) for x in text.split(","))
-        return MultiIndex(parts)
+        return MultiIndex(tuple(int(x) for x in text.split(",")))
     except ValueError as exc:
         raise UsageError(f"bad --parts value {text!r}: {exc}") from exc
 

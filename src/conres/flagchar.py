@@ -29,11 +29,11 @@ is checked once per block size a, by the shared S_m average below:
 ``_cycle_average(1, a, None, "trivial")``, the S_a class average of the
 coinvariant traces, is 1.  sigma fixes the free part, whose S_d
 averages to 1 / prod_{j<=d} (1 - q^j) by the same collapse, checked where a
-block of size d is read and by the oracle's free orbit below; so, as in
-``gauss_multinomial``, those factors are never built.  The trace is
-prod_{d<i<=n} (1 - q^i) with the factors 1 - q^{c j}, j <= a, of every block
-cycle divided out one by one, each a running sum with stride c j.  A class is
-read only if it is one of ``conjugacy_classes(A)``.
+block of size d is read and by the oracle's free orbit below; so, like the
+largest part's in ``gauss_multinomial``, those factors are never built.
+The trace is prod_{d<i<=n} (1 - q^i) with the factors 1 - q^{c j}, j <= a,
+of every block cycle divided out one by one, each a running sum with
+stride c j.  A class is read only if it is one of ``conjugacy_classes(A)``.
 
 ``gamma_trace_naive`` is the guard for all of this: it averages coinvariant
 traces over an explicit enumeration of W_A and must agree with ``gamma_trace``
@@ -232,9 +232,7 @@ def gamma_trace_naive(
         raise ConsistencyError(
             f"the orbits of class {cls} count {enumerated} elements of W_A, not {group_order}"
         )
-    # the largest orbit is the implicit last part: its factors cancel unbuilt
-    sizes = sorted(c * a for c, a in orbits)[:-1]
-    total = prod((trace for trace, _ in sums), start=gauss_multinomial(n, sizes))
+    total = prod((trace for trace, _ in sums), start=gauss_multinomial(n, [c * a for c, a in orbits]))
     return integer_combination([(1, total)], group_order)
 
 
@@ -269,12 +267,11 @@ def _cycle_average(a: int, m: int, factor: Callable[[int], QPoly] | None, chi: s
 
     eps_k = chi(k-cycle); each R_k is one exact ``divide_out``, and a
     remainder there or in the division by m raises."""
-    if m == 0:
-        return QPoly.one()
     pairs = []
     for k in range(1, m + 1):
         term = divide_out(q_pochhammer(a * m, a * (m - k)), [k * j for j in range(1, a + 1)])
-        term = term * _cycle_average(a, m - k, factor, chi)
+        if k < m:  # P_{a,0} = 1 is neither read nor kept in the memo
+            term = term * _cycle_average(a, m - k, factor, chi)
         if factor:
             term = term * factor(a).substitute_power(k)
         pairs.append((_weight(chi, (-1) ** (k - 1)), term))
@@ -297,10 +294,9 @@ def gamma_poincare(A: MultiIndex, n: int, chi: str = "trivial") -> QPoly:
     coefficients (``chi="trivial"``) or with the rank-1 local system where a
     loop permuting equal blocks acts by the permutation sign (``chi="sign"``):
     the factored S(A) average at n = |A| (:func:`_own_size_average`), lifted
-    to d = n - |A| > 0 by ``[n; |A|]_q``.  A negative rank raises :class:`ConsistencyError`."""
-    result = _own_size_average(A, None, chi)
-    if A.liberty(n):
-        result = result * gauss_multinomial(n, (A.size,))
+    to d = n - |A| by ``[n; |A|]_q``.  A negative rank raises :class:`ConsistencyError`."""
+    A.liberty(n)  # an index that does not fit in C^n raises here
+    result = _own_size_average(A, None, chi) * gauss_multinomial(n, (A.size,))
     if not result.nonnegative():
         raise ConsistencyError(f"negative rank in the {chi} homology of unordered {A} in C^{n}")
     return result

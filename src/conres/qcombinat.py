@@ -622,16 +622,24 @@ def gauss_multinomial(n: int, parts: Sequence[int]) -> QPoly:
     The Poincare polynomial (in q) of the manifold of ordered tuples of
     pairwise orthogonal complex subspaces of the given dimensions inside C^n;
     the remainder is appended as an implicit last part.  Palindromic, with
-    degree the second elementary symmetric function of all parts.
-    """
+    degree the second elementary symmetric function of all parts.  Each call
+    reads one memo, :func:`_multinomial`, keyed by all parts and the remainder,
+    zeros dropped, sorted, the largest left out: one ``divide_out`` per key."""
     parts = tuple(parts)
     if any((not isinstance(p, int)) or p < 1 for p in parts):
         raise ValueError("parts must be positive integers")
     total = sum(parts)
     if total > n:
         raise ValueError(f"parts sum to {total} > n = {n}")
-    # the free part's factors (1 - q^i), i <= n - total, cancel unbuilt
-    result = divide_out(q_pochhammer(n, n - total), [i for a in parts for i in range(1, a + 1)])
+    *key, _ = sorted(p for p in (*parts, n - total) if p) or [0]  # n = 0 has no part
+    return _multinomial(n, tuple(key))
+
+
+@cache
+def _multinomial(n: int, key: tuple[int, ...]) -> QPoly:
+    """``[n; key, n - sum(key)]_q``, the last part the largest: its factors
+    cancel unbuilt, and a negative coefficient raises :class:`ConsistencyError`."""
+    result = divide_out(q_pochhammer(n, n - sum(key)), [i for a in key for i in range(1, a + 1)])
     if not result.nonnegative():
-        raise ConsistencyError(f"negative coefficient in [{n}; {parts}]_q")
+        raise ConsistencyError(f"negative coefficient in [{n}; {key}]_q")
     return result

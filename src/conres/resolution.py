@@ -27,7 +27,7 @@ are built without it:
   [s; a m, ...]_q prod_{(a, m)} N_{a,m}, N_{a,m} = (q;q)_{am} h_m[L_a /
   (q;q)_a] by Newton's identity, checked here for negative ranks;
 * ``block_poincare`` lifts the block at its own size to a free part
-  d = n - |A| > 0 by ``t^{d^2} [n; |A|]_{t^2}``, one factor per (n, |A|);
+  d = n - |A| > 0 by ``t^{d^2} [n; |A|]_{t^2}``, from the q-multinomial memo;
 * ``_lie_character`` builds L_a in q from its closed form, the higher Lie
   character of one a-cycle; ``t^{a - 1} L_a(t^2)`` is the top block (a),
   the open cone on the link of the whole collection; it reads neither the
@@ -140,22 +140,13 @@ def _own_size_block(A: MultiIndex) -> QPoly:
     return block
 
 
-@cache
-def _lift(n: int, s: int) -> QPoly:
-    """``[n; s]_q``, which lifts the q-part of a block of size s from n = s to
-    ambient dimension n: the Grassmannian of the collection's span.  The
-    ``t^{(n - s)^2}`` of the Hermitian operators on the free part is in the
-    shift of :func:`block_poincare`."""
-    return gauss_multinomial(n, (s,))
-
-
 def block_poincare(A: MultiIndex, n: int) -> GradedDims:
     """Borel-Moore Poincare polynomial of the block of index ``A`` in ambient
     dimension n: the block at n = |A|, lifted to a free part d = n - |A| > 0
     by ``t^{d^2} [n; |A|]_{t^2}``.  It is built in q from the unshifted Lie
     characters and gets its one t-shift ``t^{|A| - 1 + d^2}`` here."""
     d = A.liberty(n)  # an index that does not fit in C^n raises here
-    return (_own_size_block(A) * _lift(n, A.size)).to_graded().times_power(A.size - 1 + d * d)
+    return (_own_size_block(A) * gauss_multinomial(n, (A.size,))).to_graded().times_power(A.size - 1 + d * d)
 
 
 def total_discriminant_poincare(n: int) -> GradedDims:

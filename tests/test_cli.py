@@ -235,6 +235,12 @@ def test_json_writer_fixed_cases(value):
     assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
+def test_json_writer_joins_a_long_container_in_chunks():
+    # past 2^14 pieces a container's items are joined into chunks, twice here
+    value = {"cells": [{"blocks": {"2,2": i}, "p": -i, "q": [i, "x"]} for i in range(2000)]}
+    assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
 def test_polynomials_serialize_ascending(capsys):
     _, out, _ = _run(capsys, "link", "--n", "5", "--format", "json")
     pairs = OutputDocument.from_json(out).payload["polynomial"]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conres import qcombinat
+from conres import flagchar, qcombinat, resolution
 from conres.qcombinat import (
     MAX_SPAN,
     BlockClass,
@@ -649,10 +649,45 @@ def test_gauss_multinomial_examples():
 
 @pytest.mark.parametrize(
     "n,parts",
-    [(2, (2,)), (3, (2,)), (4, (2, 2)), (5, (3, 2)), (5, (2, 2)), (6, (2, 2, 2)), (6, (3, 3))],
+    [
+        (2, (2,)), (3, (2,)), (4, (2, 2)), (5, (3, 2)), (5, (2, 2)), (6, (2, 2, 2)), (6, (3, 3)),
+        # an explicit part, not the remainder, is the largest
+        (5, (1, 3)), (6, (4, 1)), (6, (1, 2, 3)), (7, (2, 4, 1)), (7, (5,)),
+    ],
 )
 def test_gauss_multinomial_against_inversion_oracle(n, parts):
     assert gauss_multinomial(n, parts) == _gauss_by_inversions(n, parts)
+
+
+def test_gauss_multinomial_reads_one_memo_per_multiset_of_parts():
+    # permuted parts and an explicit remainder are the same multinomial
+    assert gauss_multinomial(6, (2, 3)) is gauss_multinomial(6, (3, 1))
+    assert gauss_multinomial(6, (3, 1)) is gauss_multinomial(6, (1, 2, 3))
+    assert gauss_multinomial(9, (9,)) is gauss_multinomial(9, ()) == QPoly.one()
+    assert gauss_multinomial(7, (2,)) is gauss_multinomial(7, (5,))
+
+
+def test_a_cold_table_builds_one_multinomial_per_multiset_of_parts(monkeypatch):
+    # every caller of a table build, the own-size multinomials of flagchar
+    # and the lifts of resolution, shares the one memo: it misses once per
+    # distinct multiset of all parts, the remainder included
+    requested = []
+    for module in (flagchar, resolution):
+        def counted(n, parts, real=module.gauss_multinomial):
+            parts = tuple(parts)
+            requested.append(tuple(sorted(p for p in parts + (n - sum(parts),) if p)))
+            return real(n, parts)
+
+        monkeypatch.setattr(module, "gauss_multinomial", counted)
+    memos = (resolution.spectral_table, resolution.spectral_column, resolution._own_size_block, qcombinat._multinomial)
+    for memo in memos:
+        memo.cache_clear()
+    try:
+        resolution.spectral_table(16)
+        assert qcombinat._multinomial.cache_info().misses == len(set(requested)) < len(requested)
+    finally:
+        for memo in memos:
+            memo.cache_clear()
 
 
 def test_gauss_multinomial_at_one_is_multinomial():

@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from conres import flagchar, resolution
+from conres import flagchar, qcombinat, resolution
 from conres.flagchar import gamma_poincare
 from conres.qcombinat import (
     ConsistencyError,
@@ -436,7 +436,8 @@ def test_verify_collects_a_check_that_raises(monkeypatch):
 
 #: Every memo of the block engine: the tables and their columns, the
 #: open-cone series in t, the Lie characters in q, the own-size blocks, the
-#: cycle-type averages (the numerators N_{a,m}) and the lifts.
+#: cycle-type averages (the numerators N_{a,m}) and the q-multinomials (the
+#: own-size ones and the lifts).
 _ENGINE_MEMOS = (
     spectral_table,
     resolution.spectral_column,
@@ -444,7 +445,7 @@ _ENGINE_MEMOS = (
     resolution._lie_character,
     resolution._own_size_block,
     flagchar._cycle_average,
-    resolution._lift,
+    qcombinat._multinomial,
 )
 
 
@@ -555,21 +556,21 @@ def test_own_size_blocks_match_the_class_average():
 
 
 def test_a_cold_table_builds_no_smaller_table(monkeypatch, fresh_tables):
-    # one block per index at its own size, one lift per (n, |A|): no class
-    # average, no flag trace and no table but the one asked for; every
-    # product is in q, and a block moves to t once, at the table edge
+    # one block per index at its own size, one q-multinomial per canonical
+    # key: no class average, no flag trace and no table but the one asked
+    # for; every product is in q, and a block moves to t once, at the table edge
     def no_trace(A, n, cls):
         raise AssertionError(f"gamma_trace({A}, {n}, {cls})")
 
     def no_average(A, trace):
         raise AssertionError(f"class average over S({A})")
 
-    lifts = []
-    real_gauss = resolution.gauss_multinomial
+    keys = []
+    real_multinomial = qcombinat._multinomial
 
-    def counted_gauss(n, parts):
-        lifts.append((n, tuple(parts)))
-        return real_gauss(n, parts)
+    def counted_multinomial(n, key):
+        keys.append((n, key))
+        return real_multinomial(n, key)
 
     monkeypatch.setattr(flagchar, "gamma_trace", no_trace)
     monkeypatch.setattr(flagchar, "class_average", no_average)
@@ -580,7 +581,7 @@ def test_a_cold_table_builds_no_smaller_table(monkeypatch, fresh_tables):
         graded_products.append((self, other))
         return real_mul(self, other)
 
-    monkeypatch.setattr(resolution, "gauss_multinomial", counted_gauss)
+    monkeypatch.setattr(qcombinat, "_multinomial", counted_multinomial)
     monkeypatch.setattr(GradedDims, "__mul__", counted_mul)
     spectral_table(12)
     assert graded_products == []
@@ -590,7 +591,9 @@ def test_a_cold_table_builds_no_smaller_table(monkeypatch, fresh_tables):
     indices = sum(len(partitions(s, 2)) for s in range(2, 13))
     assert resolution._own_size_block.cache_info().currsize == indices
     assert resolution._lie_character.cache_info().currsize == 11
-    assert len(lifts) == len(set(lifts)) == resolution._lift.cache_info().currsize
+    # each key requested, the own-size multinomials and the lifts alike, is
+    # built once, and read again from the memo
+    assert real_multinomial.cache_info().misses == len(set(keys)) < len(keys)
     assert flagchar._cycle_average.cache_info().hits > 0
 
 
@@ -711,10 +714,10 @@ def test_block_ranks_and_table_total_see_a_short_total(monkeypatch, fresh_tables
 
 
 def test_table_total_sees_a_wrong_lift(monkeypatch, fresh_tables):
-    # a lift one degree of q too high moves every block with a free part;
-    # the closed-form top block does not absorb it, so only the total fails
-    real_lift = resolution._lift
-    monkeypatch.setattr(resolution, "_lift", lambda n, s: real_lift(n, s).times_power(1))
+    # a lift one degree of q too high moves every block; the closed-form top
+    # block does not absorb it, so only the total fails
+    real_gauss = resolution.gauss_multinomial
+    monkeypatch.setattr(resolution, "gauss_multinomial", lambda n, parts: real_gauss(n, parts).times_power(1))
     for n in range(4, 9):
         failures = verify(n, ("table-total", "h-poly")).failures()
         assert [(c.name, c.location) for c in failures] == [("table-total", f"n={n}")], n
