@@ -158,12 +158,12 @@ def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(lengths)
 
 
-@cache
 def _orbit_cycle_types(c: int, a: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(cycle type, count) pairs of sigma * u on one orbit of c groups of a
     points, which sigma maps each identically onto the next, over every u =
     (u_0, ..., u_{c-1}) in the product of the groups' symmetric groups.
-    Orbits recur across classes and multi-indices, so each is counted once.
+    Orbits recur across classes and multi-indices; the memo of its one
+    caller, :func:`_orbit_trace_sum`, counts each once.
 
     On one group (c = 1: the free part or a fixed block) sigma is the
     identity, so sigma * u runs over S_a and each cycle type lambda occurs
@@ -278,14 +278,19 @@ def _cycle_average(a: int, m: int, factor: Callable[[int], QPoly] | None, chi: s
     return integer_combination(pairs, m)
 
 
+@cache
 def _own_size_average(A: MultiIndex, factor: Callable[[int], QPoly] | None, chi: str) -> QPoly:
     """The chi-weighted S(A) average at n = s = |A| of the flag traces
     (``gamma_trace``) times prod F(q^c) per block cycle (c, a): the
     q-multinomial [s; a m, ...]_q over the (a, m) of A times
-    prod_{(a, m)} P_{a,m}, with P_{a,m} = ``_cycle_average(a, m, factor, chi)``."""
+    prod_{(a, m)} P_{a,m}, with P_{a,m} = ``_cycle_average(a, m, factor, chi)``.
+    A negative rank raises :class:`ConsistencyError` here, before a lift could cancel it."""
     multiplicities = A.multiplicities()
     start = gauss_multinomial(A.size, [a * m for a, m in multiplicities])
-    return prod((_cycle_average(a, m, factor, chi) for a, m in multiplicities), start=start)
+    average = prod((_cycle_average(a, m, factor, chi) for a, m in multiplicities), start=start)
+    if not average.nonnegative():
+        raise ConsistencyError(f"negative rank in the {chi} S({A}) average at n={A.size}")
+    return average
 
 
 def gamma_poincare(A: MultiIndex, n: int, chi: str = "trivial") -> QPoly:
@@ -294,9 +299,6 @@ def gamma_poincare(A: MultiIndex, n: int, chi: str = "trivial") -> QPoly:
     coefficients (``chi="trivial"``) or with the rank-1 local system where a
     loop permuting equal blocks acts by the permutation sign (``chi="sign"``):
     the factored S(A) average at n = |A| (:func:`_own_size_average`), lifted
-    to d = n - |A| by ``[n; |A|]_q``.  A negative rank raises :class:`ConsistencyError`."""
+    to d = n - |A| by ``[n; |A|]_q``, both checked for negative ranks."""
     A.liberty(n)  # an index that does not fit in C^n raises here
-    result = _own_size_average(A, None, chi) * gauss_multinomial(n, (A.size,))
-    if not result.nonnegative():
-        raise ConsistencyError(f"negative rank in the {chi} homology of unordered {A} in C^{n}")
-    return result
+    return _own_size_average(A, None, chi) * gauss_multinomial(n, (A.size,))

@@ -25,18 +25,18 @@ are built without it:
   trace times L_a(q^c) per block cycle (c, a), in the factored form
   ``flagchar._own_size_average`` builds for the quotient homology too:
   [s; a m, ...]_q prod_{(a, m)} N_{a,m}, N_{a,m} = (q;q)_{am} h_m[L_a /
-  (q;q)_a] by Newton's identity, checked here for negative ranks;
+  (q;q)_a] by Newton's identity, memoized and sign-checked there;
 * ``block_poincare`` lifts the block at its own size to a free part
   d = n - |A| > 0 by ``t^{d^2} [n; |A|]_{t^2}``, from the q-multinomial memo;
 * ``_lie_character`` builds L_a in q from its closed form, the higher Lie
   character of one a-cycle; ``t^{a - 1} L_a(t^2)`` is the top block (a),
   the open cone on the link of the whole collection; it reads neither the
-  total nor the other blocks, is one more index to ``_own_size_block``, and
+  total nor the other blocks, is one more index to ``_own_size_average``, and
   ``h_poly`` is its series in t;
-* ``spectral_column(n, p)`` lists the lifted blocks of complexity p, the
-  top one included: ``stab``'s three-point oracle builds the one column it
-  reads, and ``spectral_table`` the union of its columns, so a cold table
-  builds no smaller table; ``verify`` re-checks every identity the
+* ``spectral_column(n, p)``, the one memo of lifted blocks, lists those of
+  complexity p, the top one included: ``stab``'s three-point oracle builds
+  the one column it reads, and ``spectral_table`` the union of its columns,
+  a view that holds only n; ``verify`` re-checks every identity the
   construction is supposed to satisfy;
 * ``stab.stable_series`` reads every stable cell off ``_lie_character``
   alone, as one plethystic product, without building any block.
@@ -87,7 +87,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from math import factorial, prod
 from typing import Callable, Iterator
 
@@ -128,25 +128,17 @@ def fiber_char(A: MultiIndex, n: int, cls: BlockClass) -> GradedDims:
     return out
 
 
-@cache
-def _own_size_block(A: MultiIndex) -> QPoly:
-    """The block of index ``A`` at its own size s = |A| in q, unshifted: the
-    block is ``t^{s - 1} B(t^2)`` with B = ``flagchar._own_size_average``
-    with the factor :func:`_lie_character` (for a single part (a), L_a
-    itself).  A remainder or a negative rank raises :class:`ConsistencyError`."""
-    block = flagchar._own_size_average(A, _lie_character, "trivial")
-    if not block.nonnegative():
-        raise ConsistencyError(f"negative rank in the block of {A} at n={A.size}")
-    return block
-
-
 def block_poincare(A: MultiIndex, n: int) -> GradedDims:
     """Borel-Moore Poincare polynomial of the block of index ``A`` in ambient
-    dimension n: the block at n = |A|, lifted to a free part d = n - |A| > 0
-    by ``t^{d^2} [n; |A|]_{t^2}``.  It is built in q from the unshifted Lie
-    characters and gets its one t-shift ``t^{|A| - 1 + d^2}`` here."""
+    dimension n: ``t^{|A| - 1} B(t^2)`` at n = |A|, with B =
+    ``flagchar._own_size_average(A, _lie_character, "trivial")`` (L_a itself
+    for a single part (a)), memoized and sign-checked there; lifted to a free
+    part d = n - |A| > 0 by ``t^{d^2} [n; |A|]_{t^2}``.  It is built in q
+    from the unshifted Lie characters and gets its one t-shift ``t^{|A| - 1
+    + d^2}`` here."""
     d = A.liberty(n)  # an index that does not fit in C^n raises here
-    return (_own_size_block(A) * gauss_multinomial(n, (A.size,))).to_graded().times_power(A.size - 1 + d * d)
+    block = flagchar._own_size_average(A, _lie_character, "trivial")
+    return (block * gauss_multinomial(n, (A.size,))).to_graded().times_power(A.size - 1 + d * d)
 
 
 def total_discriminant_poincare(n: int) -> GradedDims:
@@ -243,7 +235,7 @@ class SpectralTable:
         if self.n < 2:
             raise ValueError("ambient dimension must be at least 2")
 
-    @cached_property
+    @property
     def blocks(self) -> tuple[tuple[MultiIndex, GradedDims], ...]:
         """Every block, column by column: the order of :func:`multiindices`."""
         return tuple(block for p in self.complexities() for block in self.column(p))
@@ -305,12 +297,12 @@ class SpectralTable:
         return self.rank(-p, self.n * self.n - q - 1 - p)
 
 
-@cache
 def spectral_table(n: int) -> SpectralTable:
     """The full first-page table: one block per index of size <= n, the top
     block (n) included, each lifted from its own size by
     :func:`block_poincare`.  It builds every column, so a table whose top
-    block fails its checks raises that :class:`ConsistencyError`.
+    block fails its checks raises that :class:`ConsistencyError`; the columns
+    stay in the memo of :func:`spectral_column`, and the table holds only n.
     """
     table = SpectralTable(n)
     table.blocks  # build, and so check, every column

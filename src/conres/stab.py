@@ -52,9 +52,9 @@ from .qcombinat import ConsistencyError, MultiIndex, QPoly, _product, divide_out
 from .resolution import SpectralTable, _lie_character
 
 #: Largest ambient dimension ``conres`` accepts for ``--n`` and ``--max-n``
-#: (Python 3.11 on a shared 2-core Xeon VM: ``table --n 24`` 2.7-3.0 s and
-#: ``verify --n 24`` 5.9-6.6 s, 164 MB each; at n = 26, 4.8 s and 8.9 s,
-#: 285 and 317 MB).
+#: (Python 3.11 on a shared 2-core Xeon VM, one cold process, peak RSS: ``table
+#: --n 24 --format json`` 0.87-0.93 s, 101 MB, ``verify`` 0.99-1.04 s, 65 MB;
+#: at n = 26, ``spectral_table(26)`` 1.2-1.3 s, 88 MB, ``verify(26)`` 2.0-2.1 s, 105 MB).
 MAX_TABLE_N = 24
 
 #: Largest bound a stable cell may have, so that its three-point oracle builds tables up to n = ``MAX_TABLE_N``;
@@ -173,7 +173,7 @@ def three_point_ranks(p: int, q: int) -> list[int]:
 
 def _lie_series(a: int, cut: int) -> list[int]:
     """Y_a(T) = T^{a^2 - 1} L_a(T^{-2}) / prod_{j <= a} (1 - T^{2j}) up to T^cut,
-    L_a = ``_lie_character(a)``; it starts at T^{a - 1}."""
+    L_a = ``_lie_character(a)``; it starts at T^{a + 1}, as deg L_a = (a + 1)(a - 2)/2."""
     numerator = QPoly({a * a - 1 - 2 * e: v for e, v in _lie_character(a).items()})
     series = divide_out_series(numerator, [2 * j for j in range(1, a + 1)], cut)
     return [series.coefficient(i) for i in range(cut + 1)]
@@ -196,7 +196,9 @@ def stable_series(c_max: int, q_max: int) -> tuple[tuple[int, ...], ...]:
         P_j = sum_{k | j, a = j / k + 1} (a - 1) eps_k Y_a(T^k).
 
     A remainder of the division by c, a negative rank, or a nonzero rank
-    with Q < c, outside the wedge, raises :class:`ConsistencyError`."""
+    with Q < c, outside the wedge, or with Q < c + 2, below the first degree
+    of column -c (prod_{a in A} Y_a starts at T^{|A| + #A}), raises
+    :class:`ConsistencyError`."""
     if c_max < 0 or q_max < 0:
         raise ValueError("c_max and q_max must be at least 0")
     logs = [[0] * (q_max + 1) for _ in range(c_max + 1)]  # P_0 is never read
@@ -219,6 +221,8 @@ def stable_series(c_max: int, q_max: int) -> tuple[tuple[int, ...], ...]:
                 raise ConsistencyError(f"negative stable rank {rank} in cell ({-c}, {Q})")
             if rank and Q < c:
                 raise ConsistencyError(f"stable rank {rank} in cell ({-c}, {Q}), outside the wedge")
+            if rank and Q < c + 2:
+                raise ConsistencyError(f"stable rank {rank} in cell ({-c}, {Q}), below its column's start at {c + 2}")
             row.append(rank)
         rows.append(tuple(row))
     return tuple(rows)

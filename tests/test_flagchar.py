@@ -317,12 +317,12 @@ def test_naive_oracle_enumerates_each_orbit_shape_once(monkeypatch):
     # (c groups of a points): one group (a = 1..7) is counted in closed form,
     # and each of the 11 shapes of c >= 2 groups walks its a! cycle types of
     # S_a once, 196 in all, while still counting all 30,472 tuples of its
-    # a!^c composites; an empty free part is no orbit
-    memo = flagchar._orbit_cycle_types
-    memo.cache_clear()
+    # a!^c composites; an empty free part is no orbit.  The counts are read
+    # only through the per-shape sums' memo, once per shape
+    count_types = flagchar._orbit_cycle_types
     flagchar._orbit_trace_sum.cache_clear()  # a warm per-shape sum never asks for the counts
     enumerated = Counter()
-    shapes = set()
+    shapes = Counter()
     real = flagchar.cycle_type
 
     def counted(perm):
@@ -330,18 +330,18 @@ def test_naive_oracle_enumerates_each_orbit_shape_once(monkeypatch):
         return real(perm)
 
     def recorded(c, a):
-        shapes.add((c, a))
-        return memo(c, a)
+        shapes[c, a] += 1
+        return count_types(c, a)
 
     monkeypatch.setattr(flagchar, "cycle_type", counted)
     monkeypatch.setattr(flagchar, "_orbit_cycle_types", recorded)
     assert verify(12, checks=("gamma-oracle",)).ok
-    assert len(shapes) == memo.cache_info().currsize == 18
+    assert len(shapes) == 18 and set(shapes.values()) == {1}
     assert all(a > 0 for _, a in shapes)
     multiple = [(c, a) for c, a in shapes if c >= 2]
     assert len(multiple) == 11
     assert enumerated["perms"] == sum(factorial(a) for _, a in multiple) == 196
-    tuples = sum(count for c, a in multiple for _, count in memo(c, a))
+    tuples = sum(flagchar._orbit_trace_sum(c, a)[1] for c, a in multiple)
     assert tuples == sum(factorial(a) ** c for c, a in multiple) == 30472
 
 
@@ -386,7 +386,7 @@ def test_orbit_counts_equal_the_concatenate_and_walk_reference(c, a):
     # budget, (2,5), (3,4), (5,3) and (15,2) among them, which the
     # whole-product test for n <= 7 never reaches
     assert NAIVE_BUDGET == factorial(8) and len(_IN_BUDGET_SHAPES) == 21
-    assert dict(flagchar._orbit_cycle_types.__wrapped__(c, a)) == _concatenate_and_walk(c, a)
+    assert dict(flagchar._orbit_cycle_types(c, a)) == _concatenate_and_walk(c, a)
 
 
 def test_naive_oracle_checks_that_the_orbits_cover_w_a(monkeypatch):
@@ -491,6 +491,7 @@ def test_gamma_poincare_takes_no_class_average(monkeypatch):
 
     monkeypatch.setattr(flagchar, "gamma_trace", no_trace)
     monkeypatch.setattr(flagchar, "class_average", no_average)
+    flagchar._own_size_average.cache_clear()
     flagchar._cycle_average.cache_clear()
     for n in range(2, 9):
         for A in multiindices(n, n - 1):

@@ -679,7 +679,7 @@ def test_a_cold_table_builds_one_multinomial_per_multiset_of_parts(monkeypatch):
             return real(n, parts)
 
         monkeypatch.setattr(module, "gauss_multinomial", counted)
-    memos = (resolution.spectral_table, resolution.spectral_column, resolution._own_size_block, qcombinat._multinomial)
+    memos = (resolution.spectral_column, flagchar._own_size_average, qcombinat._multinomial)
     for memo in memos:
         memo.cache_clear()
     try:

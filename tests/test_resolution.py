@@ -434,16 +434,16 @@ def test_verify_collects_a_check_that_raises(monkeypatch):
 # --------------------------------------------------------------------------
 
 
-#: Every memo of the block engine: the tables and their columns, the
-#: open-cone series in t, the Lie characters in q, the own-size blocks, the
-#: cycle-type averages (the numerators N_{a,m}) and the q-multinomials (the
-#: own-size ones and the lifts).
+#: Every memo of the block engine: the columns of the tables (a table is a
+#: view over them), the open-cone series in t, the Lie characters in q, the
+#: own-size averages (the blocks and the quotient homology), the cycle-type
+#: averages (the numerators N_{a,m}) and the q-multinomials (the own-size
+#: ones and the lifts).
 _ENGINE_MEMOS = (
-    spectral_table,
     resolution.spectral_column,
     h_poly,
     resolution._lie_character,
-    resolution._own_size_block,
+    flagchar._own_size_average,
     flagchar._cycle_average,
     qcombinat._multinomial,
 )
@@ -460,17 +460,21 @@ def fresh_tables():
         memo.cache_clear()
 
 
-def test_a_stable_cell_builds_only_the_columns_it_reads(fresh_tables):
-    # the three-point oracle of every cell of stable_table(-3, 6)
+def test_a_stable_cell_builds_only_the_columns_it_reads(monkeypatch, fresh_tables):
+    # the three-point oracle of every cell of stable_table(-3, 6); no whole
+    # table is built, since a table builds its columns by reading its blocks
+    def no_blocks(table):
+        raise AssertionError(f"the blocks of the table for n={table.n}")
+
+    monkeypatch.setattr(SpectralTable, "blocks", property(no_blocks))
     cells = [(p, q) for p in range(-3, 0) for q in range(-p, 7)]
     for p, q in cells:
         three_point_ranks(p, q)
     read = {(m, -p) for p, q in cells for m in range(e1_stable_bound(p, q), e1_stable_bound(p, q) + 3)}
     columns = resolution.spectral_column.cache_info()
-    own = resolution._own_size_block.cache_info()
-    # no whole table is built, and the column memo holds exactly the columns
-    # read: as many entries, and reading each again is a hit
-    assert spectral_table.cache_info().misses == 0
+    own = flagchar._own_size_average.cache_info()
+    # the column memo holds exactly the columns read: as many entries, and
+    # reading each again is a hit
     assert columns.currsize == len(read)
     assert columns.hits > 0
     indices = {A for m, p in read for A, _ in resolution.spectral_column(m, p)}
@@ -479,8 +483,8 @@ def test_a_stable_cell_builds_only_the_columns_it_reads(fresh_tables):
     # so none of complexity above 3 is built
     assert own.currsize == len(indices)
     for A in indices:
-        resolution._own_size_block(A)
-    assert resolution._own_size_block.cache_info().misses == own.misses
+        flagchar._own_size_average(A, resolution._lie_character, "trivial")
+    assert flagchar._own_size_average.cache_info().misses == own.misses
     assert {A.complexity for A in indices} == {1, 2, 3}
 
 
@@ -581,15 +585,25 @@ def test_a_cold_table_builds_no_smaller_table(monkeypatch, fresh_tables):
         graded_products.append((self, other))
         return real_mul(self, other)
 
+    columns = []
+    real_column = resolution.spectral_column
+
+    def recorded_column(n, p):
+        columns.append((n, p))
+        return real_column(n, p)
+
     monkeypatch.setattr(qcombinat, "_multinomial", counted_multinomial)
     monkeypatch.setattr(GradedDims, "__mul__", counted_mul)
+    monkeypatch.setattr(resolution, "spectral_column", recorded_column)
     spectral_table(12)
     assert graded_products == []
-    assert spectral_table.cache_info().currsize == 1
+    # every key in the column memo is at n = 12: one per column, each built once
+    assert {n for n, _ in columns} == {12}
+    assert real_column.cache_info().currsize == real_column.cache_info().misses == 11
     # one own-size block per index of size 2..12, the top blocks included,
     # and one Lie character per size
     indices = sum(len(partitions(s, 2)) for s in range(2, 13))
-    assert resolution._own_size_block.cache_info().currsize == indices
+    assert flagchar._own_size_average.cache_info().currsize == indices
     assert resolution._lie_character.cache_info().currsize == 11
     # each key requested, the own-size multinomials and the lifts alike, is
     # built once, and read again from the memo
@@ -748,11 +762,21 @@ def test_a_negative_class_average_raises(monkeypatch, fresh_tables):
         return -average if (a, m) == (2, 2) else average
 
     monkeypatch.setattr(flagchar, "_cycle_average", negated)
-    with pytest.raises(ConsistencyError, match="negative rank in the block of"):
+    with pytest.raises(ConsistencyError, match=r"negative rank in the trivial S\(\(2,2\)\) average at n=4"):
         block_poincare(MultiIndex((2, 2)), 4)
     for chi in ("trivial", "sign"):
-        with pytest.raises(ConsistencyError, match="negative rank"):
+        with pytest.raises(ConsistencyError, match=rf"negative rank in the {chi} S\(\(2,2\)\) average at n=4"):
             gamma_poincare(MultiIndex((2, 2)), 4, chi)
+
+
+def test_a_lift_cannot_hide_a_negative_rank(monkeypatch, fresh_tables):
+    # 1 - q + q^2 for the average of (2) at n = 2: the lift [3; 2]_q = 1 + q
+    # + q^2 makes the product 1 + q^2 + q^4, so only a check before the
+    # lift sees the negative rank
+    monkeypatch.setattr(flagchar, "_cycle_average", lambda a, m, factor, chi: QPoly({0: 1, 1: -1, 2: 1}))
+    assert QPoly({0: 1, 1: -1, 2: 1}) * gauss_multinomial(3, (2,)) == QPoly({0: 1, 2: 1, 4: 1})
+    with pytest.raises(ConsistencyError, match=r"negative rank in the trivial S\(\(2\)\) average at n=2"):
+        gamma_poincare(MultiIndex((2,)), 3)
 
 
 # --------------------------------------------------------------------------

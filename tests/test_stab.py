@@ -449,7 +449,7 @@ def test_the_proved_bound_is_at_most_the_e1_bound():
 
 def test_the_stable_table_builds_no_table():
     def infos():
-        memos = (resolution.spectral_column, resolution._own_size_block, flagchar._cycle_average)
+        memos = (resolution.spectral_column, flagchar._own_size_average, flagchar._cycle_average)
         return [memo.cache_info() for memo in memos]
 
     before = infos()
@@ -483,6 +483,27 @@ def test_the_series_checks_its_wedge(monkeypatch):
     # Y_2 + 1 puts a rank at (-1, 0), where p + q < 0
     monkeypatch.setattr(stab, "_lie_series", with_constant)
     with pytest.raises(ConsistencyError, match=r"stable rank 1 in cell \(-1, 0\), outside the wedge"):
+        stable_table(-2, 6)
+
+
+def test_each_lie_series_starts_at_a_plus_one():
+    # Y_a starts at T^{a + 1}: T^{a^2 - 1} L_a(T^{-2}) with deg L_a = (a + 1)(a - 2)/2
+    for a in range(2, 13):
+        series = stab._lie_series(a, 200)
+        assert next(i for i, v in enumerate(series) if v) == a + 1, a
+
+
+def test_the_series_checks_the_first_degree_of_each_column(monkeypatch):
+    lie_series = stab._lie_series
+
+    def lowered(a, cut):
+        series = lie_series(a, cut)
+        return series[1:] + [0] if a == 2 else series
+
+    # Y_2 read one degree low puts a rank at (-1, 2): inside the wedge, but
+    # column -1 starts at Q = 3
+    monkeypatch.setattr(stab, "_lie_series", lowered)
+    with pytest.raises(ConsistencyError, match=r"stable rank 1 in cell \(-1, 2\), below its column's start at 3"):
         stable_table(-2, 6)
 
 
