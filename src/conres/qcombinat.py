@@ -397,7 +397,8 @@ def divide_out(poly: _P, exponents: Iterable[int]) -> _P:
 def divide_out_series(poly: _P, exponents: Iterable[int], cut: int) -> _P:
     """The terms up to x^cut of the power series ``poly / prod_e (1 - x^e)``:
     the running sums of :func:`divide_out` on a buffer cut there, with no
-    exactness check and no pass for a factor with e > cut, which changes none."""
+    exactness check and no pass for a factor with e > cut, which changes none.
+    With no exponents it only cuts ``poly`` at x^cut."""
     if not isinstance(poly, _SparsePoly):
         raise TypeError(f"cannot divide {type(poly).__name__}; expected a polynomial")
     width = max(cut - poly._low + 1, 0)

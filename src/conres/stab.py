@@ -28,12 +28,16 @@ section I.8):
 E_a = Exp for even a and Lambda for odd a (m a-cycles carry (-1)^{am}, and
 (-1)^m h_m[-X] = e_m[X]), the stable rank of the cell (-c, Q) is
 [x^c T^Q] F.  ``stable_series`` builds every column at once from
-``_lie_character`` alone, and ``stable_cell`` and ``stable_table`` read their
-ranks off it, with ``bound_n`` = n*; the costliest cell the ceiling admits,
-(-11, 33), takes 2.5-4 ms with cold top blocks (Python 3.11, shared 2-core
-Xeon VM).  The three-point rule, ``three_point_ranks``, is the oracle: it
-reads the cell in the tables for n*, n* + 1 and n* + 2, one column of each
-(``resolution.spectral_column(n, -p)``), and insists the ranks agree;
+``_lie_character`` alone, each a ``GradedDims`` cut at T^{q_max}, with no
+arithmetic of its own: products, cuts and one ``integer_combination`` per sum
+of the ``qcombinat`` core.  One start check guards it: column -c is 0 below
+T^{c + 2}.  ``stable_cell`` and ``stable_table`` read their ranks off it, with
+``bound_n`` = n*; column 0 is the unit alone, at a cost fixed in q, and the
+costliest cell the ceiling admits, (-11, 33), takes 2.8-3.2 ms in a fresh
+process and 1.5-1.9 ms once ``_lie_character`` is memoized (Python 3.11,
+shared 2-core Xeon VM).  The three-point rule, ``three_point_ranks``, is the
+oracle: it reads the cell in the tables for n*, n* + 1 and n* + 2, one column
+of each (``resolution.spectral_column(n, -p)``), and insists the ranks agree;
 ``conres stab --p --q`` runs it beside the series on every call.
 ``check_stable_cell`` and ``check_degree`` reject a cell or a (shape, degree)
 request that cannot be read, or would cost more than ``MAX_CELL_BOUND``,
@@ -48,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .qcombinat import ConsistencyError, MultiIndex, QPoly, _product, divide_out_series
+from .qcombinat import ConsistencyError, GradedDims, MultiIndex, QPoly, divide_out_series, integer_combination
 from .resolution import SpectralTable, _lie_character
 
 #: Largest ambient dimension ``conres`` accepts for ``--n`` and ``--max-n``
@@ -171,61 +175,50 @@ def three_point_ranks(p: int, q: int) -> list[int]:
     return ranks
 
 
-def _lie_series(a: int, cut: int) -> list[int]:
+def _lie_series(a: int, cut: int) -> GradedDims:
     """Y_a(T) = T^{a^2 - 1} L_a(T^{-2}) / prod_{j <= a} (1 - T^{2j}) up to T^cut,
     L_a = ``_lie_character(a)``; it starts at T^{a + 1}, as deg L_a = (a + 1)(a - 2)/2."""
-    numerator = QPoly({a * a - 1 - 2 * e: v for e, v in _lie_character(a).items()})
-    series = divide_out_series(numerator, [2 * j for j in range(1, a + 1)], cut)
-    return [series.coefficient(i) for i in range(cut + 1)]
+    numerator = GradedDims({a * a - 1 - 2 * e: v for e, v in _lie_character(a).items()})
+    return divide_out_series(numerator, [2 * j for j in range(1, a + 1)], cut)
 
 
-def _dilate(series: list[int], k: int) -> list[int]:
-    """The plethysm p_k of a series in T, Y(T) -> Y(T^k), up to the same cut."""
-    return [0 if i % k else series[i // k] for i in range(len(series))]
-
-
-def stable_series(c_max: int, q_max: int) -> tuple[tuple[int, ...], ...]:
-    """The rows F[c][Q], 0 <= c <= c_max, 0 <= Q <= q_max, of the product
-    F(x, T) = prod_{a = 2 .. c_max + 1} E_a[x^{a - 1} Y_a(T)] of the module
-    docstring (:func:`_lie_series` gives Y_a): F[c][Q] is the stable rank of
-    the cohomological cell (-c, Q).  Built in integers from the logarithmic
-    derivative: with eps_k = 1 for even a (Exp) and (-1)^{k - 1} for odd a
-    (Lambda),
+def stable_series(c_max: int, q_max: int) -> tuple[GradedDims, ...]:
+    """The columns F_0, ..., F_{c_max}, each cut at T^{q_max}, of the product
+    F(x, T) = sum_c x^c F_c(T) = prod_{a = 2 .. c_max + 1} E_a[x^{a - 1} Y_a(T)]
+    of the module docstring (:func:`_lie_series` gives Y_a): the coefficient
+    of T^Q in F_c is the stable rank of the cohomological cell (-c, Q).
+    Built on the polynomial core from the logarithmic derivative: with
+    eps_k = 1 for even a (Exp) and (-1)^{k - 1} for odd a (Lambda),
 
         c F_c = sum_{j <= c} P_j F_{c - j},
-        P_j = sum_{k | j, a = j / k + 1} (a - 1) eps_k Y_a(T^k).
+        P_j = sum_{k | j, a = j / k + 1} (a - 1) eps_k Y_a(T^k),
 
-    A remainder of the division by c, a negative rank, or a nonzero rank
-    with Q < c, outside the wedge, or with Q < c + 2, below the first degree
+    every sum and the division by c one ``integer_combination``, so a
+    remainder raises its :class:`ConsistencyError`.  Each product is cut at
+    T^{q_max}, since products of cut series hold wrong terms above it.  A
+    negative rank, or a nonzero rank with Q < c + 2, below the first degree
     of column -c (prod_{a in A} Y_a starts at T^{|A| + #A}), raises
-    :class:`ConsistencyError`."""
+    :class:`ConsistencyError` too."""
     if c_max < 0 or q_max < 0:
         raise ValueError("c_max and q_max must be at least 0")
-    logs = [[0] * (q_max + 1) for _ in range(c_max + 1)]  # P_0 is never read
+    terms = [[] for _ in range(c_max + 1)]
     for a in range(2, c_max + 2):
         lie = _lie_series(a, q_max)
         for k in range(1, c_max // (a - 1) + 1):
             weight = -(a - 1) if a % 2 and k % 2 == 0 else a - 1
-            logs[k * (a - 1)] = [u + weight * v for u, v in zip(logs[k * (a - 1)], _dilate(lie, k))]
-    rows = [(1,) + (0,) * q_max]
+            terms[k * (a - 1)].append((weight, divide_out_series(lie, (), q_max // k).substitute_power(k)))
+    logs = [GradedDims()] + [integer_combination(pairs, 1) for pairs in terms[1:]]  # P_0 is never read
+    columns = [GradedDims.one()]
     for c in range(1, c_max + 1):
-        total = [0] * (q_max + 1)
-        for j in range(1, c + 1):
-            total = [u + v for u, v in zip(total, _product(logs[j], rows[c - j]))]
-        row = []
-        for Q, v in enumerate(total):
-            rank, remainder = divmod(v, c)
-            if remainder:
-                raise ConsistencyError(f"remainder {v} mod {c} in the stable series at x^{c} T^{Q}")
+        pairs = [(1, divide_out_series(logs[j] * columns[c - j], (), q_max)) for j in range(1, c + 1)]
+        column = integer_combination(pairs, c)
+        for Q, rank in column.items():
             if rank < 0:
                 raise ConsistencyError(f"negative stable rank {rank} in cell ({-c}, {Q})")
-            if rank and Q < c:
-                raise ConsistencyError(f"stable rank {rank} in cell ({-c}, {Q}), outside the wedge")
-            if rank and Q < c + 2:
+            if Q < c + 2:
                 raise ConsistencyError(f"stable rank {rank} in cell ({-c}, {Q}), below its column's start at {c + 2}")
-            row.append(rank)
-        rows.append(tuple(row))
-    return tuple(rows)
+        columns.append(column)
+    return tuple(columns)
 
 
 @dataclass(frozen=True)
@@ -240,7 +233,7 @@ def stable_cell(p: int, q: int) -> StableCell:
     """Stable rank of the cohomological cell (p, q), read off
     :func:`stable_series`, with ``bound_n`` = ``e1_stable_bound(p, q)``.  A
     cell that :func:`check_stable_cell` refuses raises ``ValueError`` first."""
-    return StableCell(p, q, check_stable_cell(p, q), stable_series(-p, q)[-p][q])
+    return StableCell(p, q, check_stable_cell(p, q), stable_series(-p, q)[-p].coefficient(q))
 
 
 def stable_table(p_min: int, q_max: int) -> tuple[StableCell, ...]:
@@ -251,5 +244,5 @@ def stable_table(p_min: int, q_max: int) -> tuple[StableCell, ...]:
         raise ValueError("p_min must be at most 0")
     cells = [(p, q) for p in range(p_min, 1) for q in range(-p, q_max + 1)]
     bounds = [check_stable_cell(p, q) for p, q in cells]
-    rows = stable_series(max(min(-p_min, q_max), 0), max(q_max, 0))
-    return tuple(StableCell(p, q, bound, rows[-p][q]) for (p, q), bound in zip(cells, bounds))
+    columns = stable_series(max(min(-p_min, q_max), 0), max(q_max, 0))
+    return tuple(StableCell(p, q, bound, columns[-p].coefficient(q)) for (p, q), bound in zip(cells, bounds))

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import re
+import tracemalloc
 from collections import Counter
 from math import prod
 
@@ -11,6 +12,7 @@ from conres import flagchar, resolution, stab
 from conres.cli import main
 from conres.qcombinat import (
     ConsistencyError,
+    GradedDims,
     MultiIndex,
     QPoly,
     divide_out_series,
@@ -411,26 +413,67 @@ def stable_column(p, q_max):
 def test_the_product_is_the_sum_over_indices():
     # the whole table against the per-index column series, past the ceiling
     # too: all columns up to c = 14 and Q = 40
-    rows = stable_series(14, 40)
+    columns = stable_series(14, 40)
     for c in range(15):
-        assert [rank for rank, _ in stable_column(-c, 40)] == list(rows[c][c:]), c
-        assert not any(rows[c][:c]), c
+        assert [rank for rank, _ in stable_column(-c, 40)] == [columns[c].coefficient(Q) for Q in range(c, 41)], c
+        assert not any(columns[c].coefficient(Q) for Q in range(c)), c
     for c_max, q_max in ((-1, 3), (3, -1)):
         with pytest.raises(ValueError, match="c_max and q_max must be at least 0"):
             stable_series(c_max, q_max)
+
+
+@pytest.mark.parametrize(
+    "c_max, q_max, digest",
+    [
+        (12, 640, "ce63d3700623d1445dee3bbb75b7bbd95f22b8927a668fa7f55781b045548c71"),
+        (20, 60, "40265bc23966bc9c416184cecce5d6d857ff43819096a8cb194fc80a3a8a0b98"),
+    ],
+)
+def test_the_long_series_is_pinned(c_max, q_max, digest):
+    # SHA-256 of every coefficient up to T^q_max, generated when the columns
+    # were integer rows built by list sums; at (12, 640) the coefficients
+    # reach 87 bits, so the products split their 64-bit slots
+    columns = stable_series(c_max, q_max)
+    rows = tuple(tuple(F.coefficient(Q) for Q in range(q_max + 1)) for F in columns)
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
+def test_each_column_times_its_denominator_is_a_polynomial():
+    # column -c is N_c(T) / (T^2; T^2)_{2c}: cut at T^292, past every deg N_c
+    # for c <= 8, the product ends at 4c^2 + c - 4 (3 and 12 for c = 1, 2),
+    # starts at T^{c + 2} and sums to (2c - 1)!!
+    columns = stable_series(8, 292)
+    for c in range(1, 9):
+        numerator = divide_out_series(columns[c] * q_pochhammer(2 * c).to_graded(), (), 292)
+        assert numerator.degree() == {1: 3, 2: 12}.get(c, 4 * c * c + c - 4), c
+        assert numerator.min_degree() == c + 2, c
+        assert numerator(1) == prod(range(1, 2 * c, 2)), c
+
+
+def test_column_zero_has_a_fixed_cost():
+    # column 0 is the unit class alone, however high the degree read
+    stable_cell(0, 10)
+    tracemalloc.start()
+    try:
+        cell = stable_cell(0, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cell == StableCell(0, 10**6, 2, 0)
+    assert peak < 64 * 1024
 
 
 def test_column_minus_one_counts_partitions_into_ones_and_twos():
     # the index (2) alone: 1 / ((1 - y)(1 - y^2)), one coefficient per odd Q
     expected = [(q - 3) // 4 + 1 if q % 2 and q >= 3 else 0 for q in range(1, 45)]
     assert [rank for rank, _ in stable_column(-1, 44)] == expected
-    assert list(stable_series(1, 44)[1][1:]) == expected
+    assert [stable_series(1, 44)[1].coefficient(Q) for Q in range(1, 45)] == expected
 
 
 def test_the_first_ranks_of_columns_two_and_three():
-    rows = stable_series(3, 17)
+    columns = stable_series(3, 17)
     for p, start in ((-2, [1, 3, 4, 8, 11, 17]), (-3, [1, 3, 9, 16, 31, 50])):
-        column = rows[-p][-p : 15 - p]
+        column = [columns[-p].coefficient(Q) for Q in range(-p, 15 - p)]
         assert [rank for rank in column if rank][:6] == start
         # the odd rows of the column are empty
         assert not any(rank for q, rank in zip(range(-p, 15 - p), column) if (q + p) % 2)
@@ -460,15 +503,15 @@ def test_the_stable_table_builds_no_table():
 def test_a_plethysm_read_without_its_dilation_leaves_a_remainder(monkeypatch):
     # p_k[Y] read as Y(T) instead of Y(T^k): 2 F_2 = Y_2^2 + 2 Y_3 + Y_2 is
     # odd at T^3, where Y_2 starts
-    monkeypatch.setattr(stab, "_dilate", lambda series, k: series)
-    with pytest.raises(ConsistencyError, match=r"remainder 1 mod 2 in the stable series at x\^2 T\^3"):
+    monkeypatch.setattr(GradedDims, "substitute_power", lambda series, k: series)
+    with pytest.raises(ConsistencyError, match=r"non-integral rank 1/2 at exponent 3"):
         stable_table(-3, 9)
 
 
 def test_the_series_checks_its_ranks(monkeypatch):
     lie_series = stab._lie_series
     # -Y_2: Exp[-x Y_2] is integral, and its first coefficient is -1
-    monkeypatch.setattr(stab, "_lie_series", lambda a, cut: [-v for v in lie_series(a, cut)])
+    monkeypatch.setattr(stab, "_lie_series", lambda a, cut: -lie_series(a, cut))
     with pytest.raises(ConsistencyError, match=r"negative stable rank -1 in cell \(-1, 3\)"):
         stable_table(-1, 5)
 
@@ -478,19 +521,19 @@ def test_the_series_checks_its_wedge(monkeypatch):
 
     def with_constant(a, cut):
         series = lie_series(a, cut)
-        return [series[0] + (a == 2)] + series[1:]
+        return series + GradedDims.one() if a == 2 else series
 
-    # Y_2 + 1 puts a rank at (-1, 0), where p + q < 0
+    # Y_2 + 1 puts a rank at (-1, 0), where p + q < 0: outside the wedge, so
+    # below column -1's start too
     monkeypatch.setattr(stab, "_lie_series", with_constant)
-    with pytest.raises(ConsistencyError, match=r"stable rank 1 in cell \(-1, 0\), outside the wedge"):
+    with pytest.raises(ConsistencyError, match=r"stable rank 1 in cell \(-1, 0\), below its column's start at 3"):
         stable_table(-2, 6)
 
 
 def test_each_lie_series_starts_at_a_plus_one():
     # Y_a starts at T^{a + 1}: T^{a^2 - 1} L_a(T^{-2}) with deg L_a = (a + 1)(a - 2)/2
     for a in range(2, 13):
-        series = stab._lie_series(a, 200)
-        assert next(i for i, v in enumerate(series) if v) == a + 1, a
+        assert stab._lie_series(a, 200).min_degree() == a + 1, a
 
 
 def test_the_series_checks_the_first_degree_of_each_column(monkeypatch):
@@ -498,7 +541,7 @@ def test_the_series_checks_the_first_degree_of_each_column(monkeypatch):
 
     def lowered(a, cut):
         series = lie_series(a, cut)
-        return series[1:] + [0] if a == 2 else series
+        return series.times_power(-1) if a == 2 else series
 
     # Y_2 read one degree low puts a rank at (-1, 2): inside the wedge, but
     # column -1 starts at Q = 3
