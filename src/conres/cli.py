@@ -23,6 +23,12 @@ arguments, payload and exit code; ``main`` wraps them in the one
 Output goes to stdout as json, csv or markdown; diagnostics go to stderr.
 json is ``json.dumps(doc, sort_keys=True, indent=2)`` to the byte; ``indent``
 selects CPython's pure-Python encoder, so ``_dumps`` indents C-encoded output.
+A table's cells (``_TableCells``) come out of one walk of its columns by
+degree (``resolution.by_degree``) already in output order, each with its
+blocks in key order, so nothing is sorted per cell; json writes each cell
+with one f-string, and csv and markdown read the same rows.  Every other
+document, and a parsed table, goes through the generic writer ``_write``,
+which the tests hold the cell writer to as its oracle.
 Exit codes: 0 success, 1 usage error, 2 a consistency check failed, 3 any
 other error (a bug), whose traceback goes to stderr.
 """
@@ -39,13 +45,13 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from . import __version__
 from .cohomring import h2_order
 from .flagchar import CHARACTERS, gamma_poincare
 from .qcombinat import ConsistencyError, GradedDims, MultiIndex, QPoly
-from .resolution import ALL_CHECKS, SpectralTable, link_poincare, spectral_table, verify
+from .resolution import ALL_CHECKS, SpectralTable, by_degree, link_poincare, spectral_table, verify
 from .stab import MAX_TABLE_N, check_degree, check_stable_cell, stab_index, stable_cell, three_point_ranks
 
 DEFAULT_MAX_N = 10
@@ -86,7 +92,11 @@ def _dumps(value: Any, end: str = "") -> str:
 def _write(value: Any, depth: int, pieces: list[str]) -> None:
     """Append the text of plain str-keyed dicts, lists and scalars at ``depth``
     to ``pieces``; the C encoder writes each container that holds none, and a
-    list of nonempty int-only lists (polynomial pairs) in one pass."""
+    list of nonempty int-only lists (polynomial pairs) in one pass, and
+    :func:`_write_cells` a table's :class:`_TableCells`."""
+    if type(value) is _TableCells:
+        _write_cells(value, depth, pieces)
+        return
     if type(value) not in (dict, list, tuple) or not value:
         pieces.append(int.__repr__(value) if type(value) is int else _flat_encoder(depth).encode(value))
         return
@@ -94,7 +104,7 @@ def _write(value: Any, depth: int, pieces: list[str]) -> None:
     inner = pad + "  "
     is_dict = type(value) is dict
     kinds = {*map(type, value.values() if is_dict else value)}
-    if kinds.isdisjoint((dict, list, tuple)):
+    if kinds.isdisjoint((dict, list, tuple, _TableCells)):
         text = _flat_encoder(depth).encode(value)
         pieces += text[0], inner, text[1:-1], pad, text[-1]
     elif type(value) is list and kinds == {list} and all(value) and {*map(type, chain.from_iterable(value))} == {int}:
@@ -118,9 +128,64 @@ def _write(value: Any, depth: int, pieces: list[str]) -> None:
         pieces += pad, "}" if is_dict else "]"
 
 
+class _TableCells:
+    """The cells of a table, sorted by (p, q), each ``(p, q, rank, entries)``
+    with ``entries`` its blocks' ``(label, rank)`` pairs in json key order:
+    the one form the json, csv and markdown writers read.  Each read walks
+    the columns afresh, one at a time, so no list of every cell is held.  In
+    json they are the list of cell objects ``{"blocks", "p", "q", "rank"}``
+    that parsing gives back."""
+
+    __slots__ = ("table", "view", "total_degree")
+
+    def __init__(self, table: SpectralTable, view: str, total_degree: bool) -> None:
+        self.table, self.view, self.total_degree = table, view, total_degree
+
+    def __iter__(self) -> Iterator[tuple[int, int, int, list[tuple[str, int]]]]:
+        # The homological cells come out in walk order.  The cohomological
+        # relabelling (p, i) -> (-p, n^2 - (i - p) - 1) decreases in both p
+        # and i, so those cells come out of the walk run backwards.
+        table, cohom = self.table, self.view == "cohom"
+        complexities = table.complexities()
+        for p in reversed(complexities) if cohom else complexities:
+            # sorted by label once per column, so that every cell lists its blocks in json key order
+            walk = by_degree(sorted((",".join(map(str, A.parts)), poly) for A, poly in table.column(p)))
+            if cohom:
+                for i, entries in reversed(walk):
+                    yield (*table.cohomological_position(p, i), sum(r for _, r in entries), entries)
+            else:
+                shift = 0 if self.total_degree else p
+                for i, entries in walk:
+                    yield p, i - shift, sum(r for _, r in entries), entries
+
+
+def _write_cells(cells: _TableCells, depth: int, pieces: list[str]) -> None:
+    """Append the text :func:`_write` gives the cell objects of ``cells`` at
+    ``depth``: one f-string per cell, joined into a chunk every 2^10 cells,
+    about the bytes of :func:`_write`'s chunk of 2^14 pieces (some 20 a cell):
+    a cold ``table --n 24`` peaks at 93 MB with it, at 105 MB with chunks of
+    2^14 cells."""
+    pad = "\n" + "  " * depth
+    key = pad + "    "  # a cell's keys, two levels in
+    block = key + "  "  # its blocks' keys, one more
+    block_sep, close = "," + block, pad + "  }"
+    sep, cell_sep = pad + "  ", "," + pad + "  "
+    pieces.append("[")
+    start = len(pieces)
+    for p, q, rank, entries in cells:
+        blocks = block_sep.join([f'"{label}": {r}' for label, r in entries])
+        pieces.append(f'{sep}{{{key}"blocks": {{{block}{blocks}{key}}},{key}"p": {p},{key}"q": {q},{key}"rank": {rank}{close}')
+        sep = cell_sep
+        if len(pieces) - start > 1 << 10:
+            pieces[start:] = ["".join(pieces[start:])]
+            start += 1
+    pieces += pad, "]"
+
+
 @dataclass(frozen=True)
 class OutputDocument:
-    """One command's result: metadata plus a json-ready payload.
+    """One command's result: metadata plus a json-ready payload; a table's
+    cells are a :class:`_TableCells`, which the writers here read.
 
     Polynomial values are serialized as [exponent, coefficient] pairs with
     ascending exponents, so serialization is deterministic and round-trips.
@@ -166,9 +231,7 @@ class OutputDocument:
 
 def _csv_table(payload: dict[str, Any]) -> list[list[Any]]:
     rows: list[list[Any]] = [["p", "q", "block", "rank"]]
-    for cell in payload["cells"]:
-        for parts, rank in sorted(cell["blocks"].items()):
-            rows.append([cell["p"], cell["q"], parts, rank])
+    rows += ([p, q, label, rank] for p, q, _, entries in payload["cells"] for label, rank in entries)
     return rows
 
 
@@ -207,18 +270,15 @@ def _markdown_flat(payload: dict[str, Any], arguments: dict[str, Any]) -> str:
 
 
 def _markdown_table(payload: dict[str, Any], arguments: dict[str, Any]) -> str:
-    cells = payload["cells"]
-    if not cells:
+    by_pos = {(p, q): entries for p, q, _, entries in payload["cells"]}
+    if not by_pos:
         return "(empty table)\n"
-    columns = sorted({c["p"] for c in cells})
-    rows = sorted({c["q"] for c in cells}, reverse=True)
-    by_pos = {(c["p"], c["q"]): c for c in cells}
-    column_blocks = {
-        p: sorted(
-            {parts for c in cells if c["p"] == p for parts in c["blocks"]}, key=_parts_sort_key
-        )
-        for p in columns
-    }
+    labels: dict[int, set[str]] = {}
+    for (p, _), entries in by_pos.items():
+        labels.setdefault(p, set()).update(label for label, _ in entries)
+    columns = sorted(labels)
+    rows = sorted({q for _, q in by_pos}, reverse=True)
+    column_blocks = {p: sorted(labels[p], key=_parts_sort_key) for p in columns}
     row_label = "i" if arguments.get("total_degree") else "q"
     header = f"| {row_label} \\ p | " + " | ".join(str(p) for p in columns) + " |"
     rule = "|" + "---|" * (len(columns) + 1)
@@ -230,13 +290,8 @@ def _markdown_table(payload: dict[str, Any], arguments: dict[str, Any]) -> str:
             if cell is None:
                 entries.append(".")
             else:
-                entries.append(
-                    "+".join(
-                        str(cell["blocks"][parts])
-                        for parts in column_blocks[p]
-                        if parts in cell["blocks"]
-                    )
-                )
+                # a cell's share of each block, in column order
+                entries.append("+".join(str(r) for _, r in sorted(cell, key=lambda e: _parts_sort_key(e[0]))))
         lines.append(f"| {q} | " + " | ".join(entries) + " |")
     lines.append("")
     for p in columns:
@@ -285,21 +340,6 @@ def _check_n(n: int, max_n: int, minimum: int = 2) -> None:
         raise UsageError(f"--n must be between {minimum} and {max_n} (got {n})")
 
 
-def _table_cells(table: SpectralTable, view: str, total_degree: bool) -> list[dict[str, Any]]:
-    # keyed by parts: a tuple hashes in C, a MultiIndex through its Python __hash__
-    labels = {A.parts: ",".join(map(str, A.parts)) for A, _ in table.blocks}
-    cells: list[dict[str, Any]] = []
-    for p, i, blocks in table.cell_blocks():
-        if view == "hom":
-            column, row = p, (i if total_degree else i - p)
-        else:
-            column, row = table.cohomological_position(p, i)
-        ranks = {labels[A.parts]: r for A, r in blocks}
-        cells.append({"p": column, "q": row, "rank": sum(ranks.values()), "blocks": ranks})
-    cells.sort(key=lambda c: (c["p"], c["q"]))
-    return cells
-
-
 def _poly_payload(poly: QPoly | GradedDims, **fields: Any) -> dict[str, Any]:
     return {**fields, "polynomial": _poly_pairs(poly), "pretty": str(poly)}
 
@@ -315,7 +355,7 @@ def _cmd_table(args: argparse.Namespace) -> _Result:
     _check_n(args.n, args.max_n)
     if args.total_degree and args.view == "cohom":
         raise UsageError("--total-degree applies only to --view hom")
-    cells = _table_cells(spectral_table(args.n), args.view, args.total_degree)
+    cells = _TableCells(spectral_table(args.n), args.view, args.total_degree)
     arguments = {"n": args.n, "view": args.view, "total_degree": args.total_degree}
     return arguments, {"n": args.n, "view": args.view, "cells": cells}, 0
 

@@ -398,15 +398,19 @@ def divide_out_series(poly: _P, exponents: Iterable[int], cut: int) -> _P:
     """The terms up to x^cut of the power series ``poly / prod_e (1 - x^e)``:
     the running sums of :func:`divide_out` on a buffer cut there, with no
     exactness check and no pass for a factor with e > cut, which changes none.
-    With no exponents it only cuts ``poly`` at x^cut."""
+    With no exponents it only cuts ``poly`` at x^cut, and allocates no more
+    than ``poly`` holds."""
     if not isinstance(poly, _SparsePoly):
         raise TypeError(f"cannot divide {type(poly).__name__}; expected a polynomial")
     width = max(cut - poly._low + 1, 0)
-    coeffs = (list(poly._coeffs) + _zeros(width))[:width]
+    coeffs = list(poly._coeffs[:width])
     for e in exponents:
         if e < 1:
             raise ValueError("exponent must be positive")
         if e < width:
+            # the running sums reach the cut, so the buffer must too; a plain cut pads nothing
+            _check_span(width)
+            coeffs += [0] * (width - len(coeffs))
             for r in range(e):
                 coeffs[r::e] = itertools.accumulate(coeffs[r::e])
     return poly._dense(poly._low, coeffs)

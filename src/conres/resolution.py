@@ -89,7 +89,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cache
 from math import factorial, prod
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from . import flagchar
 from .cohomring import ring_poincare
@@ -108,6 +108,8 @@ from .qcombinat import (
     multiindices,
     q_pochhammer,
 )
+
+_K = TypeVar("_K")
 
 
 def fiber_char(A: MultiIndex, n: int, cls: BlockClass) -> GradedDims:
@@ -217,6 +219,17 @@ def spectral_column(n: int, p: int) -> tuple[tuple[MultiIndex, GradedDims], ...]
     return tuple((A, block_poincare(A, n)) for A in _column_indices(p, n))
 
 
+def by_degree(pairs: Iterable[tuple[_K, GradedDims]]) -> list[tuple[int, list[tuple[_K, int]]]]:
+    """The nonzero coefficients of the polynomials in ``pairs``, gathered by
+    exponent: ``(i, [(key, c), ...])`` for ascending i, each listing its keys
+    in the order of ``pairs``.  The one walk of a column by degree."""
+    gathered: dict[int, list[tuple[_K, int]]] = {}
+    for key, poly in pairs:
+        for i, c in poly.items():
+            gathered.setdefault(i, []).append((key, c))
+    return sorted(gathered.items())
+
+
 @dataclass(frozen=True)
 class SpectralTable:
     """Per-index Borel-Moore homology table in ambient dimension n: a view over
@@ -249,15 +262,11 @@ class SpectralTable:
 
     def cell_blocks(self) -> Iterator[tuple[int, int, list[tuple[MultiIndex, int]]]]:
         """The nonzero per-index ranks cell by cell, (p, i, [(A, rank), ...]),
-        in one pass over the columns: cells sorted, each listing its blocks in
-        column order."""
+        in one pass over the columns (:func:`by_degree`): cells sorted, each
+        listing its blocks in column order."""
         for p in self.complexities():
-            by_degree: dict[int, list[tuple[MultiIndex, int]]] = {}
-            for A, poly in self.column(p):
-                for i, c in poly.items():
-                    by_degree.setdefault(i, []).append((A, c))
-            for i in sorted(by_degree):
-                yield p, i, by_degree[i]
+            for i, blocks in by_degree(self.column(p)):
+                yield p, i, blocks
 
     def rank(self, p: int, i: int) -> int:
         # a point query scans its column: a stable cell reads one cell of it, so an index would not pay

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conres import cli
 from conres.cli import OutputDocument, main
+from conres.resolution import spectral_table
 from conres.stab import MAX_TABLE_N
 
 
@@ -239,6 +240,32 @@ def test_json_writer_joins_a_long_container_in_chunks():
     # past 2^14 pieces a container's items are joined into chunks, twice here
     value = {"cells": [{"blocks": {"2,2": i}, "p": -i, "q": [i, "x"]} for i in range(2000)]}
     assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+_TABLE_VIEWS = (("--view", "hom"), ("--view", "cohom"), ("--total-degree",))
+
+
+@pytest.mark.parametrize("n", [*range(2, 13), 16])
+def test_table_cell_writer_matches_the_generic_writer(capsys, n):
+    # a parsed table is plain dicts and lists, which the generic writer
+    # writes; n = 16 has 1541 cells, past the cell writer's first chunk
+    for view in _TABLE_VIEWS:
+        _, out, _ = _run(capsys, "table", "--n", str(n), "--max-n", "16", *view, "--format", "json")
+        assert cli._dumps(json.loads(out), "\n") == out, view
+
+
+def test_cohomological_cells_are_the_homological_walk_reversed(capsys):
+    for n in range(2, 13):
+        cells = {}
+        for view in _TABLE_VIEWS[1:]:
+            _, out, _ = _run(capsys, "table", "--n", str(n), "--max-n", "12", *view, "--format", "json")
+            cells[view] = [(c["p"], c["q"], c["rank"], c["blocks"]) for c in json.loads(out)["payload"]["cells"]]
+        walk = cells[("--total-degree",)]
+        assert [(p, i) for p, i, _, _ in walk] == [(p, i) for p, i, _ in spectral_table(n).cell_blocks()]
+        relabelled = [(-p, n * n - (i - p) - 1, rank, blocks) for p, i, rank, blocks in walk]
+        cohom = cells[("--view", "cohom")]
+        assert cohom == relabelled[::-1]
+        assert [cell[:2] for cell in cohom] == sorted({cell[:2] for cell in cohom})
 
 
 def test_polynomials_serialize_ascending(capsys):

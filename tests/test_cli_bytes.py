@@ -5,14 +5,15 @@ This file holds the digests of the json documents of ``table`` (both views)
 for n = 2..16, 18 and 20 (past 10 with ``--max-n``, where the free part of an
 index reaches dimension 11; n = 14..16 are the largest tables of the
 ``table`` benchmark, and the documents of n = 18 and 20, 1.9 and 4 MB, are
-the largest the json writer is pinned on), ``link`` for n = 3..10,
+the largest the json writer is pinned on) and by total degree for n = 5, 9
+and 12, ``link`` for n = 3..10,
 ``verify`` for n = 2..12 (past 10 with ``--max-n``, up to the largest n of
 the ``verify`` benchmark) and 16, whose oracle enumerates orbits of five
 groups of three points and of eight groups of two, which no smaller pin
 reaches
 and one sample each of ``gamma``, ``order`` and ``stab``, and of the md and
-csv renderings of ``table --n 5`` (both views, and by total degree) and
-``table --n 9`` (both views),
+csv renderings of ``table --n 5`` (both views, and by total degree),
+``table --n 9`` and ``table --n 12`` (both views),
 ``link --n 5``, ``verify --n 4`` and the ``gamma``, ``order`` and ``stab``
 samples.  The package version is the one field that changes without any
 computation changing, so in json its value is replaced by ``null`` before
@@ -74,6 +75,9 @@ DIGESTS = {
     "table --n 8 --view hom --format json": "35dcc6ff6c5de51440c0a1c36c27eb424c0e8384c3b1b7b85366ee5a44294811",
     "table --n 9 --view cohom --format json": "a6b5870db0851851f54f19e3ca2dd46fcb5dcda8ac77230c35f9cf19ec99ae23",
     "table --n 9 --view hom --format json": "3dba2981d51ba78007e76fbcc1d581fc5e77a837754958ced7e0d73eb646a7f4",
+    "table --n 5 --total-degree --format json": "681ce20911317371bba3a5b6dafbe5f02020316ccb4c9d22b66c771433f01c73",
+    "table --n 9 --total-degree --format json": "71069d54ead8603ee9c6247d6d80dbbea50f4d37ffbab3d5a0cc7f69976b5192",
+    "table --n 12 --max-n 12 --total-degree --format json": "ee1f590dc25f4a6c5a0007bcad25c179dbed6151cfcc8b200f8c8c1029c764db",
     "verify --n 2 --format json": "d7f021c38542ef779cfc654ba27ec00b176d7188c60be38255f517fc5d68e855",
     "verify --n 3 --format json": "acebc6cf059e9f43a4edeab148ce3874541f53749b4008bedd0ad05bb0c2cfcc",
     "verify --n 4 --format json": "1350494e53f50d46d55c1c8f9ab19b06785d5753c41c8f3e2506cecc9c5d81af",
@@ -96,6 +100,10 @@ DIGESTS = {
     "table --n 9 --view hom --format csv": "1b9095e8579f63564926d0c1bb61c0037ac053523d8da77bd1542217c7ad5c5b",
     "table --n 9 --view cohom --format md": "52b5377b8efcd56cfeeb0234b0ffbd30d408d630fc38bbb1d32b6d7a1930b597",
     "table --n 9 --view cohom --format csv": "0b2c2bb9cd0f7fcd32b07ef931233b4daa8d43a120fcb2b7a4b7b28dc607a753",
+    "table --n 12 --max-n 12 --view hom --format md": "0af8e3b0e28304d04e1fada7c75f042c434a0bc7874968006e59eaa94c52816f",
+    "table --n 12 --max-n 12 --view hom --format csv": "208404ce6940f26b0bb3947137fd8fdd864178e5f0a6027ee155c1788b3e0c24",
+    "table --n 12 --max-n 12 --view cohom --format md": "14a6d249a97f47683505aef851187b3db5ac4945fe7229fc592ee0830821efb0",
+    "table --n 12 --max-n 12 --view cohom --format csv": "41c7f58544f7529f6a1304dce51f8aefe73983fd7176eef68185d5258881bd12",
     "link --n 5 --format md": "7cba1dc11234be8985db9d38c7110ad0ae4875808ada185b9caec5ab4d8bd182",
     "link --n 5 --format csv": "52aa0928995835a76f0a534e58dcccbd20693f7ac1cfd6fe23836d49c289aecb",
     "verify --n 4 --format md": "7d82133399e05b3ee281e850ab395a7e825db35cd8b68fcc34b630d1cd85dd8c",

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 from fractions import Fraction
 from math import factorial, prod
 
@@ -353,6 +354,20 @@ def test_divide_out_series_examples():
             divide_out_series(QPoly.one(), [1, bad], 4)
     with pytest.raises(TypeError):
         divide_out_series({0: 1}, [1], 4)
+
+
+def test_a_plain_cut_allocates_only_what_the_polynomial_holds():
+    # no division runs, so the cut pads no buffer out to x^cut
+    tracemalloc.start()
+    try:
+        cut = divide_out_series(GradedDims.term(3), (), 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cut == GradedDims.term(3)
+    assert peak < 64 * 1024
+    # a division pads to the cut, since its running sums reach it
+    assert divide_out_series(GradedDims.term(3), [1], 6) == GradedDims({3: 1, 4: 1, 5: 1, 6: 1})
 
 
 def test_quotient_with_negative_exponents_is_not_a_qpoly():
