@@ -36,16 +36,13 @@ other error (a bug), whose traceback goes to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
-import traceback
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, NamedTuple, Sequence
 
 from . import __version__
 from .cohomring import h2_order
@@ -182,8 +179,7 @@ def _write_cells(cells: _TableCells, depth: int, pieces: list[str]) -> None:
     pieces += pad, "]"
 
 
-@dataclass(frozen=True)
-class OutputDocument:
+class OutputDocument(NamedTuple):
     """One command's result: metadata plus a json-ready payload; a table's
     cells are a :class:`_TableCells`, which the writers here read.
 
@@ -223,6 +219,8 @@ class OutputDocument:
         if self.format == "md":
             return markdown(self.payload, self.arguments)
         if self.format == "csv":
+            import csv  # loaded by the one path that writes csv, not by every start
+
             out = io.StringIO()
             csv.writer(out, lineterminator="\n").writerows(csv_rows(self.payload))
             return out.getvalue()
@@ -386,7 +384,7 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
     payload = {
         "n": args.n,
         "passed": report.ok,
-        "checks": [vars(c) for c in report.checks],
+        "checks": [c._asdict() for c in report.checks],
     }
     return {"n": args.n, "checks": args.checks or "all"}, payload, 0 if report.ok else 2
 
@@ -516,6 +514,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stderr.write(f"consistency failure: {exc}\n")
         return 2
     except Exception:
+        import traceback  # loaded by the one path that prints it, not by every start
+
         traceback.print_exc()
         return 3
 

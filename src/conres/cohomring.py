@@ -39,7 +39,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cache
 from typing import Iterator, Mapping, Sequence
 
@@ -128,28 +127,48 @@ def _reduce(terms: Mapping[int, int], n: int) -> dict[Monomial, int]:
     return {_decode(key, n, b): c for key, c in result.items()}
 
 
-@dataclass(frozen=True)
 class RingElement:
     """An element of the quotient ring in staircase normal form.
 
     ``terms`` maps staircase monomials (exponent tuples for ``c^1 .. c^n``) to
     integer coefficients; the monomial ``(e_1, ..., e_n)`` sits in real
-    cohomological degree ``2 * sum(e_i)``.
+    cohomological degree ``2 * sum(e_i)``.  Immutable, and equal only to a
+    ``RingElement`` with the same n and terms.
     """
 
-    n: int
-    terms: tuple[tuple[Monomial, int], ...]
+    __slots__ = ("n", "terms")
 
-    def __post_init__(self) -> None:
-        for mono, coeff in self.terms:
-            _validate_term(mono, coeff, self.n)
-            if not _within_staircase(mono, self.n):
-                raise ValueError(f"monomial {mono} is not in normal form for n={self.n}")
+    def __init__(self, n: int, terms: tuple[tuple[Monomial, int], ...]) -> None:
+        for mono, coeff in terms:
+            _validate_term(mono, coeff, n)
+            if not _within_staircase(mono, n):
+                raise ValueError(f"monomial {mono} is not in normal form for n={n}")
             if coeff == 0:
                 raise ValueError("zero coefficients must not be stored")
-        for (before, _), (after, _) in zip(self.terms, self.terms[1:]):
+        for (before, _), (after, _) in zip(terms, terms[1:]):
             if not before < after:
                 raise ValueError(f"monomials must increase strictly: {after} follows {before}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "terms", terms)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.terms))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(n={self.n!r}, terms={self.terms!r})"
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        return type(self), (self.n, self.terms)
 
     @classmethod
     def _from_dict(cls, n: int, terms: Mapping[Monomial, int]) -> "RingElement":
@@ -274,20 +293,37 @@ def ring_poincare(n: int) -> QPoly:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class DegreeTwoClass:
     """A degree-2 class ``sum alpha_i c^i``, stored modulo constant sequences
-    (canonical representative has first entry 0)."""
+    (canonical representative has first entry 0).  Immutable, and equal only
+    to a ``DegreeTwoClass`` with the same representative."""
 
-    alpha: tuple[int, ...]
+    __slots__ = ("alpha",)
 
-    def __post_init__(self) -> None:
-        alpha = tuple(self.alpha)
+    def __init__(self, alpha: Sequence[int]) -> None:
+        alpha = tuple(alpha)
         if not alpha:
             raise ValueError("the sequence must be nonempty")
         if any(not isinstance(a, int) for a in alpha):
             raise ValueError("entries must be integers")
         object.__setattr__(self, "alpha", tuple(a - alpha[0] for a in alpha))
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        return self.alpha == other.alpha if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.alpha,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(alpha={self.alpha!r})"
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        return type(self), (self.alpha,)
 
     def __len__(self) -> int:
         return len(self.alpha)

@@ -40,8 +40,7 @@ from __future__ import annotations
 import itertools
 import operator
 import struct
-from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from math import factorial, prod
 from typing import Iterable, Mapping, Sequence, TypeVar
 
@@ -484,25 +483,45 @@ def centralizer_order(rho: Sequence[int]) -> int:
     return prod(k**m * factorial(m) for k, m in mult.items())
 
 
-@dataclass(frozen=True)
 class MultiIndex:
-    """A weakly decreasing tuple of eigenvalue multiplicities, all >= 2.
+    """A weakly decreasing, nonempty tuple of eigenvalue multiplicities, all >= 2.
 
     For an ambient dimension n (supplied per call), the derived quantities are
     the size ``|A|``, the length ``#A``, the complexity ``|A| - #A`` and the
-    liberty ``n - |A|``.
+    liberty ``n - |A|``.  Immutable, and equal only to a ``MultiIndex`` with
+    the same parts.
     """
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if not all(isinstance(p, int) for p in self.parts):
-            raise TypeError(f"parts must be integers, not {self.parts!r}")
-        if any(p < 2 for p in self.parts):
+    def __init__(self, parts: Iterable[int]) -> None:
+        parts = tuple(parts)
+        if not parts:
+            raise ValueError("a multi-index needs at least one part")
+        if not all(isinstance(p, int) for p in parts):
+            raise TypeError(f"parts must be integers, not {parts!r}")
+        if any(p < 2 for p in parts):
             raise ValueError("every part must be at least 2")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
+        if any(a < b for a, b in zip(parts, parts[1:])):
             raise ValueError("parts must be weakly decreasing")
+        object.__setattr__(self, "parts", parts)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        return self.parts == other.parts if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(parts={self.parts!r})"
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        return type(self), (self.parts,)
 
     @property
     def size(self) -> int:
@@ -551,28 +570,41 @@ def multiindices(n: int, max_complexity: int) -> list[MultiIndex]:
     return [A for p in range(1, min(max_complexity, n - 1) + 1) for A in _column_indices(p, n)]
 
 
-@dataclass(frozen=True)
 class BlockClass:
     """A conjugacy class of the group permuting equal-size parts of a
     multi-index: one partition (cycle type) per distinct part size.
 
     ``rho`` pairs each distinct part size with the cycle type of the permutation
-    of its equal-size parts, sizes descending.
+    of its equal-size parts, sizes descending.  ``cycles`` lists all block
+    cycles as (cycle length, part size) pairs, and ``class_size`` counts the
+    class; both are set when the class is built.  Immutable, and equal only to
+    a ``BlockClass`` with the same ``rho``.
     """
 
-    rho: tuple[tuple[int, tuple[int, ...]], ...]
+    __slots__ = ("rho", "cycles", "class_size")
 
-    @cached_property
-    def cycles(self) -> tuple[tuple[int, int], ...]:
-        """All block cycles as (cycle length, part size) pairs."""
-        return tuple((c, size) for size, cycle_type in self.rho for c in cycle_type)
+    def __init__(self, rho: tuple[tuple[int, tuple[int, ...]], ...]) -> None:
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "cycles", tuple((c, size) for size, cycle_type in rho for c in cycle_type))
+        sizes = (factorial(sum(cycle_type)) // centralizer_order(cycle_type) for _, cycle_type in rho)
+        object.__setattr__(self, "class_size", prod(sizes))
 
-    @cached_property
-    def class_size(self) -> int:
-        return prod(
-            factorial(sum(cycle_type)) // centralizer_order(cycle_type)
-            for _, cycle_type in self.rho
-        )
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        return self.rho == other.rho if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rho,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(rho={self.rho!r})"
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        return type(self), (self.rho,)
 
     @property
     def sign(self) -> int:

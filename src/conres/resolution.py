@@ -86,10 +86,9 @@ symmetric.  Among n = 3..14 the link is palindromic exactly when n is not
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache
 from math import factorial, prod
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from . import flagchar
 from .cohomring import ring_poincare
@@ -230,7 +229,6 @@ def by_degree(pairs: Iterable[tuple[_K, GradedDims]]) -> list[tuple[int, list[tu
     return sorted(gathered.items())
 
 
-@dataclass(frozen=True)
 class SpectralTable:
     """Per-index Borel-Moore homology table in ambient dimension n: a view over
     the columns ``spectral_column(n, p)``, p = 1 .. n - 1, each built when read.
@@ -239,14 +237,33 @@ class SpectralTable:
     total degree i; the per-index breakdown is kept.  The table owns the
     cohomological view too: it relabels (p, i) as (-p, n^2 - (i - p) - 1),
     landing in the wedge p <= 0 <= p + q, whose column 0 holds only the unit
-    class of the complement.
+    class of the complement.  Immutable, and equal only to a
+    ``SpectralTable`` of the same n.
     """
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
+    def __init__(self, n: int) -> None:
+        if n < 2:
             raise ValueError("ambient dimension must be at least 2")
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        return self.n == other.n if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(n={self.n!r})"
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        return type(self), (self.n,)
 
     @property
     def blocks(self) -> tuple[tuple[MultiIndex, GradedDims], ...]:
@@ -334,8 +351,7 @@ def symbols(n: int, i: int) -> dict[MultiIndex, int]:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MillerReport:
+class MillerReport(NamedTuple):
     """Both sides of the classical splitting of H*(U(n)) over Grassmannians:
     prod_{i<=n} (1 + t^{2i-1})  ==  sum_p t^{p^2} [n choose p]_{t^2}."""
 
@@ -359,16 +375,14 @@ def miller_check(n: int) -> MillerReport:
     return MillerReport(n, lhs, rhs)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     location: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     n: int
     checks: tuple[CheckResult, ...]
 

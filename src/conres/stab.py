@@ -49,8 +49,8 @@ one running sum per factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .qcombinat import ConsistencyError, GradedDims, MultiIndex, QPoly, divide_out_series, integer_combination
 from .resolution import SpectralTable, _lie_character
@@ -81,8 +81,7 @@ MAX_WITNESS_SPAN = 1 << 16
 MAX_WITNESS_COST = 4 * MAX_WITNESS_SPAN
 
 
-@dataclass(frozen=True)
-class StabReport:
+class StabReport(NamedTuple):
     """Stabilization index of one shape in one degree.
 
     ``witness`` holds the stable coefficients of the flag Poincare polynomial
@@ -222,8 +221,7 @@ def stable_series(c_max: int, q_max: int) -> tuple[GradedDims, ...]:
     return tuple(columns)
 
 
-@dataclass(frozen=True)
-class StableCell:
+class StableCell(NamedTuple):
     p: int
     q: int
     bound_n: int

@@ -7,6 +7,7 @@ import pytest
 from conres import flagchar, qcombinat, resolution
 from conres.flagchar import gamma_poincare
 from conres.qcombinat import (
+    BlockClass,
     ConsistencyError,
     GradedDims,
     MultiIndex,
@@ -34,7 +35,7 @@ from conres.resolution import (
     total_discriminant_poincare,
     verify,
 )
-from conres.stab import e1_stable_bound, three_point_ranks
+from conres.stab import e1_stable_bound, stab_index, three_point_ranks
 
 from golden import LINK_POLYNOMIALS, SPECTRAL_TABLES
 
@@ -42,6 +43,23 @@ from golden import LINK_POLYNOMIALS, SPECTRAL_TABLES
 def _swap_class(A):
     (cls,) = [c for c in conjugacy_classes(A) if c.cycles == ((2, A.parts[0]),)]
     return cls
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: block_poincare(MultiIndex(()), 4),
+        lambda: gamma_poincare(MultiIndex(()), 4),
+        lambda: stab_index(MultiIndex(()), 4),
+        lambda: fiber_char(MultiIndex(()), 3, BlockClass(())),
+    ],
+    ids=["block_poincare", "gamma_poincare", "stab_index", "fiber_char"],
+)
+def test_an_empty_index_is_refused_where_it_is_built(call):
+    # an empty shape once reached these: the first two failed deep inside
+    # gauss_multinomial, stab_index returned a report, fiber_char gave t^8 at n = 3
+    with pytest.raises(ValueError, match="a multi-index needs at least one part"):
+        call()
 
 
 # --------------------------------------------------------------------------
