@@ -65,6 +65,11 @@ m, and its trace, size and sign factor over the part sizes.  So the weighted
 S(A) average of the traces at n = s = |A| is [s; a m, ...]_q times one factor
 ``_cycle_average`` per (a, m), P_{a,m} = (q;q)_{am} h_m[F / (q;q)_a] (e_m for
 the sign character; F = 1 for the quotient homology, L_a for the blocks).
+``_own_size_average`` builds it one part size at a time: the average of A
+without its smallest part size a, of multiplicity m, times the memoized
+factor [s; am]_q P_{a,m}, by the chain rule of the q-multinomial; so an
+index with several part sizes costs one product, and the sign check runs
+on the single-size averages P_{a,m} it is made of.
 ``class_average`` over ``gamma_trace`` is the class-by-class oracle.
 """
 
@@ -281,16 +286,30 @@ def _cycle_average(a: int, m: int, factor: Callable[[int], QPoly] | None, chi: s
 @cache
 def _own_size_average(A: MultiIndex, factor: Callable[[int], QPoly] | None, chi: str) -> QPoly:
     """The chi-weighted S(A) average at n = s = |A| of the flag traces
-    (``gamma_trace``) times prod F(q^c) per block cycle (c, a): the
-    q-multinomial [s; a m, ...]_q over the (a, m) of A times
-    prod_{(a, m)} P_{a,m}, with P_{a,m} = ``_cycle_average(a, m, factor, chi)``.
-    A negative rank raises :class:`ConsistencyError` here, before a lift could cancel it."""
-    multiplicities = A.multiplicities()
-    start = gauss_multinomial(A.size, [a * m for a, m in multiplicities])
-    average = prod((_cycle_average(a, m, factor, chi) for a, m in multiplicities), start=start)
+    (``gamma_trace``) times prod F(q^c) per block cycle (c, a), with the
+    smallest part size a of A, of multiplicity m, peeled off: by the chain
+    rule [s; x_1, ..., x_k]_q = [s - am; x_1, ..., x_{k-1}]_q [s; am]_q of
+    the q-multinomial over the (a, m) of A, it is the average of A without
+    those m parts times :func:`_peeled_factor`, one product.  For a single
+    part size it is P_{a,m} = ``_cycle_average(a, m, factor, chi)`` itself,
+    and a negative rank there raises :class:`ConsistencyError`, before a
+    lift could cancel it.  A multi-size average is a product of such
+    checked averages and nonnegative q-binomials, so it is not scanned."""
+    *rest, (a, m) = A.multiplicities()
+    if rest:
+        return _own_size_average(MultiIndex(A.parts[:-m]), factor, chi) * _peeled_factor(A.size, a, m, factor, chi)
+    average = _cycle_average(a, m, factor, chi)
     if not average.nonnegative():
         raise ConsistencyError(f"negative rank in the {chi} S({A}) average at n={A.size}")
     return average
+
+
+@cache
+def _peeled_factor(s: int, a: int, m: int, factor: Callable[[int], QPoly] | None, chi: str) -> QPoly:
+    """[s; am]_q P_{a,m}: what m parts of size a, the smallest of an index
+    of size s, multiply the average of the other parts by.  P_{a,m} is read
+    as the checked average of the single-size index (a^m)."""
+    return _own_size_average(MultiIndex((a,) * m), factor, chi) * gauss_multinomial(s, (a * m,))
 
 
 def gamma_poincare(A: MultiIndex, n: int, chi: str = "trivial") -> QPoly:

@@ -23,9 +23,11 @@ are built without it:
 * a block factors through an n-independent series: the block of an index A
   at its own size s = |A| is t^{s - 1} times the S(A) average of the flag
   trace times L_a(q^c) per block cycle (c, a), in the factored form
-  ``flagchar._own_size_average`` builds for the quotient homology too:
-  [s; a m, ...]_q prod_{(a, m)} N_{a,m}, N_{a,m} = (q;q)_{am} h_m[L_a /
-  (q;q)_a] by Newton's identity, memoized and sign-checked there;
+  ``flagchar._own_size_average`` builds for the quotient homology too: the
+  average of A without its smallest part size a, of multiplicity m, times
+  [s; a m]_q N_{a,m}, N_{a,m} = (q;q)_{am} h_m[L_a / (q;q)_a] by Newton's
+  identity, and N_{a,m} alone for a single part size, memoized there and
+  sign-checked on each N_{a,m};
 * ``block_poincare`` lifts the block at its own size to a free part
   d = n - |A| > 0 by ``t^{d^2} [n; |A|]_{t^2}``, from the q-multinomial memo;
 * ``_lie_character`` builds L_a in q from its closed form, the higher Lie

@@ -57,9 +57,9 @@ from .resolution import SpectralTable, _lie_character
 
 #: Largest ambient dimension ``conres`` accepts for ``--n`` and ``--max-n``
 #: (Python 3.11 on a shared 2-core Xeon VM, one cold process, peak RSS from
-#: ``os.wait4``: ``table --n 24 --format json`` 0.80-0.93 s, 93-97 MB, ``verify``
-#: 0.99-1.04 s, 65 MB; at n = 26, ``spectral_table(26)`` 1.2-1.3 s, 88 MB,
-#: ``verify(26)`` 2.0-2.1 s, 105 MB).
+#: ``os.wait4``: ``table --n 24 --format json`` 0.70-0.81 s, 95 MB, ``verify``
+#: 0.94-1.02 s, 63 MB; at n = 26, ``spectral_table(26)`` 0.94-1.00 s, 85 MB,
+#: ``verify(26)`` 1.7-2.0 s, 101 MB).
 MAX_TABLE_N = 24
 
 #: Largest bound a stable cell may have, so that its three-point oracle builds tables up to n = ``MAX_TABLE_N``;

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 from collections import Counter
 from math import factorial, prod
 
@@ -526,6 +527,57 @@ def test_the_newton_factor_is_the_partition_sum(factor, chi):
             numerator, denominator = _partition_sum(a, m, factor, chi)
             newton = flagchar._cycle_average(a, m, factor, chi)
             assert newton * denominator == numerator * q_pochhammer(a * m), (a, m)
+
+
+def _assembled_own_size_average(A, factor, chi):
+    # the own-size average in one piece: the q-multinomial [s; a m, ...]_q
+    # over the (a, m) of A times the product of the cycle-type averages
+    multiplicities = A.multiplicities()
+    start = gauss_multinomial(A.size, [a * m for a, m in multiplicities])
+    return prod((flagchar._cycle_average(a, m, factor, chi) for a, m in multiplicities), start=start)
+
+
+@pytest.mark.parametrize("factor", [None, _lie_character])
+@pytest.mark.parametrize("chi", flagchar.CHARACTERS)
+def test_the_peeled_average_is_the_multinomial_times_the_cycle_averages(factor, chi):
+    # the chain rule [s; x_1, ..., x_k] = [s - am; x_1, ..., x_{k-1}] [s; am]
+    # behind the recursion, for every index of size at most 16; the binomial
+    # sized for another part size than the one peeled, or [s - am; am] for
+    # [s; am], changes the product
+    for A in multiindices(16, 15):
+        assert flagchar._own_size_average(A, factor, chi) == _assembled_own_size_average(A, factor, chi), A
+
+
+def test_a_negative_cycle_average_is_named_in_every_block_that_reads_it(monkeypatch):
+    # a multi-size average is not scanned for signs: each of its cycle-type
+    # averages is checked as the average of a single-size index (a^m), and
+    # that check must stop every multi-size index with m parts of size a
+    real_average = flagchar._cycle_average
+    memos = (flagchar._own_size_average, flagchar._peeled_factor, flagchar._cycle_average)
+    checked = 0
+    try:
+        for single in [A for A in multiindices(8, 7) if len(A.multiplicities()) == 1]:
+            ((a, m),) = single.multiplicities()
+
+            def negated(b, k, factor, chi, a=a, m=m):
+                average = real_average(b, k, factor, chi)
+                return -average if (b, k) == (a, m) else average
+
+            monkeypatch.setattr(flagchar, "_cycle_average", negated)
+            for memo in memos:
+                memo.cache_clear()
+            for n in range(single.size, 9):
+                for A in multiindices(n, n - 1):
+                    if len(A.multiplicities()) > 1 and (a, m) in A.multiplicities():
+                        for chi in flagchar.CHARACTERS:
+                            name = re.escape(f"negative rank in the {chi} S({single}) average at n={single.size}")
+                            with pytest.raises(ConsistencyError, match=name):
+                                gamma_poincare(A, n, chi)
+                            checked += 1
+    finally:
+        for memo in memos:
+            memo.cache_clear()
+    assert checked == 68
 
 
 def test_gamma_character_table():

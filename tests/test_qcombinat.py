@@ -683,8 +683,8 @@ def test_gauss_multinomial_reads_one_memo_per_multiset_of_parts():
 
 
 def test_a_cold_table_builds_one_multinomial_per_multiset_of_parts(monkeypatch):
-    # every caller of a table build, the own-size multinomials of flagchar
-    # and the lifts of resolution, shares the one memo: it misses once per
+    # every caller of a table build, the peeled binomials of flagchar and
+    # the lifts of resolution, shares the one memo: it misses once per
     # distinct multiset of all parts, the remainder included
     requested = []
     for module in (flagchar, resolution):
@@ -694,7 +694,7 @@ def test_a_cold_table_builds_one_multinomial_per_multiset_of_parts(monkeypatch):
             return real(n, parts)
 
         monkeypatch.setattr(module, "gauss_multinomial", counted)
-    memos = (resolution.spectral_column, flagchar._own_size_average, qcombinat._multinomial)
+    memos = (resolution.spectral_column, flagchar._own_size_average, flagchar._peeled_factor, qcombinat._multinomial)
     for memo in memos:
         memo.cache_clear()
     try:

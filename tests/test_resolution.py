@@ -454,14 +454,15 @@ def test_verify_collects_a_check_that_raises(monkeypatch):
 
 #: Every memo of the block engine: the columns of the tables (a table is a
 #: view over them), the open-cone series in t, the Lie characters in q, the
-#: own-size averages (the blocks and the quotient homology), the cycle-type
-#: averages (the numerators N_{a,m}) and the q-multinomials (the own-size
-#: ones and the lifts).
+#: own-size averages (the blocks and the quotient homology), the factors
+#: that peel a part size off them, the cycle-type averages (the numerators
+#: N_{a,m}) and the q-multinomials (the peeled binomials and the lifts).
 _ENGINE_MEMOS = (
     resolution.spectral_column,
     h_poly,
     resolution._lie_character,
     flagchar._own_size_average,
+    flagchar._peeled_factor,
     flagchar._cycle_average,
     qcombinat._multinomial,
 )
@@ -629,6 +630,25 @@ def test_a_cold_table_builds_no_smaller_table(monkeypatch, fresh_tables):
     assert flagchar._cycle_average.cache_info().hits > 0
 
 
+def test_a_cold_table_makes_one_product_per_peeled_part_size(monkeypatch, fresh_tables):
+    # a cost guard, not a speed assertion: a multi-size own-size average is
+    # the average of the index without its smallest part size times one
+    # memoized factor, so a cold spectral_table(16) makes 780 polynomial
+    # products; the full multinomial times every cycle-type average, built
+    # afresh per index, made 1006
+    real_product = qcombinat._product
+    products = []
+
+    def counted(a, b):
+        products.append((a, b))
+        return real_product(a, b)
+
+    q_pochhammer.cache_clear()  # its products count too
+    monkeypatch.setattr(qcombinat, "_product", counted)
+    spectral_table(16)
+    assert len(products) <= 780, len(products)
+
+
 def _n_independent_block(A, n):
     # the block as t^{#A + d^2 - 1} prod_{d<i<=n} (1 - t^{2i}) R_A, with
     # R_A = prod_{(a, m)} N_{a,m} / D_{a,m} over the part sizes a of A with
@@ -693,7 +713,7 @@ def _block_rank_mismatches(n):
 
 
 def test_block_ranks_count_permutations_of_their_cycle_type():
-    for n in range(2, 15):
+    for n in range(2, 21):
         assert _block_rank_mismatches(n) == [], n
         assert sum(poly(1) for _, poly in spectral_table(n).blocks) == factorial(n) - 1
 

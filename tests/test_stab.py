@@ -492,7 +492,7 @@ def test_the_proved_bound_is_at_most_the_e1_bound():
 
 def test_the_stable_table_builds_no_table():
     def infos():
-        memos = (resolution.spectral_column, flagchar._own_size_average, flagchar._cycle_average)
+        memos = (resolution.spectral_column, flagchar._own_size_average, flagchar._peeled_factor, flagchar._cycle_average)
         return [memo.cache_info() for memo in memos]
 
     before = infos()
