@@ -52,7 +52,6 @@ from .resolution import (
     link_poincare,
     miller_check,
     spectral_table,
-    symbols,
     total_discriminant_poincare,
     verify,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "stab_index",
     "stable_cell",
     "stable_table",
-    "symbols",
     "total_discriminant_poincare",
     "verify",
 ]

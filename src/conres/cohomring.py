@@ -42,7 +42,7 @@ from bisect import bisect_right
 from functools import cache
 from typing import Iterator, Mapping, Sequence
 
-from .qcombinat import QPoly, divide_out, q_pochhammer, signed_sum_str
+from .qcombinat import QPoly, _Value, divide_out, q_pochhammer, signed_sum_str
 
 Monomial = tuple[int, ...]
 
@@ -127,7 +127,7 @@ def _reduce(terms: Mapping[int, int], n: int) -> dict[Monomial, int]:
     return {_decode(key, n, b): c for key, c in result.items()}
 
 
-class RingElement:
+class RingElement(_Value):
     """An element of the quotient ring in staircase normal form.
 
     ``terms`` maps staircase monomials (exponent tuples for ``c^1 .. c^n``) to
@@ -137,6 +137,7 @@ class RingElement:
     """
 
     __slots__ = ("n", "terms")
+    _fields = ("n", "terms")
 
     def __init__(self, n: int, terms: tuple[tuple[Monomial, int], ...]) -> None:
         for mono, coeff in terms:
@@ -150,25 +151,6 @@ class RingElement:
                 raise ValueError(f"monomials must increase strictly: {after} follows {before}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.terms))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(n={self.n!r}, terms={self.terms!r})"
-
-    def __reduce__(self) -> tuple[type, tuple]:
-        return type(self), (self.n, self.terms)
 
     @classmethod
     def _from_dict(cls, n: int, terms: Mapping[Monomial, int]) -> "RingElement":
@@ -293,12 +275,13 @@ def ring_poincare(n: int) -> QPoly:
 # --------------------------------------------------------------------------
 
 
-class DegreeTwoClass:
+class DegreeTwoClass(_Value):
     """A degree-2 class ``sum alpha_i c^i``, stored modulo constant sequences
     (canonical representative has first entry 0).  Immutable, and equal only
     to a ``DegreeTwoClass`` with the same representative."""
 
     __slots__ = ("alpha",)
+    _fields = ("alpha",)
 
     def __init__(self, alpha: Sequence[int]) -> None:
         alpha = tuple(alpha)
@@ -307,23 +290,6 @@ class DegreeTwoClass:
         if any(not isinstance(a, int) for a in alpha):
             raise ValueError("entries must be integers")
         object.__setattr__(self, "alpha", tuple(a - alpha[0] for a in alpha))
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: object) -> bool:
-        return self.alpha == other.alpha if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.alpha,))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(alpha={self.alpha!r})"
-
-    def __reduce__(self) -> tuple[type, tuple]:
-        return type(self), (self.alpha,)
 
     def __len__(self) -> int:
         return len(self.alpha)

@@ -483,7 +483,44 @@ def centralizer_order(rho: Sequence[int]) -> int:
     return prod(k**m * factorial(m) for k, m in mult.items())
 
 
-class MultiIndex:
+class _Value:
+    """The base of the package's immutable value types.
+
+    Each subclass names its fields in ``_fields`` and sets them once in
+    ``__init__``.  A value refuses assignment and deletion, equals only a value
+    of its own class with equal fields, hashes as the tuple of its fields,
+    prints as ``Name(field=value, ...)``, and pickles by its fields, so that
+    unpickling re-runs the validation of ``__init__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        get = operator.attrgetter(*cls._fields)
+        # attrgetter of one name returns the bare value, not a 1-tuple
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda value: (get(value),))
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        return self._values(self) == other._values(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        return type(self), self._values(self)
+
+
+class MultiIndex(_Value):
     """A weakly decreasing, nonempty tuple of eigenvalue multiplicities, all >= 2.
 
     For an ambient dimension n (supplied per call), the derived quantities are
@@ -493,6 +530,7 @@ class MultiIndex:
     """
 
     __slots__ = ("parts",)
+    _fields = ("parts",)
 
     def __init__(self, parts: Iterable[int]) -> None:
         parts = tuple(parts)
@@ -505,23 +543,6 @@ class MultiIndex:
         if any(a < b for a, b in zip(parts, parts[1:])):
             raise ValueError("parts must be weakly decreasing")
         object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: object) -> bool:
-        return self.parts == other.parts if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.parts,))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(parts={self.parts!r})"
-
-    def __reduce__(self) -> tuple[type, tuple]:
-        return type(self), (self.parts,)
 
     @property
     def size(self) -> int:
@@ -570,7 +591,7 @@ def multiindices(n: int, max_complexity: int) -> list[MultiIndex]:
     return [A for p in range(1, min(max_complexity, n - 1) + 1) for A in _column_indices(p, n)]
 
 
-class BlockClass:
+class BlockClass(_Value):
     """A conjugacy class of the group permuting equal-size parts of a
     multi-index: one partition (cycle type) per distinct part size.
 
@@ -582,29 +603,13 @@ class BlockClass:
     """
 
     __slots__ = ("rho", "cycles", "class_size")
+    _fields = ("rho",)
 
     def __init__(self, rho: tuple[tuple[int, tuple[int, ...]], ...]) -> None:
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "cycles", tuple((c, size) for size, cycle_type in rho for c in cycle_type))
         sizes = (factorial(sum(cycle_type)) // centralizer_order(cycle_type) for _, cycle_type in rho)
         object.__setattr__(self, "class_size", prod(sizes))
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: object) -> bool:
-        return self.rho == other.rho if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.rho,))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(rho={self.rho!r})"
-
-    def __reduce__(self) -> tuple[type, tuple]:
-        return type(self), (self.rho,)
 
     @property
     def sign(self) -> int:

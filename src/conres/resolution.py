@@ -100,6 +100,7 @@ from .qcombinat import (
     GradedDims,
     MultiIndex,
     QPoly,
+    _Value,
     _column_indices,
     block_cycles,
     conjugacy_classes,
@@ -231,7 +232,7 @@ def by_degree(pairs: Iterable[tuple[_K, GradedDims]]) -> list[tuple[int, list[tu
     return sorted(gathered.items())
 
 
-class SpectralTable:
+class SpectralTable(_Value):
     """Per-index Borel-Moore homology table in ambient dimension n: a view over
     the columns ``spectral_column(n, p)``, p = 1 .. n - 1, each built when read.
 
@@ -244,28 +245,12 @@ class SpectralTable:
     """
 
     __slots__ = ("n",)
+    _fields = ("n",)
 
     def __init__(self, n: int) -> None:
         if n < 2:
             raise ValueError("ambient dimension must be at least 2")
         object.__setattr__(self, "n", n)
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: object) -> bool:
-        return self.n == other.n if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n,))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(n={self.n!r})"
-
-    def __reduce__(self) -> tuple[type, tuple]:
-        return type(self), (self.n,)
 
     @property
     def blocks(self) -> tuple[tuple[MultiIndex, GradedDims], ...]:
@@ -335,17 +320,6 @@ def spectral_table(n: int) -> SpectralTable:
     table = SpectralTable(n)
     table.blocks  # build, and so check, every column
     return table
-
-
-def symbols(n: int, i: int) -> dict[MultiIndex, int]:
-    """Residue targets in total degree i: the per-index ranks at the largest
-    complexity whose cell (p, i) is nonzero.  Empty if the degree is empty."""
-    table = spectral_table(n)
-    for p in reversed(table.complexities()):
-        breakdown = table.breakdown(p, i)
-        if breakdown:
-            return breakdown
-    return {}
 
 
 # --------------------------------------------------------------------------

@@ -112,6 +112,16 @@ def test_a_value_type_equals_only_its_own_class(name):
     assert value != fields and fields != value and value not in {fields: 0}
 
 
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_a_value_type_hashes_as_its_fields_and_has_no_dict(name):
+    # the hash keeps the set and dict orders of the memo keys, and a table
+    # holds thousands of indices, none with a __dict__
+    make, names, _ = RECORDS[name]
+    value = make()
+    assert hash(value) == hash(tuple(getattr(value, f) for f in names))
+    assert not hasattr(value, "__dict__")
+
+
 @pytest.mark.parametrize("name", RESULT_RECORDS)
 def test_a_result_record_unpacks_as_the_tuple_of_its_fields(name):
     make, names, _ = RECORDS[name]

@@ -31,7 +31,6 @@ from conres.resolution import (
     link_poincare,
     miller_check,
     spectral_table,
-    symbols,
     total_discriminant_poincare,
     verify,
 )
@@ -335,25 +334,6 @@ def test_cohomological_view_lands_in_the_wedge():
             assert pc <= 0
             assert pc + qc >= 0
             assert table.cohomological_rank(pc, qc) >= rank > 0
-
-
-# --------------------------------------------------------------------------
-# symbols
-# --------------------------------------------------------------------------
-
-
-def test_symbols_examples():
-    assert {A.parts: r for A, r in symbols(4, 3).items()} == {(2, 2): 1}
-    assert {A.parts: r for A, r in symbols(3, 2).items()} == {(2,): 1}
-    assert {A.parts: r for A, r in symbols(4, 9).items()} == {(4,): 2}
-    assert symbols(3, 3) == {}
-
-
-def test_symbols_pick_the_deepest_column():
-    table = spectral_table(4)
-    breakdown = symbols(4, 9)
-    (A,) = breakdown
-    assert A.complexity == max(p for p, i, _ in table.cells() if i == 9)
 
 
 # --------------------------------------------------------------------------
@@ -696,6 +676,62 @@ def test_a_wrong_total_fails_only_table_total(monkeypatch, fresh_tables):
         "table-total", "n=4", False, f"sum {table.total()} != total {lowered(4)}"
     )
     assert all(c.passed for c in verify(4, ("h-poly",)).checks)
+
+
+def _change_block_22(monkeypatch, change):
+    # the block (2,2) at n = 4, t^3 + t^7 + t^11, is changed, and the total
+    # is read off the table, so the sum and the total agree whatever the change
+    real_block = resolution.block_poincare
+
+    def changed(A, n):
+        block = real_block(A, n)
+        return change(block) if (A, n) == (MultiIndex((2, 2)), 4) else block
+
+    monkeypatch.setattr(resolution, "block_poincare", changed)
+    monkeypatch.setattr(resolution, "total_discriminant_poincare", lambda n: spectral_table(n).total())
+
+
+def test_a_block_of_the_wrong_parity_fails_only_block_parity(monkeypatch, fresh_tables):
+    _change_block_22(monkeypatch, lambda block: block.times_power(1))
+    (failure,) = verify(4).failures()
+    assert failure == CheckResult("block-parity", "A=(2,2), n=4", False, "offending degrees [4, 8, 12]")
+
+
+def test_a_wrong_rank_that_both_sides_share_fails_only_table_total(monkeypatch, fresh_tables):
+    # one rank too many in degree 3: the parity holds and the sum equals the
+    # total, so only the rank n! - 1 sees it
+    _change_block_22(monkeypatch, lambda block: block + GradedDims.term(3))
+    (failure,) = verify(4).failures()
+    assert failure == CheckResult("table-total", "n=4", False, "table rank 24 != n! - 1 = 23")
+
+
+def test_sides_that_differ_fail_only_miller(monkeypatch):
+    real_check = resolution.miller_check
+
+    def raised(n):
+        report = real_check(n)
+        return report._replace(rhs=report.rhs + GradedDims.term(2))
+
+    monkeypatch.setattr(resolution, "miller_check", raised)
+    (failure,) = verify(4).failures()
+    report = raised(4)
+    assert failure == CheckResult("miller", "n=4", False, f"{report.lhs} != {report.rhs}")
+
+
+def test_a_negative_multinomial_raises(monkeypatch, fresh_tables):
+    # divide_out negates the quotient of one key, that of [4; 2, 2]_q; the
+    # multinomial checks its sign, and the other keys stay as they were
+    real_divide_out = qcombinat.divide_out
+
+    def negated(poly, exponents):
+        exponents = list(exponents)
+        quotient = real_divide_out(poly, exponents)
+        return -quotient if exponents == [1, 2] else quotient
+
+    monkeypatch.setattr(qcombinat, "divide_out", negated)
+    with pytest.raises(ConsistencyError, match=r"negative coefficient in \[4; \(2,\)\]_q"):
+        gauss_multinomial(4, (2,))
+    assert gauss_multinomial(4, (1,)) == QPoly({0: 1, 1: 1, 2: 1, 3: 1})
 
 
 def _block_rank_mismatches(n):
