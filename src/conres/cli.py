@@ -23,12 +23,16 @@ arguments, payload and exit code; ``main`` wraps them in the one
 Output goes to stdout as json, csv or markdown; diagnostics go to stderr.
 json is ``json.dumps(doc, sort_keys=True, indent=2)`` to the byte; ``indent``
 selects CPython's pure-Python encoder, so ``_dumps`` indents C-encoded output.
-A table's cells (``_TableCells``) come out of one walk of its columns by
-degree (``resolution.by_degree``) already in output order, each with its
-blocks in key order, so nothing is sorted per cell; json writes each cell
-with one f-string, and csv and markdown read the same rows.  Every other
-document, and a parsed table, goes through the generic writer ``_write``,
-which the tests hold the cell writer to as its oracle.
+A table's cells (``_TableCells``) come out one column at a time: each
+column is built (``resolution.build_column``, outside the column memo),
+walked by degree (``resolution.by_degree``) already in output order, each
+cell with its blocks' ranks in key order, written and dropped, so nothing
+is sorted per cell and no whole table is held.  Every block is still built,
+and so checked, by ``render``, before anything reaches stdout.  json writes
+each cell with one f-string from the column's label prefixes, and csv and
+markdown read the same walk.  Every other document, and a parsed table,
+goes through the generic writer ``_write``, which the tests hold the cell
+writer to as its oracle.
 Exit codes: 0 success, 1 usage error, 2 a consistency check failed, 3 any
 other error (a bug), whose traceback goes to stderr.
 """
@@ -40,15 +44,16 @@ import io
 import json
 import sys
 from functools import cache
-from itertools import chain
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterator, NamedTuple, Sequence
+from operator import add
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from . import __version__
 from .cohomring import h2_order
 from .flagchar import CHARACTERS, gamma_poincare
 from .qcombinat import ConsistencyError, GradedDims, MultiIndex, QPoly
-from .resolution import ALL_CHECKS, SpectralTable, by_degree, link_poincare, spectral_table, verify
+from .resolution import ALL_CHECKS, SpectralTable, build_column, by_degree, link_poincare, verify
 from .stab import MAX_TABLE_N, check_degree, check_stable_cell, stab_index, stable_cell, three_point_ranks
 
 DEFAULT_MAX_N = 10
@@ -126,42 +131,51 @@ def _write(value: Any, depth: int, pieces: list[str]) -> None:
 
 
 class _TableCells:
-    """The cells of a table, sorted by (p, q), each ``(p, q, rank, entries)``
-    with ``entries`` its blocks' ``(label, rank)`` pairs in json key order:
-    the one form the json, csv and markdown writers read.  Each read walks
-    the columns afresh, one at a time, so no list of every cell is held.  In
-    json they are the list of cell objects ``{"blocks", "p", "q", "rank"}``
-    that parsing gives back."""
+    """The cells of a table, sorted by (p, q), column by column: each column
+    is ``(p, labels, cells)``, with ``labels`` its nonzero blocks' labels in
+    json key order and ``cells`` its cells ``(q, ranks)`` in output order,
+    ``ranks`` lined up with ``labels`` with its zeros kept: the one form the
+    json, csv and markdown writers read.  Each read builds the columns
+    afresh (:func:`build_column`), one at a time, and drops each once it is
+    read, so neither the blocks nor the cells of the whole table are held.
+    In json they are the list of cell objects ``{"blocks", "p", "q",
+    "rank"}`` that parsing gives back."""
 
     __slots__ = ("table", "view", "total_degree")
 
     def __init__(self, table: SpectralTable, view: str, total_degree: bool) -> None:
         self.table, self.view, self.total_degree = table, view, total_degree
 
-    def __iter__(self) -> Iterator[tuple[int, int, int, list[tuple[str, int]]]]:
+    def __iter__(self) -> Iterator[tuple[int, tuple[str, ...], Iterable[tuple[int, tuple[int, ...]]]]]:
         # The homological cells come out in walk order.  The cohomological
         # relabelling (p, i) -> (-p, n^2 - (i - p) - 1) decreases in both p
         # and i, so those cells come out of the walk run backwards.
         table, cohom = self.table, self.view == "cohom"
         complexities = table.complexities()
         for p in reversed(complexities) if cohom else complexities:
-            # sorted by label once per column, so that every cell lists its blocks in json key order
-            walk = by_degree(sorted((",".join(map(str, A.parts)), poly) for A, poly in table.column(p)))
+            labels, walk = _column_walk(table.n, p)
             if cohom:
-                for i, entries in reversed(walk):
-                    yield (*table.cohomological_position(p, i), sum(r for _, r in entries), entries)
+                yield -p, labels, ((table.cohomological_position(p, i)[1], ranks) for i, ranks in reversed([*walk]))
             else:
                 shift = 0 if self.total_degree else p
-                for i, entries in walk:
-                    yield p, i - shift, sum(r for _, r in entries), entries
+                yield p, labels, ((i - shift, ranks) for i, ranks in walk)
+
+
+def _column_walk(n: int, p: int) -> tuple[tuple[str, ...], Iterator[tuple[int, tuple[int, ...]]]]:
+    """The labels of the nonzero blocks of column p of the table for n, in
+    json key order, and the column's walk by degree with ranks in that
+    order; the blocks live as long as the walk."""
+    # sorted by label once per column, so that every cell lists its blocks in json key order
+    labelled = sorted((",".join(map(str, A.parts)), poly) for A, poly in build_column(n, p) if poly)
+    return tuple(label for label, _ in labelled), by_degree([poly for _, poly in labelled])
 
 
 def _write_cells(cells: _TableCells, depth: int, pieces: list[str]) -> None:
     """Append the text :func:`_write` gives the cell objects of ``cells`` at
-    ``depth``: one f-string per cell, joined into a chunk every 2^10 cells,
-    about the bytes of :func:`_write`'s chunk of 2^14 pieces (some 20 a cell):
-    a cold ``table --n 24`` peaks at 93 MB with it, at 105 MB with chunks of
-    2^14 cells."""
+    ``depth``: one f-string per cell, its blocks from the column's label
+    prefixes, joined into a chunk every 2^10 cells, about the bytes of
+    :func:`_write`'s chunk of 2^14 pieces (some 20 a cell): a cold ``table
+    --n 24`` peaks at 69 MB with it, at 76 MB with chunks of 2^14 cells."""
     pad = "\n" + "  " * depth
     key = pad + "    "  # a cell's keys, two levels in
     block = key + "  "  # its blocks' keys, one more
@@ -169,13 +183,15 @@ def _write_cells(cells: _TableCells, depth: int, pieces: list[str]) -> None:
     sep, cell_sep = pad + "  ", "," + pad + "  "
     pieces.append("[")
     start = len(pieces)
-    for p, q, rank, entries in cells:
-        blocks = block_sep.join([f'"{label}": {r}' for label, r in entries])
-        pieces.append(f'{sep}{{{key}"blocks": {{{block}{blocks}{key}}},{key}"p": {p},{key}"q": {q},{key}"rank": {rank}{close}')
-        sep = cell_sep
-        if len(pieces) - start > 1 << 10:
-            pieces[start:] = ["".join(pieces[start:])]
-            start += 1
+    for p, labels, walk in cells:
+        prefixes = [f'"{label}": ' for label in labels]
+        for q, ranks in walk:
+            blocks = block_sep.join(map(add, compress(prefixes, ranks), map(str, filter(None, ranks))))
+            pieces.append(f'{sep}{{{key}"blocks": {{{block}{blocks}{key}}},{key}"p": {p},{key}"q": {q},{key}"rank": {sum(ranks)}{close}')
+            sep = cell_sep
+            if len(pieces) - start > 1 << 10:
+                pieces[start:] = ["".join(pieces[start:])]
+                start += 1
     pieces += pad, "]"
 
 
@@ -227,10 +243,11 @@ class OutputDocument(NamedTuple):
         raise UsageError(f"unknown format {self.format!r}")
 
 
-def _csv_table(payload: dict[str, Any]) -> list[list[Any]]:
-    rows: list[list[Any]] = [["p", "q", "block", "rank"]]
-    rows += ([p, q, label, rank] for p, q, _, entries in payload["cells"] for label, rank in entries)
-    return rows
+def _csv_table(payload: dict[str, Any]) -> Iterator[list[Any]]:
+    yield ["p", "q", "block", "rank"]
+    for p, labels, walk in payload["cells"]:
+        for q, ranks in walk:
+            yield from ([p, q, label, rank] for label, rank in zip(compress(labels, ranks), filter(None, ranks)))
 
 
 def _csv_polynomial(payload: dict[str, Any]) -> list[list[Any]]:
@@ -268,29 +285,26 @@ def _markdown_flat(payload: dict[str, Any], arguments: dict[str, Any]) -> str:
 
 
 def _markdown_table(payload: dict[str, Any], arguments: dict[str, Any]) -> str:
-    by_pos = {(p, q): entries for p, q, _, entries in payload["cells"]}
-    if not by_pos:
+    # a cell's share of each block, and a column's blocks, in column order
+    cells: dict[tuple[int, int], str] = {}
+    column_blocks: dict[int, list[str]] = {}
+    for p, labels, walk in payload["cells"]:
+        if not labels:
+            continue
+        order = sorted(range(len(labels)), key=lambda j: _parts_sort_key(labels[j]))
+        column_blocks[p] = [labels[j] for j in order]
+        for q, ranks in walk:
+            cells[p, q] = "+".join([str(ranks[j]) for j in order if ranks[j]])
+    if not cells:
         return "(empty table)\n"
-    labels: dict[int, set[str]] = {}
-    for (p, _), entries in by_pos.items():
-        labels.setdefault(p, set()).update(label for label, _ in entries)
-    columns = sorted(labels)
-    rows = sorted({q for _, q in by_pos}, reverse=True)
-    column_blocks = {p: sorted(labels[p], key=_parts_sort_key) for p in columns}
+    columns = sorted(column_blocks)
+    rows = sorted({q for _, q in cells}, reverse=True)
     row_label = "i" if arguments.get("total_degree") else "q"
     header = f"| {row_label} \\ p | " + " | ".join(str(p) for p in columns) + " |"
     rule = "|" + "---|" * (len(columns) + 1)
     lines = [f"spectral table, n = {payload['n']} ({payload['view']} view)", "", header, rule]
     for q in rows:
-        entries = []
-        for p in columns:
-            cell = by_pos.get((p, q))
-            if cell is None:
-                entries.append(".")
-            else:
-                # a cell's share of each block, in column order
-                entries.append("+".join(str(r) for _, r in sorted(cell, key=lambda e: _parts_sort_key(e[0]))))
-        lines.append(f"| {q} | " + " | ".join(entries) + " |")
+        lines.append(f"| {q} | " + " | ".join(cells.get((p, q), ".") for p in columns) + " |")
     lines.append("")
     for p in columns:
         lines.append(f"p={p} blocks: " + ", ".join(f"({b})" for b in column_blocks[p]))
@@ -353,7 +367,7 @@ def _cmd_table(args: argparse.Namespace) -> _Result:
     _check_n(args.n, args.max_n)
     if args.total_degree and args.view == "cohom":
         raise UsageError("--total-degree applies only to --view hom")
-    cells = _TableCells(spectral_table(args.n), args.view, args.total_degree)
+    cells = _TableCells(SpectralTable(args.n), args.view, args.total_degree)
     arguments = {"n": args.n, "view": args.view, "total_degree": args.total_degree}
     return arguments, {"n": args.n, "view": args.view, "cells": cells}, 0
 

@@ -208,6 +208,11 @@ class _SparsePoly:
         i = exponent - self._low
         return self._coeffs[i] if 0 <= i < len(self._coeffs) else 0
 
+    def dense(self) -> tuple[int, tuple[int, ...]]:
+        """``(low, coeffs)``: the coefficients of ``x^low, x^(low+1), ...``,
+        both ends nonzero; the zero polynomial is ``(0, ())``."""
+        return self._low, self._coeffs
+
     def items(self) -> tuple[tuple[int, int], ...]:
         """Terms as (exponent, coefficient) pairs, ascending exponent."""
         low = self._low
@@ -269,8 +274,11 @@ class _SparsePoly:
 
     def __call__(self, value: int) -> int:
         """Evaluate at an integer, e.g. at q = 1 for a total rank.  Negative
-        exponents only evaluate to integers at 1 and -1, where x^e = x^|e|."""
-        if self._low < 0 and value not in (1, -1):
+        exponents only evaluate to integers at 1 and -1, where x^e = x^|e|;
+        at 1 the value is the sum of the coefficients."""
+        if value == 1:
+            return sum(self._coeffs)
+        if self._low < 0 and value != -1:
             raise ValueError(f"negative powers of {self._var} at {value} are not integers")
         return sum(c * value ** abs(e) for e, c in self.items())
 

@@ -35,11 +35,14 @@ are built without it:
   the open cone on the link of the whole collection; it reads neither the
   total nor the other blocks, is one more index to ``_own_size_average``, and
   ``h_poly`` is its series in t;
-* ``spectral_column(n, p)``, the one memo of lifted blocks, lists those of
-  complexity p, the top one included: ``stab``'s three-point oracle builds
-  the one column it reads, and ``spectral_table`` the union of its columns,
-  a view that holds only n; ``verify`` re-checks every identity the
-  construction is supposed to satisfy;
+* ``build_column(n, p)`` lists the lifted blocks of complexity p, the top
+  one included, and ``spectral_column``, the one memo of lifted blocks,
+  keeps them: ``stab``'s three-point oracle builds the one column it reads,
+  and ``spectral_table`` the union of its columns, a view that holds only n;
+  the CLI's table document asks ``build_column`` for one column at a time
+  and drops it once written; ``by_degree`` walks a column by degree, as the
+  transposition of its blocks' dense coefficient rows; ``verify`` re-checks
+  every identity the construction is supposed to satisfy;
 * ``stab.stable_series`` reads every stable cell off ``_lie_character``
   alone, as one plethystic product, without building any block.
 
@@ -90,7 +93,7 @@ from __future__ import annotations
 import itertools
 from functools import cache
 from math import factorial, prod
-from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import flagchar
 from .cohomring import ring_poincare
@@ -110,9 +113,6 @@ from .qcombinat import (
     multiindices,
     q_pochhammer,
 )
-
-_K = TypeVar("_K")
-
 
 def fiber_char(A: MultiIndex, n: int, cls: BlockClass) -> GradedDims:
     """Graded trace (in t) of a block permutation on the Borel-Moore homology
@@ -214,27 +214,43 @@ def link_poincare(n: int) -> GradedDims:
     return h_poly(n).times_power(-2)
 
 
-@cache
-def spectral_column(n: int, p: int) -> tuple[tuple[MultiIndex, GradedDims], ...]:
+def build_column(n: int, p: int) -> tuple[tuple[MultiIndex, GradedDims], ...]:
     """The blocks ``(A, block_poincare(A, n))`` of complexity p in the table for
-    n, in the order of :func:`_column_indices`.  The one memo of lifted blocks."""
+    n, in the order of :func:`_column_indices`, built afresh on every call:
+    the CLI's table document builds, walks and drops one column at a time."""
     return tuple((A, block_poincare(A, n)) for A in _column_indices(p, n))
 
 
-def by_degree(pairs: Iterable[tuple[_K, GradedDims]]) -> list[tuple[int, list[tuple[_K, int]]]]:
-    """The nonzero coefficients of the polynomials in ``pairs``, gathered by
-    exponent: ``(i, [(key, c), ...])`` for ascending i, each listing its keys
-    in the order of ``pairs``.  The one walk of a column by degree."""
-    gathered: dict[int, list[tuple[_K, int]]] = {}
-    for key, poly in pairs:
-        for i, c in poly.items():
-            gathered.setdefault(i, []).append((key, c))
-    return sorted(gathered.items())
+#: The one memo of lifted blocks: :func:`build_column`, kept per (n, p) for
+#: ``verify``, ``stab``'s three-point oracle and :class:`SpectralTable`.
+spectral_column = cache(build_column)
+
+
+def by_degree(polys: Sequence[GradedDims]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The coefficients of ``polys`` gathered by exponent: ``(i, ranks)`` for
+    ascending i where some polynomial has a nonzero coefficient, ``ranks[j]``
+    the coefficient of ``t^i`` in ``polys[j]``, zeros kept.  The one walk of a
+    column by degree: its dense rows padded to the column's span and
+    transposed, so no term is paired with its key and nothing is sorted."""
+    rows = [poly.dense() for poly in polys]
+    spans = [(low, low + len(coeffs)) for low, coeffs in rows if coeffs]
+    if not spans:
+        return
+    start, stop = min(low for low, _ in spans), max(high for _, high in spans)
+    zero = (0,)
+    padded = [
+        zero * (low - start) + coeffs + zero * (stop - low - len(coeffs)) if coeffs else zero * (stop - start)
+        for low, coeffs in rows
+    ]
+    for i, ranks in enumerate(zip(*padded), start):
+        if any(ranks):
+            yield i, ranks
 
 
 class SpectralTable(_Value):
     """Per-index Borel-Moore homology table in ambient dimension n: a view over
-    the columns ``spectral_column(n, p)``, p = 1 .. n - 1, each built when read.
+    the columns ``spectral_column(n, p)``, p = 1 .. n - 1, each built when
+    first read and then kept in that memo.
 
     Cell (p, i) holds the rank coming from all indices of complexity p in
     total degree i; the per-index breakdown is kept.  The table owns the
@@ -266,11 +282,13 @@ class SpectralTable(_Value):
 
     def cell_blocks(self) -> Iterator[tuple[int, int, list[tuple[MultiIndex, int]]]]:
         """The nonzero per-index ranks cell by cell, (p, i, [(A, rank), ...]),
-        in one pass over the columns (:func:`by_degree`): cells sorted, each
+        in one walk of each column (:func:`by_degree`): cells sorted, each
         listing its blocks in column order."""
         for p in self.complexities():
-            for i, blocks in by_degree(self.column(p)):
-                yield p, i, blocks
+            column = self.column(p)
+            keys = [A for A, _ in column]
+            for i, ranks in by_degree([poly for _, poly in column]):
+                yield p, i, list(zip(itertools.compress(keys, ranks), filter(None, ranks)))
 
     def rank(self, p: int, i: int) -> int:
         # a point query scans its column: a stable cell reads one cell of it, so an index would not pay

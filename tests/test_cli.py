@@ -75,7 +75,7 @@ def test_a_table_past_the_ceiling_is_refused_at_once(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("computed a refused request")
 
-    for name in ("spectral_table", "link_poincare", "gamma_poincare", "verify"):
+    for name in ("build_column", "link_poincare", "gamma_poincare", "verify"):
         monkeypatch.setattr(cli, name, refuse)
     past = str(MAX_TABLE_N + 1)
     for argv in (

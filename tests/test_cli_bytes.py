@@ -12,8 +12,8 @@ the ``verify`` benchmark) and 16, whose oracle enumerates orbits of five
 groups of three points and of eight groups of two, which no smaller pin
 reaches
 and one sample each of ``gamma``, ``order`` and ``stab``, and of the md and
-csv renderings of ``table --n 5`` (both views, and by total degree),
-``table --n 9`` and ``table --n 12`` (both views),
+csv renderings of ``table --n 5`` and ``table --n 16`` (both views, and by
+total degree), ``table --n 9`` and ``table --n 12`` (both views),
 ``link --n 5``, ``verify --n 4`` and the ``gamma``, ``order`` and ``stab``
 samples.  The package version is the one field that changes without any
 computation changing, so in json its value is replaced by ``null`` before
@@ -104,6 +104,12 @@ DIGESTS = {
     "table --n 12 --max-n 12 --view hom --format csv": "208404ce6940f26b0bb3947137fd8fdd864178e5f0a6027ee155c1788b3e0c24",
     "table --n 12 --max-n 12 --view cohom --format md": "14a6d249a97f47683505aef851187b3db5ac4945fe7229fc592ee0830821efb0",
     "table --n 12 --max-n 12 --view cohom --format csv": "41c7f58544f7529f6a1304dce51f8aefe73983fd7176eef68185d5258881bd12",
+    "table --n 16 --max-n 16 --view hom --format md": "9bd127b88cad0a0eed188cd5def280eec9ada5dce0a292f45239a3e8832e2bd8",
+    "table --n 16 --max-n 16 --view hom --format csv": "803c56cf75c676ffbd4486003a5d62e15742aa16e7334eb0d98ee5956e2ee011",
+    "table --n 16 --max-n 16 --view cohom --format md": "a735ab98220917f444211d686a41f6c9bfebffcfa409661c421957319181222b",
+    "table --n 16 --max-n 16 --view cohom --format csv": "a50cb90871553057c3cc321d2c8bae16f0c22a4fbccd278ee9715315102157c1",
+    "table --n 16 --max-n 16 --total-degree --format md": "da711d70281f2f5b497ce5d764fa94ce1aaa69ea53fc0ec75e0c40e2a0c4f4d7",
+    "table --n 16 --max-n 16 --total-degree --format csv": "c12a7fca80b3fbd81e3971ab10018c6699ee35e0842cdcf9e9133876107ce5a0",
     "link --n 5 --format md": "7cba1dc11234be8985db9d38c7110ad0ae4875808ada185b9caec5ab4d8bd182",
     "link --n 5 --format csv": "52aa0928995835a76f0a534e58dcccbd20693f7ac1cfd6fe23836d49c289aecb",
     "verify --n 4 --format md": "7d82133399e05b3ee281e850ab395a7e825db35cd8b68fcc34b630d1cd85dd8c",

@@ -231,6 +231,22 @@ def test_nonzero_low_degree_remainder_is_inexact(p_terms, d_terms, data):
         (p * d + GradedDims(r_terms)).exact_div(d)
 
 
+@settings(max_examples=200)
+@given(_wide_laurent)
+def test_evaluation_at_one_and_minus_one_is_the_term_formula(terms):
+    # at 1 the value is the sum of the dense row, at -1 the terms are read;
+    # both agree with sum(c * x^|e|), negative exponents included, and the
+    # dense read gives back the terms
+    for poly, shift in ((GradedDims(terms), 0), (QPoly({e + 20: c for e, c in terms.items()}), 20)):
+        low, coeffs = poly.dense()
+        assert [(low + i, c) for i, c in enumerate(coeffs) if c] == [(e + shift, c) for e, c in sorted(terms.items()) if c]
+        for value in (1, -1):
+            assert poly(value) == sum(c * value ** abs(e + shift) for e, c in terms.items())
+    if any(e < 0 for e, c in terms.items() if c):
+        with pytest.raises(ValueError):
+            GradedDims(terms)(2)
+
+
 @given(_laurent, st.integers(-10, 10))
 def test_trimming_makes_equality_and_hash_agree(terms, shift):
     assert GradedDims({-3: 1}) * GradedDims({3: 1}) == GradedDims.one()

@@ -1,10 +1,13 @@
 import hashlib
 import itertools
+import json
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conres import flagchar, qcombinat, resolution
+from conres import cli, flagchar, qcombinat, resolution
 from conres.flagchar import gamma_poincare
 from conres.qcombinat import (
     BlockClass,
@@ -26,6 +29,7 @@ from conres.resolution import (
     CheckResult,
     SpectralTable,
     block_poincare,
+    by_degree,
     fiber_char,
     h_poly,
     link_poincare,
@@ -851,6 +855,88 @@ def test_a_lift_cannot_hide_a_negative_rank(monkeypatch, fresh_tables):
     assert QPoly({0: 1, 1: -1, 2: 1}) * gauss_multinomial(3, (2,)) == QPoly({0: 1, 2: 1, 4: 1})
     with pytest.raises(ConsistencyError, match=r"negative rank in the trivial S\(\(2\)\) average at n=2"):
         gamma_poincare(MultiIndex((2,)), 3)
+
+
+# --------------------------------------------------------------------------
+# the walk of a column by degree, and the CLI's one column at a time
+# --------------------------------------------------------------------------
+
+
+def _by_degree_oracle(pairs):
+    # the walk by dict and sort: (i, [(key, c), ...]) for ascending i, one
+    # entry per nonzero term, each listing its keys in the order of pairs
+    gathered = {}
+    for key, poly in pairs:
+        for i, c in poly.items():
+            gathered.setdefault(i, []).append((key, c))
+    return sorted(gathered.items())
+
+
+def _oracle_ranks(polys):
+    # the oracle keyed by position, with the zeros of by_degree's ranks put back
+    return [
+        (i, tuple(dict(entries).get(j, 0) for j in range(len(polys))))
+        for i, entries in _by_degree_oracle(enumerate(polys))
+    ]
+
+
+def test_the_walk_is_the_dict_and_sort_walk_on_every_table(capsys):
+    # every column of every table for n = 2..16, and the cells of the CLI's
+    # table document, which writes each cell from that walk
+    for n in range(2, 17):
+        expected = []
+        for p in SpectralTable(n).complexities():
+            column = resolution.spectral_column(n, p)
+            polys = [poly for _, poly in column]
+            assert list(by_degree(polys)) == _oracle_ranks(polys), (n, p)
+            labelled = sorted((",".join(map(str, A.parts)), poly) for A, poly in column)
+            for i, entries in _by_degree_oracle(labelled):
+                expected.append({"blocks": dict(entries), "p": p, "q": i, "rank": sum(c for _, c in entries)})
+        assert cli.main(["table", "--n", str(n), "--max-n", "16", "--total-degree", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["payload"]["cells"] == expected, n
+
+
+_walk_polys = st.lists(
+    st.dictionaries(st.integers(-8, 8), st.integers(-3, 3), max_size=6).map(GradedDims), max_size=5
+)
+
+
+@settings(max_examples=300)
+@given(_walk_polys)
+@example([])
+@example([GradedDims()])
+@example([GradedDims({-3: 2, 3: -1})])
+@example([GradedDims({-2: 1}), GradedDims(), GradedDims({2: -1})])
+@example([GradedDims({0: 1, 4: 1}), GradedDims({1: -2})])
+def test_the_walk_is_the_dict_and_sort_walk_on_hand_built_columns(polys):
+    # Laurent lows, gaps inside the span, negative coefficients, zero
+    # polynomials, a single block, and all-zero degrees between nonzero ones
+    assert list(by_degree(polys)) == _oracle_ranks(polys)
+
+
+def test_a_cold_cli_table_keeps_no_column(fresh_tables, capsys):
+    # the CLI builds, writes and drops one column at a time, outside the
+    # column memo, in every view and format
+    for argv in (("--format", "json"), ("--view", "cohom", "--format", "csv"), ("--total-degree", "--format", "md")):
+        assert cli.main(["table", "--n", "12", "--max-n", "12", *argv]) == 0
+        assert resolution.spectral_column.cache_info().currsize == 0, argv
+    capsys.readouterr()
+
+
+def test_a_failing_top_block_writes_no_partial_table(monkeypatch, fresh_tables, capsys):
+    # the top block (8) is the last column of the homological walk and the
+    # first of the cohomological one; its Lie character gets a negated
+    # (q;q)_8 and fails its sign check while the document is rendered,
+    # before any of it reaches stdout
+    real_pochhammer = resolution.q_pochhammer
+
+    def negated(n, d=0):
+        return -real_pochhammer(n, d) if (n, d) == (8, 0) else real_pochhammer(n, d)
+
+    monkeypatch.setattr(resolution, "q_pochhammer", negated)
+    for view in ("hom", "cohom"):
+        assert cli.main(["table", "--n", "8", "--view", view, "--format", "json"]) == 2
+        assert capsys.readouterr() == ("", "consistency failure: negative rank in h-polynomial for a=8\n")
 
 
 # --------------------------------------------------------------------------
