@@ -29,10 +29,12 @@ walked by degree (``resolution.by_degree``) already in output order, each
 cell with its blocks' ranks in key order, written and dropped, so nothing
 is sorted per cell and no whole table is held.  Every block is still built,
 and so checked, by ``render``, before anything reaches stdout.  json writes
-each cell with one f-string from the column's label prefixes, and csv and
-markdown read the same walk.  Every other document, and a parsed table,
-goes through the generic writer ``_write``, which the tests hold the cell
-writer to as its oracle.
+each cell with one f-string from the column's label prefixes, csv each row
+with one f-string, quoting a label that holds a comma as the ``csv`` module
+does, and markdown reads the same walk.  Every other json document, and a
+parsed table, goes through the generic writer ``_write``, which the tests
+hold the cell writer to as its oracle; every other csv document goes
+through ``csv.writer``, which the tests hold the table's rows to.
 Exit codes: 0 success, 1 usage error, 2 a consistency check failed, 3 any
 other error (a bug), whose traceback goes to stderr.
 """
@@ -231,39 +233,53 @@ class OutputDocument(NamedTuple):
     def render(self) -> str:
         if self.format == "json":
             return self.to_json()
-        csv_rows, markdown = _RENDERERS[self.name]
+        csv_text, markdown = _RENDERERS[self.name]
         if self.format == "md":
             return markdown(self.payload, self.arguments)
         if self.format == "csv":
-            import csv  # loaded by the one path that writes csv, not by every start
-
-            out = io.StringIO()
-            csv.writer(out, lineterminator="\n").writerows(csv_rows(self.payload))
-            return out.getvalue()
+            return csv_text(self.payload)
         raise UsageError(f"unknown format {self.format!r}")
 
 
-def _csv_table(payload: dict[str, Any]) -> Iterator[list[Any]]:
-    yield ["p", "q", "block", "rank"]
+def _csv_written(rows: Iterable[Sequence[Any]]) -> str:
+    import csv  # loaded by the paths that write csv, not by every start
+
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def _csv_table(payload: dict[str, Any]) -> str:
+    """The rows ``p,q,block,rank`` of every nonzero block of every cell, one
+    f-string each: as ``csv.writer`` writes them, a label is quoted iff it
+    holds a comma (labels are digits and commas), and no other field needs
+    quotes."""
+    pieces = ["p,q,block,rank\n"]
     for p, labels, walk in payload["cells"]:
+        fields = [f'"{label}"' if "," in label else label for label in labels]
+        rows: list[str] = []
         for q, ranks in walk:
-            yield from ([p, q, label, rank] for label, rank in zip(compress(labels, ranks), filter(None, ranks)))
+            cell = f"{p},{q},"
+            rows += [f"{cell}{field},{rank}\n" for field, rank in zip(compress(fields, ranks), filter(None, ranks))]
+        # one string per column, so that no table's worth of rows is held
+        pieces.append("".join(rows))
+    return "".join(pieces)
 
 
-def _csv_polynomial(payload: dict[str, Any]) -> list[list[Any]]:
-    return [["exponent", "coefficient"], *payload["polynomial"]]
+def _csv_polynomial(payload: dict[str, Any]) -> str:
+    return _csv_written([["exponent", "coefficient"], *payload["polynomial"]])
 
 
-def _csv_checks(payload: dict[str, Any]) -> list[list[Any]]:
+def _csv_checks(payload: dict[str, Any]) -> str:
     rows: list[list[Any]] = [["check", "location", "passed", "detail"]]
     for check in payload["checks"]:
         rows.append([check["name"], check["location"], int(check["passed"]), check["detail"]])
-    return rows
+    return _csv_written(rows)
 
 
-def _csv_flat(payload: dict[str, Any]) -> list[list[Any]]:
+def _csv_flat(payload: dict[str, Any]) -> str:
     keys = sorted(payload)
-    return [keys, [json.dumps(payload[k]) if isinstance(payload[k], (list, dict)) else payload[k] for k in keys]]
+    return _csv_written([keys, [json.dumps(payload[k]) if isinstance(payload[k], (list, dict)) else payload[k] for k in keys]])
 
 
 def _markdown_polynomial(payload: dict[str, Any], arguments: dict[str, Any]) -> str:
@@ -315,7 +331,7 @@ def _parts_sort_key(parts: str) -> tuple[int, ...]:
     return tuple(-int(x) for x in parts.split(","))
 
 
-#: csv rows and markdown text, by document kind (``OutputDocument.name``)
+#: csv text and markdown text, by document kind (``OutputDocument.name``)
 _RENDERERS = {
     "table": (_csv_table, _markdown_table),
     "link": (_csv_polynomial, _markdown_polynomial),

@@ -16,17 +16,49 @@ relations are a Groebner basis and the staircase is the set of standard
 monomials, so the normal form does not depend on the order of the rewrites.
 The pending monomials sit in a heap that pops the largest one first: every
 monomial a rewrite produces is smaller than the one it came from, so a popped
-monomial never comes back and is rewritten at most once.  The relations are
-homogeneous and the quotient is zero above degree ``n(n-1)/2``, so monomials of
-higher degree are dropped at once; ``cup`` sorts one factor by degree and never
-forms them.  While rewriting, a monomial is one integer key: the exponent of
-``c^i`` in bits ``[b(i-1), b*i)``, with ``b = (n(n-1)).bit_length()``.  Each
-exponent of a monomial of degree at most ``n(n-1)/2`` is below ``2^(b-1)``, so
-no field carries into the next: a product or a rewrite is one integer addition,
-and integer order is the lex order above (the heap holds negated keys).  The
-spare top bit of a field tests the staircase: adding ``2^(b-1) - 1 - (n - i)``
-to the field of ``c^i`` sets it iff the exponent exceeds ``n - i``.  Keys are
-decoded only when a result is returned.
+monomial never comes back and is rewritten at most once.
+
+A high power of one generator is rewritten in one step, not by that cascade,
+which would first expand it into every monomial of its degree.  Write
+``E_j(u) = prod_{i<=j} (1 - c^i u) = sum_i (-1)^i e_i(c^1..c^j) u^i`` and
+``H_j(u) = 1 / E_j(u) = sum_m h_m(c^1..c^j) u^m``.  Then
+``1 / (1 - c^k u) = E_{k-1}(u) H_k(u)``, and the coefficient of ``u^K`` is
+
+    (c^k)^K = sum_i (-1)^i e_i(c^1, ..., c^{k-1}) h_{K-i}(c^1, ..., c^k).
+
+Modulo the ideal ``H_n(u) = 1`` (its coefficients are symmetric), so
+``H_k(u) = prod_{i>k} (1 - c^i u) H_n(u)`` is a polynomial of degree n - k in
+u, and ``h_m(c^1..c^k) = 0`` once m > n - k: only the terms with
+``K - i <= n - k`` survive.  In each of their monomials the exponent of ``c^k``
+is at most n - k and that of ``c^j``, j < k, at most ``1 + n - k <= n - j``, so
+the sum is the normal form of ``(c^k)^K`` (``_power_rewrite``), and every one
+of its monomials is lex-smaller than ``(c^k)^K``: the heap's order and the
+rewrite-once invariant hold as before.  The range of i is empty once K >= n,
+so such a monomial is dropped; for k = n the rule reads
+``(c^n)^K = (-1)^K e_K(c^1..c^{n-1})``.  Term i has
+``C(k-1, i) C(K-i+k-1, k-1) <= C(k-1, i) C(n-1, k-1)`` products, so one
+rewrite costs at most ``2^(k-1) C(n-1, k-1) <= 3^(n-1)`` products to build,
+once per (n, k, K).  Its sum has more terms than one cascade step, so
+``_reduce`` takes it only for K >= min(n, 3(n - k)): always for k = n (staircase
+inputs carry no ``c^n``, and no rewrite raises it, so cups never get there),
+and for k < n past the exponents a product of two staircase monomials
+(at most 2(n - k)) mostly stays below; a lower gate, K > 2(n - k), made the
+cold n = 6 cups of the ``ring`` benchmark 3 to 7 % slower.  The cascade thus only
+runs on powers K < n, and from one power ``(c^k)^K`` visits only monomials of
+degree K in ``c^1..c^k``; cold, every normal form of one power at n <= 10
+takes under 10 ms.
+
+The relations are homogeneous and the quotient is zero above degree
+``n(n-1)/2``, so monomials of higher degree are dropped at once; ``cup`` sorts
+one factor by degree and never forms them.  While rewriting, a monomial is
+one integer key: the exponent of ``c^i`` in bits ``[b(i-1), b*i)``, with
+``b = (n(n-1)).bit_length()``.  Each exponent of a monomial of degree at most
+``n(n-1)/2`` is below ``2^(b-1)``, so no field carries into the next: a product
+or a rewrite is one integer addition, and integer order is the lex order
+above (the heap holds negated keys).  The spare top bit of a field tests the
+staircase: adding ``2^(b-1) - 1 - (n - i)`` to the field of ``c^i`` sets it iff
+the exponent exceeds ``n - i``.  Keys are decoded only when a result is
+returned.
 
 Degree-2 classes are integer sequences ``(a_1, ..., a_n)`` (meaning
 ``sum a_i c^i``) modulo constant sequences.  Their *order* is the degree of the
@@ -91,9 +123,30 @@ def _rewrite_products(n: int, k: int) -> tuple[int, ...]:
     return tuple(sum(1 << (b * var) for var in combo) for combo in combos)[:-1]
 
 
+@cache
+def _power_rewrite(n: int, k: int, K: int) -> tuple[tuple[int, int], ...]:
+    """The normal form of (c^k)^K as (key, coefficient) pairs:
+    sum_i (-1)^i e_i(c^1, ..., c^{k-1}) h_{K-i}(c^1, ..., c^k) over
+    K - i <= n - k, with the cancelled monomials left out."""
+    b = _layout(n)[0]
+    acc: dict[int, int] = {}
+    for i in range(max(0, K - (n - k)), min(K, k - 1) + 1):
+        sign = -1 if i % 2 else 1
+        h_keys = [
+            sum(1 << (b * var) for var in combo)
+            for combo in itertools.combinations_with_replacement(range(k), K - i)
+        ]
+        for combo in itertools.combinations(range(k - 1), i):
+            e_key = sum(1 << (b * var) for var in combo)
+            for h_key in h_keys:
+                acc[e_key + h_key] = acc.get(e_key + h_key, 0) + sign
+    return tuple((key, c) for key, c in acc.items() if c)
+
+
 def _reduce(terms: Mapping[int, int], n: int) -> dict[Monomial, int]:
     # keys of degree at most n(n-1)/2 in, exponent tuples of the staircase out
     b, offsets, overflow = _layout(n)
+    field = (1 << b) - 1
     # pending coefficients; an entry that cancels to 0 stays until popped, so
     # each key enters the heap at most once
     work = {key: c for key, c in terms.items() if c}
@@ -101,9 +154,11 @@ def _reduce(terms: Mapping[int, int], n: int) -> dict[Monomial, int]:
     heap = [-key for key in work]
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
-    # indexed by k: (c^k)^{n-k+1} and the keys that replace it
+    # indexed by k: (c^k)^{n-k+1} and the keys that replace it, and the least
+    # exponent of c^k rewritten in one step (see the module docstring)
     extremals = [0] + [(n - k + 1) << (b * (k - 1)) for k in range(1, n + 1)]
     rewrites = [()] + [_rewrite_products(n, k) for k in range(1, n + 1)]
+    gates = [0] + [min(n, 3 * (n - k)) for k in range(1, n + 1)]
     result: dict[int, int] = {}
     while heap:
         key = -pop(heap)
@@ -116,6 +171,20 @@ def _reduce(terms: Mapping[int, int], n: int) -> dict[Monomial, int]:
             continue
         # the top bit of the c^k field is bit b*k - 1: rewrite the largest k
         k = over.bit_length() // b
+        shift = b * (k - 1)
+        power = (key >> shift) & field
+        if power >= gates[k]:
+            # (c^k)^K = 0 for K >= n: the monomial is dropped
+            if power < n:
+                base = key - (power << shift)
+                for product, c in _power_rewrite(n, k, power):
+                    new_key = base + product
+                    if new_key in work:
+                        work[new_key] += c * coeff
+                    else:
+                        work[new_key] = c * coeff
+                        push(heap, -new_key)
+            continue
         base = key - extremals[k]
         for product in rewrites[k]:
             new_key = base + product

@@ -254,6 +254,22 @@ def test_table_cell_writer_matches_the_generic_writer(capsys, n):
         assert cli._dumps(json.loads(out), "\n") == out, view
 
 
+@pytest.mark.parametrize("n", range(2, 17))
+def test_table_csv_matches_the_csv_module(capsys, n):
+    # the table's rows are f-strings that quote only a label holding a comma;
+    # csv.writer, over the rows read back from the json document, decides
+    for view in _TABLE_VIEWS:
+        argv = ("table", "--n", str(n), "--max-n", "16", *view)
+        _, out, _ = _run(capsys, *argv, "--format", "json")
+        rows = [["p", "q", "block", "rank"]]
+        for cell in json.loads(out)["payload"]["cells"]:
+            rows += [[cell["p"], cell["q"], label, rank] for label, rank in cell["blocks"].items()]
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows(rows)
+        _, out, _ = _run(capsys, *argv, "--format", "csv")
+        assert out == expected.getvalue(), view
+
+
 def test_cohomological_cells_are_the_homological_walk_reversed(capsys):
     for n in range(2, 13):
         cells = {}
