@@ -249,13 +249,20 @@ def _csv_written(rows: Iterable[Sequence[Any]]) -> str:
     return out.getvalue()
 
 
+#: The characters of a block label (:func:`_column_walk`): none of them is a
+#: quote or a line break, so ``csv.writer`` quotes a label iff it holds a comma.
+_LABEL_CHARS = frozenset("0123456789,")
+
+
 def _csv_table(payload: dict[str, Any]) -> str:
     """The rows ``p,q,block,rank`` of every nonzero block of every cell, one
-    f-string each: as ``csv.writer`` writes them, a label is quoted iff it
-    holds a comma (labels are digits and commas), and no other field needs
-    quotes."""
+    f-string each, with the bytes ``csv.writer`` writes: a label is quoted iff
+    it holds a comma, and no other field needs quotes.  A label with any
+    other character than :data:`_LABEL_CHARS` raises ``ValueError``."""
     pieces = ["p,q,block,rank\n"]
     for p, labels, walk in payload["cells"]:
+        if not _LABEL_CHARS.issuperset("".join(labels)):
+            raise ValueError(f"column {p} has a block label other than digits and commas: {labels}")
         fields = [f'"{label}"' if "," in label else label for label in labels]
         rows: list[str] = []
         for q, ranks in walk:

@@ -41,12 +41,14 @@ rewrite costs at most ``2^(k-1) C(n-1, k-1) <= 3^(n-1)`` products to build,
 once per (n, k, K).  Its sum has more terms than one cascade step, so
 ``_reduce`` takes it only for K >= min(n, 3(n - k)): always for k = n (staircase
 inputs carry no ``c^n``, and no rewrite raises it, so cups never get there),
-and for k < n past the exponents a product of two staircase monomials
-(at most 2(n - k)) mostly stays below; a lower gate, K > 2(n - k), made the
-cold n = 6 cups of the ``ring`` benchmark 3 to 7 % slower.  The cascade thus only
-runs on powers K < n, and from one power ``(c^k)^K`` visits only monomials of
-degree K in ``c^1..c^k``; cold, every normal form of one power at n <= 10
-takes under 10 ms.
+and for k < n above the exponents that cups reach in practice.  A product of
+two staircase monomials carries ``c^k`` to at most 2(n - k), and rewriting a
+higher generator raises it further: with the gate K > 2(n - k) the n = 6 cups
+of the ``ring`` benchmark take the rule some 3 times a cup, with 3(n - k)
+never (40 seeds).  Below the top the rule serves single powers: without it a
+power K < n runs the whole cascade, and cold,
+``(c^9)^9`` at n = 10 takes 0.39 s that way and 2 ms in one step, and every
+normal form of one power at n <= 10 now takes under 15 ms.
 
 The relations are homogeneous and the quotient is zero above degree
 ``n(n-1)/2``, so monomials of higher degree are dropped at once; ``cup`` sorts

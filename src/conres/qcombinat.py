@@ -17,16 +17,14 @@ and keeping the gradings in separate types makes them impossible to
 confuse silently.
 
 Both are stored densely: a low exponent plus the tuple of coefficients up to
-the degree, trimmed at both ends.  A product by a single term is a shift
-and a scaling (140 of the 780 products of a cold ``spectral_table(16)`` are
-by the polynomial 1); every other product is a Kronecker substitution in
-64-bit slots (``_product``), where wider coefficients are split into halves
-that fit.  Quotients by prod (1 - x^e), as in every flag manifold, go
-through ``divide_out``: one running sum with stride e per factor, no
-denominator built; ``divide_out_series`` runs them on a power series cut at
-x^cut, with no exactness check (the stable flag series 1 / prod (q;q)_a).
-``exact_div`` stays as the general division, one synthetic-division pass
-that stops at the first remainder.  Every linear combination goes through
+the degree, trimmed at both ends.  Every product is a Kronecker substitution
+in 64-bit slots (``_product``); wider coefficients are split into halves that
+fit.  Quotients by prod (1 - x^e), as in every flag manifold, go through
+``divide_out``: one running sum with stride e per factor, no denominator
+built; ``divide_out_series`` runs them on a power series cut at x^cut, with no
+exactness check (the stable flag series 1 / prod (q;q)_a).  ``exact_div``
+stays as the general division, one synthetic-division pass that stops at the
+first remainder.  Every linear combination goes through
 ``integer_combination``: sums, differences, negation and scalar multiples
 (divisor 1), and the orbit averages over finite groups, whose integer weights
 (class sizes, or counts of cycle types) times polynomials are summed in
@@ -269,12 +267,7 @@ class _SparsePoly:
         self._check_same_type(other)
         if not self or not other:
             return type(self)()
-        a, b, low = self._coeffs, other._coeffs, self._low + other._low
-        # a product by one term shifts the other factor, and scales it
-        if len(a) == 1 or len(b) == 1:
-            (scale,), rest = (a, b) if len(a) == 1 else (b, a)
-            return self._dense(low, rest if scale == 1 else [scale * c for c in rest])
-        return self._dense(low, _product(a, b))
+        return self._dense(self._low + other._low, _product(self._coeffs, other._coeffs))
 
     def __rmul__(self: _P, other: int) -> _P:
         return self.__mul__(other)

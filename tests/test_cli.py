@@ -270,6 +270,16 @@ def test_table_csv_matches_the_csv_module(capsys, n):
         assert out == expected.getvalue(), view
 
 
+def test_a_table_label_csv_would_quote_otherwise_is_refused():
+    # the f-string rows quote a label only for its commas; a quote or a line
+    # break in a label would need csv.writer's escaping, so it raises instead
+    for label in ('1"2', "1\n2", "a"):
+        cells = [(0, (label,), iter([(0, (1,))]))]
+        with pytest.raises(ValueError, match="block label"):
+            cli._csv_table({"cells": cells})
+    assert cli._csv_table({"cells": [(0, ("1,2", "3"), iter([(0, (1, 2))]))]}) == 'p,q,block,rank\n0,0,"1,2",1\n0,0,3,2\n'
+
+
 def test_cohomological_cells_are_the_homological_walk_reversed(capsys):
     for n in range(2, 13):
         cells = {}
