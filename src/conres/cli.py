@@ -31,10 +31,12 @@ is sorted per cell and no whole table is held.  Every block is still built,
 and so checked, by ``render``, before anything reaches stdout.  json writes
 each cell with one f-string from the column's label prefixes, csv each row
 with one f-string, quoting a label that holds a comma as the ``csv`` module
-does, and markdown reads the same walk.  Every other json document, and a
-parsed table, goes through the generic writer ``_write``, which the tests
-hold the cell writer to as its oracle; every other csv document goes
-through ``csv.writer``, which the tests hold the table's rows to.
+does, and markdown reads the same walk.  A parsed table's cells are dicts;
+its csv and markdown read them grouped back into columns (``_columns``).
+Every other json document, and a parsed table, goes through the generic
+writer ``_write``, which the tests hold the cell writer to as its oracle;
+every other csv document goes through ``csv.writer``, which the tests hold
+the table's rows to.
 Exit codes: 0 success, 1 usage error, 2 a consistency check failed, 3 any
 other error (a bug), whose traceback goes to stderr.
 """
@@ -46,9 +48,9 @@ import io
 import json
 import sys
 from functools import cache
-from itertools import chain, compress
+from itertools import chain, compress, groupby
 from json.encoder import encode_basestring_ascii
-from operator import add
+from operator import add, itemgetter
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from . import __version__
@@ -172,6 +174,21 @@ def _column_walk(n: int, p: int) -> tuple[tuple[str, ...], Iterator[tuple[int, t
     return tuple(label for label, _ in labelled), by_degree([poly for _, poly in labelled])
 
 
+def _columns(cells: Iterable[Any]) -> Iterable[tuple[int, tuple[str, ...], Iterable[tuple[int, tuple[int, ...]]]]]:
+    """A table's cells as the ``(p, labels, cells)`` columns of
+    :class:`_TableCells`, which the csv and markdown writers read: columns
+    as they are, or the cell objects (dicts) of a parsed table grouped by
+    column, each column's labels the sorted keys of its cells' blocks."""
+    if not (type(cells) is list and cells and type(cells[0]) is dict):
+        return cells
+    columns = []
+    for p, group in groupby(cells, itemgetter("p")):
+        column = [(cell["q"], cell["blocks"]) for cell in group]
+        labels = tuple(sorted({label for _, blocks in column for label in blocks}))
+        columns.append((p, labels, [(q, tuple(blocks.get(label, 0) for label in labels)) for q, blocks in column]))
+    return columns
+
+
 def _write_cells(cells: _TableCells, depth: int, pieces: list[str]) -> None:
     """Append the text :func:`_write` gives the cell objects of ``cells`` at
     ``depth``: one f-string per cell, its blocks from the column's label
@@ -260,7 +277,7 @@ def _csv_table(payload: dict[str, Any]) -> str:
     it holds a comma, and no other field needs quotes.  A label with any
     other character than :data:`_LABEL_CHARS` raises ``ValueError``."""
     pieces = ["p,q,block,rank\n"]
-    for p, labels, walk in payload["cells"]:
+    for p, labels, walk in _columns(payload["cells"]):
         if not _LABEL_CHARS.issuperset("".join(labels)):
             raise ValueError(f"column {p} has a block label other than digits and commas: {labels}")
         fields = [f'"{label}"' if "," in label else label for label in labels]
@@ -311,7 +328,7 @@ def _markdown_table(payload: dict[str, Any], arguments: dict[str, Any]) -> str:
     # a cell's share of each block, and a column's blocks, in column order
     cells: dict[tuple[int, int], str] = {}
     column_blocks: dict[int, list[str]] = {}
-    for p, labels, walk in payload["cells"]:
+    for p, labels, walk in _columns(payload["cells"]):
         if not labels:
             continue
         order = sorted(range(len(labels)), key=lambda j: _parts_sort_key(labels[j]))

@@ -51,8 +51,9 @@ identity and the counts are the classical a! / z_lambda.  On an orbit of c
 point by point: sigma * u maps each group onto the next, so every one of its
 cycles meets the first group, and its cycle type is c times that of the
 composite pi = u_{c-1} o ... o u_0, the return map to the first group.  pi
-is formed explicitly for each tuple and its cycle type looked up among
-those of S_a.  The oracle uses neither the uniform composite nor the
+is formed explicitly for each tuple, as the bytes of its images, and the
+composites are counted; the cycle type of each distinct one is walked
+once.  The oracle uses neither the uniform composite nor the
 collapse above, and shares no count with ``_cycle_average``, which reads
 no z_lambda (``centralizer_order``); the oracle's z_lambda is guarded by
 ``tests/test_flagchar.py::test_one_group_orbits_count_each_cycle_type_by_its_class_size``,
@@ -79,8 +80,7 @@ import itertools
 from collections import Counter
 from functools import cache
 from math import factorial, prod
-from operator import itemgetter
-from typing import Callable, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from .qcombinat import (
     BlockClass,
@@ -106,8 +106,9 @@ _P = TypeVar("_P", QPoly, GradedDims)
 #: W_A, not the work done: only the orbits of two or more groups are
 #: enumerated, each shape once, and a one-group orbit is counted in closed
 #: form.  An orbit of c >= 2 groups of a points still visits all a!^c
-#: tuples, composing each one's return map to its first group, and walks
-#: only the a! permutations of S_a point by point.
+#: tuples, composing each one's return map to its first group as bytes and
+#: counting the composites, and walks only the a! distinct composites point
+#: by point.
 NAIVE_BUDGET = factorial(8)
 
 CHARACTERS = ("trivial", "sign")
@@ -145,8 +146,9 @@ def gamma_trace(A: MultiIndex, n: int, cls: BlockClass) -> QPoly:
     return divide_out(q_pochhammer(n, d), exponents)
 
 
-def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
-    """Cycle type of a permutation given as a tuple of images, parts descending."""
+def cycle_type(perm: Sequence[int]) -> tuple[int, ...]:
+    """Cycle type of a permutation given as its sequence of images (a tuple,
+    or the bytes of one on at most 256 points), parts descending."""
     seen = bytearray(len(perm))
     lengths = []
     for start in range(len(perm)):
@@ -177,20 +179,23 @@ def _orbit_cycle_types(c: int, a: int) -> tuple[tuple[tuple[int, ...], int], ...
     g + 1 (mod c), so from a point i of group 0 it first comes back to group
     0 after c steps, at pi(i) with pi = u_{c-1} o ... o u_0.  Every cycle
     of sigma * u thus meets group 0, and its cycle type is c times that of
-    pi.  The composite pi of each tuple is formed explicitly
-    (``itemgetter(*path)(u)`` is u o path), never assumed uniform on S_a,
-    and looked up among the a! cycle types of S_a, each part multiplied by
-    c."""
+    pi.  Each permutation is held as the bytes of its images, and the
+    composite of each tuple is formed explicitly, u o path being
+    ``path.translate(u + pad)`` (``pad`` fixes the bytes a..255), never
+    assumed uniform on S_a.  The composites are counted as bytes; then the
+    cycle type of each distinct one, a! of them, is walked once, each part
+    multiplied by c, and adds its count."""
     if c == 1:
         return tuple((lam, factorial(a) // centralizer_order(lam)) for lam in partitions(a))
-    perms = list(itertools.permutations(range(a)))
-    dilated = {perm: tuple(c * part for part in cycle_type(perm)) for perm in perms}
-    paths = [tuple(range(a))]
+    pad = bytes(range(a, 256))
+    tables = [bytes(perm) + pad for perm in itertools.permutations(range(a))]
+    paths = [bytes(range(a))]
     for _ in range(c - 1):  # u_{c-2} o ... o u_0, one path per prefix
-        paths = [itemgetter(*path)(u) for path in paths for u in perms]
+        paths = [path.translate(u) for path in paths for u in tables]
+    composites = Counter(path.translate(u) for path in paths for u in tables)
     counts: Counter[tuple[int, ...]] = Counter()
-    for path in paths:
-        counts.update(map(dilated.__getitem__, map(itemgetter(*path), perms)))
+    for pi, count in composites.items():
+        counts[tuple(c * part for part in cycle_type(pi))] += count
     return tuple(counts.items())
 
 

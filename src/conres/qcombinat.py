@@ -18,17 +18,19 @@ confuse silently.
 
 Both are stored densely: a low exponent plus the tuple of coefficients up to
 the degree, trimmed at both ends.  Every product is a Kronecker substitution
-in 64-bit slots (``_product``); wider coefficients are split into halves that
-fit.  Quotients by prod (1 - x^e), as in every flag manifold, go through
-``divide_out``: one running sum with stride e per factor, no denominator
-built; ``divide_out_series`` runs them on a power series cut at x^cut, with no
-exactness check (the stable flag series 1 / prod (q;q)_a).  ``exact_div``
-stays as the general division, one synthetic-division pass that stops at the
-first remainder.  Every linear combination goes through
-``integer_combination``: sums, differences, negation and scalar multiples
-(divisor 1), and the orbit averages over finite groups, whose integer weights
-(class sizes, or counts of cycle types) times polynomials are summed in
-integers and divided once per coefficient by the group order at the end.
+in signed slots of 8, 16, 32 or 64 bits, the narrowest that the operands'
+coefficient sums fit (``_product``); wider coefficients are split into
+halves until they fit.  Quotients by prod (1 - x^e), as in every flag
+manifold, go through ``divide_out``: one running sum with stride e per
+factor, no denominator built; ``divide_out_series`` runs them on a power
+series cut at x^cut, with no exactness check (the stable flag series
+1 / prod (q;q)_a).  ``exact_div`` stays as the general division, one
+synthetic-division pass that stops at the first remainder.  Every linear
+combination goes through ``integer_combination``: sums, differences,
+negation and scalar multiples (divisor 1), and the orbit averages over
+finite groups, whose integer weights (class sizes, or counts of cycle types)
+times polynomials are summed in integers and divided once per coefficient by
+the group order at the end.
 
 The module also owns the index combinatorics: integer partitions,
 multi-indices ``A`` of eigenvalue multiplicities, and the conjugacy classes of
@@ -40,7 +42,7 @@ from __future__ import annotations
 import itertools
 import operator
 import struct
-from functools import cache
+from functools import cache, lru_cache
 from math import factorial, prod
 from typing import Iterable, Mapping, Sequence, TypeVar
 
@@ -98,38 +100,45 @@ def _zeros(span: int) -> list[int]:
     return [0] * span
 
 
-#: Coefficients, and sums of their products, below this fit one 64-bit slot.
-_SLOT_BOUND = 1 << 63
+#: The signed ``struct`` code of a slot of each width in bits, narrowest first.
+_SLOT_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}
 
 
-def _slot_offsets(length: int) -> int:
-    # 2^63 in each of ``length`` 64-bit slots
-    return int.from_bytes(b"\0\0\0\0\0\0\0\x80" * length, "little")
+@lru_cache(maxsize=1024)
+def _slot_layout(width: int, length: int) -> tuple[struct.Struct, int]:
+    """The little-endian ``struct`` of ``length`` signed slots of ``width``
+    bits, and 2^(width - 1) in each of them.  Bounded, though a cold
+    ``table --n 24`` reads 714 keys and ``verify --n 24`` 807."""
+    offsets = int.from_bytes((bytes(width // 8 - 1) + b"\x80") * length, "little")
+    return struct.Struct(f"<{length}{_SLOT_CODES[width]}"), offsets
 
 
-def _pack_slots(coeffs: Sequence[int]) -> int:
-    """sum_i coeffs[i] * 2^(64 i) for |coeffs[i]| < 2^63."""
-    offsets = _slot_offsets(len(coeffs))
-    # flipping the top bit of each two's-complement slot adds 2^63 to it
-    raw = int.from_bytes(struct.pack(f"<{len(coeffs)}q", *coeffs), "little")
+def _pack_slots(coeffs: Sequence[int], width: int) -> int:
+    """sum_i coeffs[i] * 2^(width i) for |coeffs[i]| < 2^(width - 1)."""
+    layout, offsets = _slot_layout(width, len(coeffs))
+    # flipping the top bit of each two's-complement slot adds 2^(width - 1) to it
+    raw = int.from_bytes(layout.pack(*coeffs), "little")
     return (raw ^ offsets) - offsets
 
 
-def _unpack_slots(value: int, length: int) -> tuple[int, ...]:
-    """Inverse of :func:`_pack_slots` for ``length`` slots."""
-    offsets = _slot_offsets(length)
-    return struct.unpack(f"<{length}q", ((value + offsets) ^ offsets).to_bytes(8 * length, "little"))
+def _unpack_slots(value: int, length: int, width: int) -> tuple[int, ...]:
+    """Inverse of :func:`_pack_slots` for ``length`` slots of ``width`` bits."""
+    layout, offsets = _slot_layout(width, length)
+    return layout.unpack(((value + offsets) ^ offsets).to_bytes(layout.size, "little"))
 
 
 def _product(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
     """Coefficients of the product of two nonempty coefficient sequences, by
-    Kronecker substitution: one integer product of signed 64-bit slots.  While
-    a slot could overflow, the operand with the larger coefficients is split
-    at half their bit length, c = high * 2^k + low with 0 <= low < 2^k."""
+    Kronecker substitution: one integer product of signed slots, the
+    narrowest of 8, 16, 32 or 64 bits that every coefficient sum fits.
+    While no slot fits, the operand with the larger coefficients is split at
+    half their bit length, c = high * 2^k + low with 0 <= low < 2^k."""
     # an all-zero half counts as 1, so that the other operand must fit a slot
     top_a, top_b = max(map(abs, a)) or 1, max(map(abs, b)) or 1
-    if min(len(a), len(b)) * top_a * top_b < _SLOT_BOUND:
-        return _unpack_slots(_pack_slots(a) * _pack_slots(b), len(a) + len(b) - 1)
+    bound = min(len(a), len(b)) * top_a * top_b
+    for width in _SLOT_CODES:
+        if bound < 1 << (width - 1):
+            return _unpack_slots(_pack_slots(a, width) * _pack_slots(b, width), len(a) + len(b) - 1, width)
     if top_a < top_b:
         return _product(b, a)
     k = top_a.bit_length() // 2

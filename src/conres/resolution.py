@@ -444,13 +444,13 @@ def _check_gamma_oracle(n: int, budget: int) -> Iterator[_Outcome]:
     within ``budget``, and every nontrivial class traces to 0 at q = 1.  The
     oracle runs first, and ``gamma_trace`` only where the oracle answers.
     On an orbit of c >= 2 groups of a points the oracle visits all a!^c
-    tuples and reads each one's cycle type off its composite around the
-    orbit (``flagchar._orbit_cycle_types``); it sums their coinvariant
-    traces once per orbit shape (``flagchar._orbit_trace_sum``), and a class
-    costs one q-multinomial of its orbit sizes times these sums.  The
-    collapse ``gamma_trace`` rests on is checked for every part size a =
-    2..n, also where every class is over the budget; it adds an outcome only
-    when it fails."""
+    tuples, counts their composites around the orbit and reads the cycle
+    type of each distinct composite once (``flagchar._orbit_cycle_types``);
+    it sums their coinvariant traces once per orbit shape
+    (``flagchar._orbit_trace_sum``), and a class costs one q-multinomial of
+    its orbit sizes times these sums.  The collapse ``gamma_trace`` rests on
+    is checked for every part size a = 2..n, also where every class is over
+    the budget; it adds an outcome only when it fails."""
     for a in range(2, n + 1):
         try:
             flagchar._collapsed_denominator(a)

@@ -270,6 +270,16 @@ def test_table_csv_matches_the_csv_module(capsys, n):
         assert out == expected.getvalue(), view
 
 
+@pytest.mark.parametrize("n", range(3, 7))
+def test_a_parsed_table_renders_the_bytes_of_the_command(capsys, n):
+    # a parsed table's cells are dicts; csv and markdown read them grouped by column
+    for view in _TABLE_VIEWS:
+        argv = ("table", "--n", str(n), *view)
+        doc = OutputDocument.from_json(_run(capsys, *argv, "--format", "json")[1])
+        for fmt in ("csv", "md"):
+            assert doc._replace(format=fmt).render() == _run(capsys, *argv, "--format", fmt)[1], (view, fmt)
+
+
 def test_a_table_label_csv_would_quote_otherwise_is_refused():
     # the f-string rows quote a label only for its commas; a quote or a line
     # break in a label would need csv.writer's escaping, so it raises instead

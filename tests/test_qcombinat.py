@@ -203,11 +203,45 @@ _WIDE = {-2: 2**100 + 7, 0: -(2**99), 3: 1 - 2**120}
 )
 def test_wide_products_match_reference(a, b, monkeypatch):
     packed, unpack = [], qcombinat._unpack_slots
-    monkeypatch.setattr(qcombinat, "_unpack_slots", lambda v, n: packed.append(n) or unpack(v, n))
+    monkeypatch.setattr(qcombinat, "_unpack_slots", lambda v, n, width: packed.append(n) or unpack(v, n, width))
     p, q = GradedDims(a), GradedDims(b)
     assert dict((p * q).items()) == _ref_mul(a, b)
-    # every part goes through the 64-bit slots; a wide product takes several
+    # every part goes through the slots; a wide product takes several
     assert len(packed) > 1
+
+
+def _slot_edge_products(width):
+    # operand pairs whose product has a coefficient at +-(2^(w-1) - 1) or
+    # +-2^(w-1), the edge of a signed slot of w bits: one term times one,
+    # and sums of two coefficient products over two terms each
+    edge, half, root = 1 << (width - 1), 1 << (width - 2), 1 << (width // 2 - 1)
+    for v in (edge - 1, edge):
+        for sign in (1, -1):
+            yield {3: sign * v}, {-1: 1}
+            yield {0: 1, 2: sign * v, 5: -1}, {4: 1}
+            yield {0: sign * half, 1: sign * (v - half)}, {0: 1, 1: 1}
+            low = v < edge  # root^2 + (root - 1)(root + 1) = 2^(w-1) - 1
+            yield {0: sign * root, 1: sign * (root - low)}, {0: root + low, 1: root}
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64])
+def test_products_at_the_slot_edges_match_reference(width):
+    for a, b in _slot_edge_products(width):
+        product = _ref_mul(a, b)
+        assert {abs(c) for c in product.values()} & {(1 << (width - 1)) - 1, 1 << (width - 1)}, (a, b)
+        for x, y in ((a, b), (b, a)):
+            assert dict((GradedDims(x) * GradedDims(y)).items()) == product, (width, x, y)
+
+
+@pytest.mark.parametrize("width", [8, 16, 32])
+def test_products_pack_at_the_narrowest_slot_that_fits(width, monkeypatch):
+    # min(len) * max|a| * max|b| just below 2^(w-1) packs at w bits, at 2^(w-1) at the next width
+    widths, pack = [], qcombinat._pack_slots
+    monkeypatch.setattr(qcombinat, "_pack_slots", lambda coeffs, w: widths.append(w) or pack(coeffs, w))
+    edge = 1 << (width - 1)
+    assert GradedDims({0: edge // 2 - 1, 1: 1}) * GradedDims({0: 1, 1: -1}) == GradedDims({0: edge // 2 - 1, 1: 2 - edge // 2, 2: -1})
+    assert GradedDims({0: edge // 2, 1: 1}) * GradedDims({0: 1, 1: -1}) == GradedDims({0: edge // 2, 1: 1 - edge // 2, 2: -1})
+    assert widths == [width, width, 2 * width, 2 * width]
 
 
 @settings(max_examples=200)
