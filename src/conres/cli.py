@@ -21,22 +21,21 @@ arguments, payload and exit code; ``main`` wraps them in the one
 ``stab.MAX_TABLE_N``, so that no request builds a table past n = 24.
 
 Output goes to stdout as json, csv or markdown; diagnostics go to stderr.
-json is ``json.dumps(doc, sort_keys=True, indent=2)`` to the byte; ``indent``
-selects CPython's pure-Python encoder, so ``_dumps`` indents C-encoded output.
-A table's cells (``_TableCells``) come out one column at a time: each
-column is built (``resolution.build_column``, outside the column memo),
-walked by degree (``resolution.by_degree``) already in output order, each
-cell with its blocks' ranks in key order, written and dropped, so nothing
-is sorted per cell and no whole table is held.  Every block is still built,
-and so checked, by ``render``, before anything reaches stdout.  json writes
-each cell with one f-string from the column's label prefixes, csv each row
-with one f-string, quoting a label that holds a comma as the ``csv`` module
-does, and markdown reads the same walk.  A parsed table's cells are dicts;
-its csv and markdown read them grouped back into columns (``_columns``).
-Every other json document, and a parsed table, goes through the generic
-writer ``_write``, which the tests hold the cell writer to as its oracle;
-every other csv document goes through ``csv.writer``, which the tests hold
-the table's rows to.
+json is the stdlib's ``json.dumps(doc, sort_keys=True, indent=2)``, except
+for a table's cells, which have one writer of their own (``_write_cells``)
+that the tests hold to the stdlib.  A table's cells (``_TableCells``) come
+out one column at a time: each column is built (``resolution.build_column``,
+outside the column memo), walked by degree (``resolution.by_degree``)
+already in output order, each cell with its blocks' ranks in key order,
+written and dropped, so nothing is sorted per cell and no whole table is
+held.  Every block is still built, and so checked, by ``render``, before
+anything reaches stdout.  json writes each cell with one f-string from the
+column's label prefixes, where the stdlib wrote the frame around them; csv
+writes each row with one f-string, quoting a label that holds a comma as
+the ``csv`` module does, and markdown reads the same walk.  A parsed
+table's cells are dicts, which the stdlib writes; its csv and markdown read
+them grouped back into columns (``_columns``).  Every other csv document
+goes through ``csv.writer``, which the tests hold the table's rows to.
 Exit codes: 0 success, 1 usage error, 2 a consistency check failed, 3 any
 other error (a bug), whose traceback goes to stderr.
 """
@@ -47,9 +46,7 @@ import argparse
 import io
 import json
 import sys
-from functools import cache
-from itertools import chain, compress, groupby
-from json.encoder import encode_basestring_ascii
+from itertools import compress, groupby
 from operator import add, itemgetter
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
@@ -80,58 +77,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _poly_pairs(p: QPoly | GradedDims) -> list[list[int]]:
     return [[e, c] for e, c in p.items()]
-
-
-@cache
-def _flat_encoder(depth: int) -> json.JSONEncoder:
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": "))
-
-
-def _dumps(value: Any, end: str = "") -> str:
-    """``json.dumps(value, sort_keys=True, indent=2) + end``, joined from :func:`_write`'s pieces."""
-    pieces: list[str] = []
-    _write(value, 0, pieces)
-    pieces.append(end)
-    return "".join(pieces)
-
-
-def _write(value: Any, depth: int, pieces: list[str]) -> None:
-    """Append the text of plain str-keyed dicts, lists and scalars at ``depth``
-    to ``pieces``; the C encoder writes each container that holds none, and a
-    list of nonempty int-only lists (polynomial pairs) in one pass, and
-    :func:`_write_cells` a table's :class:`_TableCells`."""
-    if type(value) is _TableCells:
-        _write_cells(value, depth, pieces)
-        return
-    if type(value) not in (dict, list, tuple) or not value:
-        pieces.append(int.__repr__(value) if type(value) is int else _flat_encoder(depth).encode(value))
-        return
-    pad = "\n" + "  " * depth
-    inner = pad + "  "
-    is_dict = type(value) is dict
-    kinds = {*map(type, value.values() if is_dict else value)}
-    if kinds.isdisjoint((dict, list, tuple, _TableCells)):
-        text = _flat_encoder(depth).encode(value)
-        pieces += text[0], inner, text[1:-1], pad, text[-1]
-    elif type(value) is list and kinds == {list} and all(value) and {*map(type, chain.from_iterable(value))} == {int}:
-        # written with the rows' separator throughout; only digits, signs and
-        # separators are left, so "],<sep>[" is a seam between two rows
-        row = inner + "  "
-        rows = _flat_encoder(depth + 1).encode(value)[2:-2].replace("]," + row + "[", f"{inner}],{inner}[{row}")
-        pieces += "[", inner, "[", row, rows, inner, "]", pad, "]"
-    else:
-        sep = "," + inner
-        pieces.append("{" if is_dict else "[")
-        start = len(pieces)
-        for i, key in enumerate(sorted(value) if is_dict else range(len(value))):
-            pieces.append(sep if i else inner)
-            if is_dict:
-                pieces += encode_basestring_ascii(key), ": "
-            _write(value[key], depth + 1, pieces)
-            if len(pieces) - start > 1 << 14:  # one chunk, so few small strings live at once
-                pieces[start:] = ["".join(pieces[start:])]
-                start += 1
-        pieces += pad, "}" if is_dict else "]"
 
 
 class _TableCells:
@@ -189,13 +134,14 @@ def _columns(cells: Iterable[Any]) -> Iterable[tuple[int, tuple[str, ...], Itera
     return columns
 
 
-def _write_cells(cells: _TableCells, depth: int, pieces: list[str]) -> None:
-    """Append the text :func:`_write` gives the cell objects of ``cells`` at
-    ``depth``: one f-string per cell, its blocks from the column's label
-    prefixes, joined into a chunk every 2^10 cells, about the bytes of
-    :func:`_write`'s chunk of 2^14 pieces (some 20 a cell): a cold ``table
-    --n 24`` peaks at 69 MB with it, at 76 MB with chunks of 2^14 cells."""
-    pad = "\n" + "  " * depth
+def _write_cells(cells: _TableCells, pieces: list[str]) -> None:
+    """Append the text ``json.dumps(..., indent=2)`` gives the cell objects
+    of ``cells`` as the value of the payload's ``"cells"``, two levels in:
+    one f-string per cell, its blocks from the column's label prefixes,
+    joined into a chunk every 2^10 cells, so that few small strings live at
+    once: a cold ``table --n 24`` peaks at 69 MB with it, at 76 MB with
+    chunks of 2^14 cells."""
+    pad = "\n    "  # the cells' list, a payload value
     key = pad + "    "  # a cell's keys, two levels in
     block = key + "  "  # its blocks' keys, one more
     block_sep, close = "," + block, pad + "  }"
@@ -228,17 +174,20 @@ class OutputDocument(NamedTuple):
     payload: dict[str, Any]
     format: str = "md"
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "command": self.name,
-            "version": self.version,
-            "arguments": self.arguments,
-            "format": self.format,
-            "payload": self.payload,
-        }
-
     def to_json(self) -> str:
-        return _dumps(self.to_dict(), "\n")
+        cells = self.payload.get("cells")
+        table = type(cells) is _TableCells
+        payload = {**self.payload, "cells": None} if table else self.payload
+        doc = {"command": self.name, "version": self.version, "arguments": self.arguments, "format": self.format, "payload": payload}
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        if not table:
+            return text
+        # the stdlib writes the frame, and a table's cells go where it wrote null
+        head, _, tail = text.partition('"cells": null')
+        pieces = [head, '"cells": ']
+        _write_cells(cells, pieces)
+        pieces.append(tail)
+        return "".join(pieces)
 
     @staticmethod
     def from_json(text: str) -> "OutputDocument":

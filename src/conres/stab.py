@@ -57,9 +57,9 @@ from .resolution import SpectralTable, _lie_character
 
 #: Largest ambient dimension ``conres`` accepts for ``--n`` and ``--max-n``
 #: (Python 3.11 on a shared 2-core Xeon VM, one cold process, peak RSS from
-#: ``os.wait4``: ``table --n 24 --format json`` 0.70-0.81 s, 95 MB, ``verify``
-#: 0.94-1.02 s, 63 MB; at n = 26, ``spectral_table(26)`` 0.94-1.00 s, 85 MB,
-#: ``verify(26)`` 1.7-2.0 s, 101 MB).
+#: ``os.wait4``: ``table --n 24 --format json`` 0.52-0.75 s, 69.7-69.9 MB,
+#: ``verify`` 0.86-0.97 s, 64.2-64.4 MB; at n = 26, ``spectral_table(26)``
+#: 0.94-1.00 s, 85 MB, ``verify(26)`` 1.7-2.0 s, 101 MB).
 MAX_TABLE_N = 24
 
 #: Largest bound a stable cell may have, so that its three-point oracle builds tables up to n = ``MAX_TABLE_N``;
@@ -76,8 +76,9 @@ MAX_WITNESS_SPAN = 1 << 16
 #: edge of the two caps (k parts 2 for k = 1, 2, 4, ..., 2048, one part of 2,
 #: 16, 128, 512, 1024 or 2048, parts (4^k, 3^k, 2^k), (1024, 1024) and sixteen
 #: parts 64), (2,2) and (4) in degree 131071 cost most: a cold
-#: ``conres stab --format json`` takes 0.19-0.30 s and 46 MB (Python 3.11 on a
-#: shared 2-core Xeon VM), 0.06-0.09 s of it writing 65536 coefficients.
+#: ``conres stab --format json`` takes 0.23-0.26 s and 44.7-45.0 MB (Python
+#: 3.11 on a shared 2-core Xeon VM), 0.13-0.15 s of it writing 65536
+#: coefficients through the stdlib's pure-Python indenter.
 MAX_WITNESS_COST = 4 * MAX_WITNESS_SPAN
 
 

@@ -92,6 +92,13 @@ MUTANTS = (
         "counts[cycle_type(pi)] += count",
         ("tests/test_flagchar.py::test_orbit_counts_equal_the_concatenate_and_walk_reference",),
     ),
+    Mutant(
+        "table cells written one level too shallow",
+        "src/conres/cli.py",
+        'pad = "\\n    "  # the cells\' list, a payload value',
+        'pad = "\\n  "  # the cells\' list, a payload value',
+        ("tests/test_cli.py::test_table_cell_writer_matches_the_stdlib",),
+    ),
 )
 
 

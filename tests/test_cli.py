@@ -3,8 +3,6 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conres import cli
 from conres.cli import OutputDocument, main
@@ -178,80 +176,16 @@ def test_json_round_trip(capsys):
     assert cell_keys == {("blocks", "p", "q", "rank")}
 
 
-# keys with every character json escapes, beside ordinary and non-ASCII ones
-_keys = st.text(st.sampled_from(',"\\/\n\t\x00\x1f\x7f aZé☃\U0001f600') | st.characters(), max_size=4)
-_scalars = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(-(2**200), 2**200)
-    | st.floats()
-    | st.sampled_from([-0.0, 1e300, -1e-300])
-    | _keys
-)
-# lists of int-only lists, such as polynomial pairs, have a writer of their own
-_rows = st.lists(st.lists(st.integers() | st.integers(-(2**200), 2**200), min_size=1, max_size=3), max_size=4)
-_documents = st.recursive(
-    _scalars | _rows,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_keys, inner, max_size=4),
-    max_leaves=40,
-)
-
-
-@settings(max_examples=200)
-@given(_documents)
-def test_json_writer_matches_the_stdlib_indenter(value):
-    assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
-
-
-@pytest.mark.parametrize(
-    "value",
-    [
-        {},
-        [],
-        {"a": {}},
-        [[]],
-        {"a": [{"b": {}}]},
-        [[[[]]]],
-        {"a": {"b": {"c": []}, "d": 1}},
-        {"only": []},
-        {"only": {}},
-        [{}, {}, {}],
-        [[1, 2], {"x": [3, {"y": None}]}, [], 4],
-        [[0, 1], [-(2**70), 3, 4], [5]],
-        {"w": [[1, -1]], "x": {"y": [[2], [3]]}},
-        [[1, 2], []],
-        [[1, True]],
-        [[1, 2.0]],
-        [[1], [[2]]],
-        [[1, "2"]],
-        7,
-        -(2**100),
-        "x",
-        None,
-        1.5,
-    ],
-)
-def test_json_writer_fixed_cases(value):
-    assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
-
-
-def test_json_writer_joins_a_long_container_in_chunks():
-    # past 2^14 pieces a container's items are joined into chunks, twice here
-    value = {"cells": [{"blocks": {"2,2": i}, "p": -i, "q": [i, "x"]} for i in range(2000)]}
-    assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
-
-
 _TABLE_VIEWS = (("--view", "hom"), ("--view", "cohom"), ("--total-degree",))
 
 
 @pytest.mark.parametrize("n", [*range(2, 13), 16])
-def test_table_cell_writer_matches_the_generic_writer(capsys, n):
-    # a parsed table is plain dicts and lists, which the generic writer
-    # writes; n = 16 has 1541 cells, past the cell writer's first chunk
+def test_table_cell_writer_matches_the_stdlib(capsys, n):
+    # a parsed table is plain dicts and lists, which json.dumps writes;
+    # n = 16 has 1541 cells, past the cell writer's first chunk
     for view in _TABLE_VIEWS:
         _, out, _ = _run(capsys, "table", "--n", str(n), "--max-n", "16", *view, "--format", "json")
-        assert cli._dumps(json.loads(out), "\n") == out, view
+        assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out, view
 
 
 @pytest.mark.parametrize("n", range(2, 17))

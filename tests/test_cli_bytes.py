@@ -5,7 +5,7 @@ This file holds the digests of the json documents of ``table`` (both views)
 for n = 2..16, 18 and 20 (past 10 with ``--max-n``, where the free part of an
 index reaches dimension 11; n = 14..16 are the largest tables of the
 ``table`` benchmark, and the documents of n = 18 and 20, 1.9 and 4 MB, are
-the largest the json writer is pinned on) and by total degree for n = 5, 9
+the largest the table cell writer is pinned on) and by total degree for n = 5, 9
 and 12, ``link`` for n = 3..10,
 ``verify`` for n = 2..12 (past 10 with ``--max-n``, up to the largest n of
 the ``verify`` benchmark) and 16, whose oracle enumerates orbits of five

@@ -351,6 +351,17 @@ def test_power_rewrite_is_the_normal_form_of_the_power(n):
             assert bool(terms) == (power < n)
 
 
+def test_the_two_rewrite_rules_agree_on_the_first_power():
+    # the reducer's rule replaces (c^k)^{n-k+1} by minus the other monomials
+    # of h_{n-k+1}(c^1, ..., c^k); the one-step rule, checked against the
+    # oracle only up to n = 7, must give the same sum
+    for n in range(1, 12):
+        for k in range(1, n + 1):
+            products = cohomring._rewrite_products(n, k)
+            assert len(set(products)) == len(products)
+            assert dict(cohomring._power_rewrite(n, k, n - k + 1)) == dict.fromkeys(products, -1), (n, k)
+
+
 @pytest.mark.parametrize("n", range(2, 5))
 def test_generator_powers_match_the_row_reduction_oracle(n):
     # the row reduction runs to degree n + 2 only while n <= 4: at n = 5 degree
